@@ -205,6 +205,9 @@ def fit_cmd(scores_path, origin, feature_count, k, restarts, max_iter, tol, trai
         {
             "log_likelihood": result.log_likelihood,
             "restart": result.restart,
+            "converged": result.converged,
+            "nit": result.nit,
+            "nfev": result.nfev,
             "n_points": int(len(scores)),
             "out": str(out),
             "meta": build_meta(seed, config),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erf, expit, logsumexp
+from scipy.special import expit, logsumexp, ndtr
 
 from .errors import DomainError, ModelError
 from .seeds import SeedLike, as_generator
@@ -263,7 +263,7 @@ def gaussian_pdf(x, g: GaussianParams):
 
 
 def gaussian_cdf(x, g: GaussianParams):
-    """Normal cdf via the error function; absolute error below 1e-7."""
+    """Normal cdf via `scipy.special.ndtr`, accurate deep into the lower tail."""
     arr = _check_finite_x(x)
-    out = 0.5 * (1.0 + erf((arr - g.mean) / (g.sd * np.sqrt(2.0))))
+    out = ndtr((arr - g.mean) / g.sd)
     return float(out) if np.isscalar(x) else out

@@ -46,7 +46,7 @@ class DataFormatError(TailratioError):
 
 
 class FitFailureError(TailratioError):
-    """The optimizer failed to improve on its initializer; carries best-so-far."""
+    """No optimizer start converged to a finite optimum; carries best-so-far."""
 
     code = "fit_failure"
 

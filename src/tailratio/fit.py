@@ -1,18 +1,18 @@
 """Maximum-likelihood fitting of logistic mixtures with a 75/25 split protocol.
 
-The optimizer is a derivative-free simplex search over an unconstrained
-reparameterization: k-1 weight logits (softmax, last logit pinned to 0),
-raw locations, and log scales.  Restarts jitter the initializer with an
-independent substream per restart so results do not depend on scheduling.
+The optimizer is L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) with a closed-form
+gradient over an unconstrained reparameterization: k-1 weight logits
+(softmax, last logit pinned to 0), raw locations, and log scales.  Each fit
+runs a few deterministic starts from the quantile initializer plus one start
+per extra restart; restarts jitter the initializer with an independent
+substream per restart so results do not depend on scheduling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .dist import MixtureModel
 from .errors import DomainError, FitFailureError
@@ -25,10 +25,12 @@ _LOG_SCALE_CLIP = 700.0
 # Scale floor as a fraction of the sample range; prevents a component from
 # collapsing onto a single point and blowing up the likelihood.
 _SCALE_FLOOR_FRAC = 1e-4
-# Simplex passes per start: re-running from the first result lets the shrunk
-# simplex re-expand, which reliably finishes converging on ridge-shaped
-# likelihood surfaces at negligible cost.
-_PASSES = 2
+# Extra starts from the initializer with the top component moved to these
+# sample quantiles.  From the mid-quantile placement alone the search settles
+# in a worse mode on 2 of the 400 criterion-7/8 training splits (short by up
+# to 1.14 in log-likelihood); with these starts it reaches the best known
+# mode on all of them.
+_TOP_START_QUANTILES = (0.90, 0.97)
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,19 @@ class SplitResult:
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Fitted model, its final log-likelihood, and the winning restart index."""
+    """Fitted model, its log-likelihood, the winning restart, and a convergence record.
+
+    `converged` is true when every start stopped on the optimizer's own
+    convergence test; `nit` and `nfev` are iterations and objective
+    evaluations summed over all starts.
+    """
 
     model: MixtureModel
     log_likelihood: float
     restart: int
+    converged: bool
+    nit: int
+    nfev: int
 
 
 def split_dataset(scores, fraction: float, seed: SeedLike) -> SplitResult:
@@ -122,52 +132,87 @@ def _pack(model: MixtureModel) -> np.ndarray:
 def _unpack(theta: np.ndarray, k: int, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     logits = np.concatenate([theta[: k - 1], [0.0]])
     logits = np.clip(logits, -_LOGIT_CLIP, _LOGIT_CLIP)
-    weights = np.exp(logits - logsumexp(logits))
+    weights = np.exp(logits - logits.max())
+    weights /= weights.sum()
     locations = theta[k - 1 : 2 * k - 1]
     scales = np.maximum(np.exp(np.clip(theta[2 * k - 1 :], -_LOG_SCALE_CLIP, _LOG_SCALE_CLIP)), floor)
     return weights, locations, scales
 
 
-def _neg_loglik(theta: np.ndarray, xs: np.ndarray, k: int, floor: float) -> float:
-    # Hot path: the simplex search calls this ~1000x per fit, so the
-    # log-sum-exp is done in place on one n-by-k buffer.
+def _neg_loglik(theta: np.ndarray, xs: np.ndarray, k: int, floor: float) -> tuple[float, np.ndarray]:
+    """Negative log-likelihood and its gradient in the unconstrained parameters.
+
+    With z = (x - mu) / s and responsibilities r = softmax over components of
+    log w + log f: d/dmu = -sum r tanh(z/2) / s, d/dlog s = -sum r (z tanh(z/2) - 1)
+    and d/dlogit = -(sum r - n w).  Where a clip or the scale floor binds, the
+    objective is flat in that coordinate and its gradient is 0.
+    """
+    # Hot path: about 35 calls per start.  Arrays are k-by-n so that every
+    # reduction runs over contiguous rows or across whole rows; an n-by-k
+    # layout makes the per-point max and sums several times slower.
     weights, locations, scales = _unpack(theta, k, floor)
-    z = xs[:, None] - locations
-    z /= scales
-    np.abs(z, out=z)
-    t = np.exp(-z)
-    np.log1p(t, out=t)
-    # z becomes -(logpdf + log weight) = |z| + 2 log1p(e^-|z|) + log s - log w
-    z += t
-    z += t
-    z -= np.log(weights) - np.log(scales)
-    m = z.min(axis=1)
-    z -= m[:, None]
-    np.exp(np.negative(z, out=z), out=z)
-    return float(m.sum() - np.log(z.sum(axis=1)).sum())
+    z = xs - locations[:, None]
+    z /= scales[:, None]
+    az = np.abs(z)
+    u = np.exp(-az)
+    # lp = log w + log f = log w - log s - |z| - 2 log1p(e^-|z|), exact in both tails
+    lp = np.log1p(u)
+    lp *= -2.0
+    lp -= az
+    lp += (np.log(weights) - np.log(scales))[:, None]
+    m = lp.max(axis=0)
+    lp -= m
+    np.exp(lp, out=lp)
+    total = lp.sum(axis=0)
+    f = -float(m.sum() + np.log(total).sum())
+    r = lp
+    r /= total
+    # tanh(|z|/2) = (1 - e^-|z|) / (1 + e^-|z|), then r * tanh(|z|/2) in place
+    th = 1.0 - u
+    u += 1.0
+    th /= u
+    th *= r
+    r_sum = r.sum(axis=1)
+    g_logit = xs.size * weights[:-1] - r_sum[:-1]
+    g_logit[np.abs(theta[: k - 1]) > _LOGIT_CLIP] = 0.0
+    g_loc = -np.copysign(th, z).sum(axis=1) / scales
+    g_log_scale = r_sum - (th * az).sum(axis=1)
+    log_scales = theta[2 * k - 1 :]
+    g_log_scale[(log_scales <= np.log(floor)) | (log_scales > _LOG_SCALE_CLIP)] = 0.0
+    return f, np.concatenate([g_logit, g_loc, g_log_scale])
 
 
 def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
-    """Fit a k-component logistic mixture by simplex search over restarts.
+    """Fit a k-component logistic mixture by L-BFGS-B over several starts.
+
+    Restart 0 runs from the quantile initializer and, for k > 1, from two
+    variants of it with the top component moved into the right tail; each
+    further restart runs once from a jittered initializer.  A later start
+    replaces the best so far only if it lowers the negative log-likelihood
+    by more than cfg.tol * max(1, |f|), so float noise never changes the
+    winner.
 
     Parameters
     ----------
     train : array-like of float
         Scores to fit; at least 10 * cfg.k points.
     cfg : FitConfig
-        Component count, iteration budget, tolerance, restart count, and seed.
+        Component count, iteration budget (L-BFGS-B maxiter), tolerance
+        (L-BFGS-B gtol = tol * max(1, |f|) at the start and ftol = tol**2),
+        restart count, and seed.
 
     Returns
     -------
     FitResult
-        Best model across restarts in canonical component order, its
-        log-likelihood, and the restart index that produced it (ties go to
-        the lowest index, so reruns are reproducible).
+        Best converged model in canonical component order, its
+        log-likelihood, the restart that produced it (ties go to the lowest
+        index, so reruns are reproducible), and the convergence record.
 
     Raises
     ------
     FitFailureError
-        If no restart improves on the initializer; carries best-so-far.
+        If no start ends at a finite, converged optimum; carries the best
+        finite start so far.
     """
     arr = np.asarray(train, dtype=float)
     init = init_params(arr, cfg.k)  # validates size and degeneracy
@@ -175,45 +220,56 @@ def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
     floor = _SCALE_FLOOR_FRAC * rng_width
     k = cfg.k
     theta0 = _pack(init)
-    f_init = _neg_loglik(theta0, xs, k, floor)
 
-    best_f = np.inf
-    best_theta = theta0
-    best_restart = 0
-    for r in range(cfg.restarts):
+    starts = [(0, theta0)]
+    for q in _TOP_START_QUANTILES if k > 1 else ():
         theta = theta0.copy()
-        if r > 0:
-            jitter = substream(cfg.seed, r)
-            theta[: k - 1] += jitter.normal(0.0, 0.5, size=k - 1)
-            theta[k - 1 : 2 * k - 1] += jitter.normal(0.0, 0.25 * max(iqr, floor), size=k)
-            theta[2 * k - 1 :] += jitter.normal(0.0, 0.25, size=k)
-        f0 = _neg_loglik(theta, xs, k, floor)
-        for _ in range(_PASSES):
-            res = minimize(
-                _neg_loglik,
-                theta,
-                args=(xs, k, floor),
-                method="Nelder-Mead",
-                options=dict(
-                    maxiter=cfg.max_iter,
-                    fatol=cfg.tol * max(1.0, abs(f0)),
-                    xatol=1e-5,
-                ),
-            )
-            theta = res.x
-        f_r = _neg_loglik(theta, xs, k, floor)
-        if f_r < best_f:
-            best_f = f_r
-            best_theta = theta
-            best_restart = r
+        theta[2 * k - 2] = np.quantile(xs, q)
+        starts.append((0, theta))
+    for r in range(1, cfg.restarts):
+        theta = theta0.copy()
+        jitter = substream(cfg.seed, r)
+        theta[: k - 1] += jitter.normal(0.0, 0.5, size=k - 1)
+        theta[k - 1 : 2 * k - 1] += jitter.normal(0.0, 0.25 * max(iqr, floor), size=k)
+        theta[2 * k - 1 :] += jitter.normal(0.0, 0.25, size=k)
+        starts.append((r, theta))
 
-    if best_f > f_init:
-        weights, locations, scales = _unpack(best_theta, k, floor)
-        raise FitFailureError(
-            "no restart improved on the initializer",
-            best_model=MixtureModel.from_parts(weights, locations, scales),
-            best_log_likelihood=-best_f,
+    runs = []  # (restart, OptimizeResult) per start
+    for r, theta in starts:
+        f0 = _neg_loglik(theta, xs, k, floor)[0]
+        res = minimize(
+            _neg_loglik,
+            theta,
+            args=(xs, k, floor),
+            method="L-BFGS-B",
+            jac=True,
+            # gtol is relative to the objective's size: at tol * n, 1 in 90
+            # starts on 20,000-point samples ended in a line search lost in
+            # float noise.  The relative-reduction test runs at tol**2: at
+            # tol it stops on slow ridges up to 7e-5 short of the optimum.
+            options=dict(maxiter=cfg.max_iter, ftol=cfg.tol**2, gtol=cfg.tol * max(1.0, abs(f0))),
         )
-    weights, locations, scales = _unpack(best_theta, k, floor)
-    model = MixtureModel.from_parts(weights, locations, scales)
-    return FitResult(model=model, log_likelihood=-best_f, restart=best_restart)
+        runs.append((r, res))
+
+    best = None
+    for r, res in runs:
+        if not (res.success and np.isfinite(res.fun)):
+            continue
+        if best is None or res.fun < best[1].fun - cfg.tol * max(1.0, abs(best[1].fun)):
+            best = (r, res)
+    if best is None:
+        _, res = min(runs, key=lambda run: run[1].fun if np.isfinite(run[1].fun) else np.inf)
+        raise FitFailureError(
+            "no start converged to a finite optimum",
+            best_model=MixtureModel.from_parts(*_unpack(res.x, k, floor)),
+            best_log_likelihood=-float(res.fun),
+        )
+    best_restart, res = best
+    return FitResult(
+        model=MixtureModel.from_parts(*_unpack(res.x, k, floor)),
+        log_likelihood=-float(res.fun),
+        restart=best_restart,
+        converged=all(run.success for _, run in runs),
+        nit=sum(int(run.nit) for _, run in runs),
+        nfev=sum(int(run.nfev) for _, run in runs),
+    )

@@ -167,6 +167,8 @@ class TestFitAndGof:
         assert len(obj["components"]) == 2
         payload = json.loads(result.output)
         assert payload["n_points"] == 600
+        assert payload["converged"] is True
+        assert payload["nfev"] >= payload["nit"] >= 1
 
     def test_gof_reports_both_statistics(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])

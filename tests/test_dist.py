@@ -148,6 +148,9 @@ class TestGaussian:
         g = GaussianParams(0.0, 1.0)
         assert gaussian_cdf(0.0, g) == pytest.approx(0.5, rel=1e-12)
         assert gaussian_cdf(1.959963984540054, g) == pytest.approx(0.975, abs=1e-9)
+        # 0.5 * (1 + erf(z / sqrt 2)) is exactly 0 below z = -8.3
+        assert gaussian_cdf(-9.0, g) == pytest.approx(1.1285884059538408e-19, rel=1e-12)
+        assert gaussian_cdf(-30.0, g) > 0.0
 
     def test_sd_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -136,6 +136,17 @@ class TestToyStudy:
         again = toy_study(scenarios, 100, seed=0)
         assert records == again
 
+    def test_h1_alpha_does_not_underflow(self):
+        # With the erf-based normal cdf, alpha underflowed to 0 on 985 H1
+        # draws (a: 1, b: 61, c: 923); ndtr keeps 275 of them positive
+        # (a: 1, b: 61, c: 213), so only 710 ratios in (c) remain 0.
+        records = toy_study(default_toy_scenarios(), 1000, seed=0)
+        h1 = [r for r in records if r.hypothesis == "H1"]
+        zero = {s: sum(r.frstat_like == 0.0 for r in h1 if r.scenario == s) for s in "abc"}
+        positive = {s: sum(0.0 < r.frstat_like < np.inf for r in h1 if r.scenario == s) for s in "abc"}
+        assert zero == {"a": 0, "b": 0, "c": 710}
+        assert positive == {"a": 1000, "b": 1000, "c": 290}
+
     def test_direction_of_bias_scenario_a(self):
         # under H0 the tail ratio overstates, under H1 it understates
         sc_a = default_toy_scenarios()[0]
