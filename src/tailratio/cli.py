@@ -21,7 +21,7 @@ from .dist import MixtureModel
 from .errors import DomainError, TailratioError
 from .evidence import evidence_numbers, tipping_score
 from .experiments import (
-    RatioRecord,
+    DEFAULT_MATED_MODEL,
     SynthConfig,
     TailAudit,
     default_toy_scenarios,
@@ -446,17 +446,12 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
         return
     if scores_path is None or out_prefix is None:
         raise click.BadParameter("compute mode needs --scores and --out-prefix")
-    mated = _load_model_arg(mated_path) if mated_path else None
+    mated = _load_model_arg(mated_path) if mated_path else DEFAULT_MATED_MODEL
     nonmated = _load_model_arg(nonmated_path, default_name="nonmated_15.json")
     dataset = load_scores(scores_path)
-    records = []
-    for rec in dataset.records:
-        if rec.origin != "nonmated":
-            continue
-        mated_model = mated if mated is not None else _default_mated()
-        rep = evidence_numbers(mated_model, nonmated, rec.score)
-        records.append(RatioRecord(ratio=rep.ratio, origin=rec.origin, feature_count=rec.feature_count))
-    excl_table, err_table = threshold_study(records, thresholds)
+    is_nonmated = dataset.origin == "nonmated"
+    rep = evidence_numbers(mated, nonmated, dataset.score[is_nonmated])
+    excl_table, err_table = threshold_study(rep.ratio, dataset.feature_count[is_nonmated], thresholds)
     config = dict(subcommand="thresholds", scores=str(scores_path), mated_model=mated_path or "builtin",
                   nonmated_model=nonmated_path or "builtin", thresholds=thresholds_text)
     meta = build_meta(0, config)
@@ -469,12 +464,6 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
                   ["feature_count", "pairs", *[format_value(t) for t in table.thresholds]],
                   rows, meta=meta)
     click.echo(f"wrote {out_prefix}_exclusion.csv and {out_prefix}_error.csv")
-
-
-def _default_mated() -> MixtureModel:
-    from .experiments import DEFAULT_MATED_MODEL
-
-    return DEFAULT_MATED_MODEL
 
 
 @main.command("report")

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import expit, logsumexp, ndtr
 
 from .errors import DomainError, ModelError
@@ -32,7 +33,7 @@ __all__ = [
     "gaussian_cdf",
 ]
 
-# Bisection bracket half-width for the mixture quantile, in units of the
+# Search bracket half-width for the mixture quantile, in units of the
 # largest component scale.  expit(+-50) is ~2e-22, far outside any use here.
 _QUANTILE_BRACKET_SCALES = 50.0
 
@@ -186,26 +187,32 @@ def _z_matrix(model: MixtureModel, arr: np.ndarray) -> np.ndarray:
     return (arr[..., None] - model.locations) / model.scales
 
 
+def _component_sum(model: MixtureModel, x, term):
+    """Weighted sum of term(z, scale) over the components, one component at a time.
+
+    Adding components in turn, rather than through a matrix product, gives a
+    point the same bits whether it is evaluated alone or inside any batch.
+    """
+    arr = _check_finite_x(x)
+    out = np.zeros(arr.shape)
+    for w, loc, scale in zip(model.weights, model.locations, model.scales):
+        out = out + w * term((arr - loc) / scale, scale)
+    return float(out) if np.isscalar(x) else out
+
+
 def mixture_pdf(model: MixtureModel, x):
     """Mixture density, the weighted sum of component logistic densities."""
-    arr = _check_finite_x(x)
-    z = _z_matrix(model, arr)
-    out = (expit(z) * expit(-z) / model.scales) @ model.weights
-    return float(out) if np.isscalar(x) else out
+    return _component_sum(model, x, lambda z, scale: expit(z) * expit(-z) / scale)
 
 
 def mixture_cdf(model: MixtureModel, x):
     """Mixture cdf, the weighted sum of component logistic cdfs."""
-    arr = _check_finite_x(x)
-    out = expit(_z_matrix(model, arr)) @ model.weights
-    return float(out) if np.isscalar(x) else out
+    return _component_sum(model, x, lambda z, scale: expit(z))
 
 
 def mixture_sf(model: MixtureModel, x):
     """Mixture right tail P(X > x), summed in the stable tail branch per component."""
-    arr = _check_finite_x(x)
-    out = expit(-_z_matrix(model, arr)) @ model.weights
-    return float(out) if np.isscalar(x) else out
+    return _component_sum(model, x, lambda z, scale: expit(-z))
 
 
 def quantile_bracket(model: MixtureModel) -> tuple[float, float]:
@@ -215,19 +222,13 @@ def quantile_bracket(model: MixtureModel) -> tuple[float, float]:
 
 
 def mixture_quantile(model: MixtureModel, p: float) -> float:
-    """Inverse mixture cdf by bisection; cdf(result) matches p to 1e-10 or better."""
+    """Inverse mixture cdf by Brent's method on the quantile bracket."""
     if not np.isfinite(p) or not 0.0 < p < 1.0:
         raise DomainError(f"quantile probability must be in (0, 1), got {p}")
     lo, hi = quantile_bracket(model)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mixture_cdf(model, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    if mixture_cdf(model, lo) >= p:
+        raise DomainError(f"quantile probability {p} lies below the search bracket")
+    return brentq(lambda s: mixture_cdf(model, s) - p, lo, hi)
 
 
 def mixture_sample(model: MixtureModel, n: int, seed: SeedLike) -> np.ndarray:

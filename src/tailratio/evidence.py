@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+from scipy.optimize import brentq
+
 from .dist import (
     GaussianParams,
     MixtureModel,
@@ -46,13 +49,14 @@ _TIPPING_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EvidenceReport:
-    """The evidence numbers at one observed score.
+    """The evidence numbers at one observed score, or at an array of scores.
 
     `alpha` is the risk of erroneous exclusion, `beta` the risk of erroneous
     identification, `ratio` their quotient alpha / beta, and `slr` the
     score-based likelihood ratio (mated density over non-mated density).
     When `beta` underflows to 0 the ratio is +inf and `saturated` is set;
-    the ratio is never silently reported as a plain huge number.
+    the ratio is never silently reported as a plain huge number.  For an
+    array of scores every field is an array of the same shape.
     """
 
     observed_score: float
@@ -62,8 +66,6 @@ class EvidenceReport:
     slr: float
     saturated: bool = False
     slr_saturated: bool = False
-    mated_id: str = "mated"
-    nonmated_id: str = "nonmated"
 
 
 @dataclass(frozen=True)
@@ -155,41 +157,30 @@ def beta_tail(nonmated: MixtureModel, s: float) -> float:
     return mixture_sf(nonmated, float(s))
 
 
-def _pdf_ratio(mated: MixtureModel, nonmated: MixtureModel, s: float) -> tuple[float, bool]:
-    num = mixture_pdf(mated, s)
-    den = mixture_pdf(nonmated, s)
-    if den == 0.0:
-        return math.inf, True
-    return num / den, False
+def _saturating_ratio(num, den):
+    """num / den elementwise, with +inf and a set flag wherever den is 0."""
+    den = np.asarray(den, dtype=float)
+    saturated = den == 0.0
+    with np.errstate(over="ignore"):
+        ratio = np.where(saturated, np.inf, num / np.where(saturated, 1.0, den))
+    return ratio, saturated
 
 
-def evidence_numbers(
-    mated: MixtureModel,
-    nonmated: MixtureModel,
-    s: float,
-    mated_id: str = "mated",
-    nonmated_id: str = "nonmated",
-) -> EvidenceReport:
-    """Compute the full evidence report (both tail risks, their ratio, the SLR) at s."""
-    s = float(s)
-    alpha = alpha_tail(mated, s)
-    beta = beta_tail(nonmated, s)
-    if beta == 0.0:
-        ratio, saturated = math.inf, True
-    else:
-        ratio, saturated = alpha / beta, False
-    slr, slr_saturated = _pdf_ratio(mated, nonmated, s)
-    return EvidenceReport(
-        observed_score=s,
-        alpha=alpha,
-        beta=beta,
-        ratio=ratio,
-        slr=slr,
-        saturated=saturated,
-        slr_saturated=slr_saturated,
-        mated_id=mated_id,
-        nonmated_id=nonmated_id,
-    )
+def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> EvidenceReport:
+    """Both tail risks, their ratio and the SLR at a score or an array of scores.
+
+    A score gives a report of Python floats and bools; an array gives a
+    report of arrays.  Each score gets the same bits either way.
+    """
+    arr = np.asarray(s, dtype=float)
+    alpha = mixture_cdf(mated, arr)
+    beta = mixture_sf(nonmated, arr)
+    ratio, saturated = _saturating_ratio(alpha, beta)
+    slr, slr_saturated = _saturating_ratio(mixture_pdf(mated, arr), mixture_pdf(nonmated, arr))
+    fields = (arr, alpha, beta, ratio, slr, saturated, slr_saturated)
+    if np.isscalar(s):
+        fields = tuple(np.asarray(v).item() for v in fields)
+    return EvidenceReport(*fields)
 
 
 def score_lr(mated: MixtureModel, nonmated: MixtureModel, s: float) -> float:
@@ -197,18 +188,20 @@ def score_lr(mated: MixtureModel, nonmated: MixtureModel, s: float) -> float:
 
     Returns +inf when the denominator underflows (saturation marker).
     """
-    ratio, _ = _pdf_ratio(mated, nonmated, float(s))
-    return ratio
+    s = float(s)
+    ratio, _ = _saturating_ratio(mixture_pdf(mated, s), mixture_pdf(nonmated, s))
+    return float(ratio)
 
 
 def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> TippingPoint:
     """Find the score where the exclusion and identification risks are equal.
 
     The difference alpha(s) - beta(s) runs from -1 to +1, so a sign change
-    exists on any bracket wide enough to cover both models; bisection drives
-    |alpha - beta| below 1e-9.  The returned record also carries the
-    score-based likelihood ratio at the crossing, which in general is not 1:
-    a tail-probability ratio of exactly 1 does not mean the densities agree.
+    exists on any bracket wide enough to cover both models; Brent's method
+    finds it, and |alpha - beta| must end below 1e-9.  The returned record
+    also carries the score-based likelihood ratio at the crossing, which in
+    general is not 1: a tail-probability ratio of exactly 1 does not mean
+    the densities agree.
     """
     lo_m, hi_m = quantile_bracket(mated)
     lo_n, hi_n = quantile_bracket(nonmated)
@@ -219,21 +212,13 @@ def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> TippingPoint:
 
     if gap(lo) > 0.0 or gap(hi) < 0.0:
         raise NoTippingPointError("tail risks do not cross on the search bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s_star = 0.5 * (lo + hi)
-    alpha = alpha_tail(mated, s_star)
-    beta = beta_tail(nonmated, s_star)
-    if abs(alpha - beta) > _TIPPING_TOL:
+    s_star = brentq(gap, lo, hi)
+    at = evidence_numbers(mated, nonmated, s_star)
+    if abs(at.alpha - at.beta) > _TIPPING_TOL:
         raise NoTippingPointError(
-            f"bisection did not close the gap: |alpha - beta| = {abs(alpha - beta):.3e}"
+            f"root search did not close the gap: |alpha - beta| = {abs(at.alpha - at.beta):.3e}"
         )
-    slr, slr_saturated = _pdf_ratio(mated, nonmated, s_star)
-    return TippingPoint(score=s_star, alpha=alpha, beta=beta, slr=slr, slr_saturated=slr_saturated)
+    return TippingPoint(score=s_star, alpha=at.alpha, beta=at.beta, slr=at.slr, slr_saturated=at.slr_saturated)
 
 
 def discrete_woe(table: BloodTypeTable, observed_type: str | None = None) -> DiscreteWoe:
@@ -251,16 +236,16 @@ def discrete_woe(table: BloodTypeTable, observed_type: str | None = None) -> Dis
     return DiscreteWoe(correspondence_ratio=1.0 / sum_sq, per_type_lr=per_type)
 
 
-def specific_source_lr(sc: ToyScenario, x: float) -> float:
-    """Closed-form specific-source LR: density under the named source over
-    density under a random population source.
+def specific_source_lr(sc: ToyScenario, x):
+    """Closed-form specific-source LR at an observation or an array of them:
+    density under the named source over density under a random population
+    source.
 
-    Returns +inf when the denominator underflows (saturation marker).
+    Returns +inf where the denominator underflows (saturation marker).
     """
     if sc.within_sd <= 0.0:
         raise DomainError("within_sd must be positive for a density ratio")
-    num = gaussian_pdf(float(x), GaussianParams(sc.source_mean, sc.within_sd))
-    den = gaussian_pdf(float(x), GaussianParams(sc.pop_mean, sc.total_sd))
-    if den == 0.0:
-        return math.inf
-    return num / den
+    num = gaussian_pdf(x, GaussianParams(sc.source_mean, sc.within_sd))
+    den = gaussian_pdf(x, GaussianParams(sc.pop_mean, sc.total_sd))
+    ratio, _ = _saturating_ratio(num, den)
+    return float(ratio) if np.isscalar(x) else ratio

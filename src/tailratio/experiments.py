@@ -7,16 +7,15 @@ index, channel) and results are aggregated by replicate index.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dist import GaussianParams, MixtureModel, gaussian_cdf, gaussian_pdf, mixture_sample, mixture_sf
+from .dist import GaussianParams, MixtureModel, gaussian_cdf, mixture_sample, mixture_sf
 from .errors import DomainError, FitFailureError
-from .evidence import ToyScenario
+from .evidence import ToyScenario, _saturating_ratio, specific_source_lr
 from .fit import FitConfig, fit_mixture, split_dataset
 from .gof import ad_statistic, asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
 from .seeds import derive_seed, substream
@@ -26,13 +25,11 @@ __all__ = [
     "DEFAULT_MATED_MODEL",
     "DEFAULT_STUDY_FIT_CONFIG",
     "DEFAULT_THRESHOLDS",
-    "ScoreRecord",
     "ScoreDataset",
     "SynthConfig",
     "TailAudit",
     "PValueStudyResult",
     "ToyRecord",
-    "RatioRecord",
     "ThresholdTable",
     "Violation",
     "generate_synthetic",
@@ -75,47 +72,61 @@ DEFAULT_THRESHOLDS = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0)
 _COMPLEMENT_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    """One labeled similarity score."""
-
-    score: float
-    origin: str
-    feature_count: int
-    pair_id: str
-    source_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise DomainError(f"score must be finite, got {self.score}")
-        if self.origin not in ("mated", "nonmated"):
-            raise DomainError(f"origin must be 'mated' or 'nonmated', got {self.origin!r}")
-        if not 5 <= self.feature_count <= 15:
-            raise DomainError(f"feature_count must be in [5, 15], got {self.feature_count}")
-        if not self.pair_id:
-            raise DomainError("pair_id must be nonempty")
+_ORIGINS = ("mated", "nonmated")
 
 
 @dataclass(frozen=True, eq=False)
 class ScoreDataset:
-    """An ordered collection of labeled scores."""
+    """Labeled scores as parallel columns, one entry per compared pair.
 
-    records: tuple[ScoreRecord, ...]
+    `source_id` is None where a row names no source.  Every row is checked
+    on construction: a finite score, a known origin, a feature count in
+    [5, 15] and a nonempty pair id.  The first bad row raises a DomainError
+    whose payload carries its index as `row`.
+    """
+
+    score: np.ndarray
+    origin: np.ndarray
+    feature_count: np.ndarray
+    pair_id: np.ndarray
+    source_id: np.ndarray
+
+    def __post_init__(self) -> None:
+        score = np.asarray(self.score, dtype=float)
+        origin = np.asarray(self.origin, dtype=str)
+        feature_count = np.asarray(self.feature_count)
+        pair_id = np.asarray(self.pair_id, dtype=object)
+        source_id = np.asarray(self.source_id, dtype=object)
+        if score.ndim != 1 or {c.shape for c in (origin, feature_count, pair_id, source_id)} != {score.shape}:
+            raise DomainError("score columns must be one-dimensional and of equal length")
+        problems = (
+            (~np.isfinite(score), "score must be finite", score),
+            (~np.isin(origin, _ORIGINS), "origin must be 'mated' or 'nonmated'", origin),
+            ((feature_count < 5) | (feature_count > 15), "feature_count must be in [5, 15]", feature_count),
+            (~pair_id.astype(bool), "pair_id must be nonempty", pair_id),
+        )
+        first_bad = [(int(np.argmax(bad)), k) for k, (bad, _, _) in enumerate(problems) if np.any(bad)]
+        if first_bad:
+            row, k = min(first_bad)
+            _, what, column = problems[k]
+            raise DomainError(f"row {row}: {what}, got {column[row:row + 1].tolist()[0]!r}", row=row)
+        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "feature_count", feature_count.astype(int))
+        object.__setattr__(self, "pair_id", pair_id)
+        object.__setattr__(self, "source_id", source_id)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.score.size
 
     def scores(self, origin: str | None = None, feature_count: int | None = None) -> np.ndarray:
-        """Scores filtered by origin and/or feature count, in record order."""
-        return np.array(
-            [
-                r.score
-                for r in self.records
-                if (origin is None or r.origin == origin)
-                and (feature_count is None or r.feature_count == feature_count)
-            ],
-            dtype=float,
-        )
+        """Scores filtered by origin and/or feature count, in row order."""
+        keep = np.ones(len(self), dtype=bool)
+        if origin is not None:
+            keep &= self.origin == origin
+        if feature_count is not None:
+            keep &= self.feature_count == feature_count
+        return self.score[keep]
 
 
 @dataclass(frozen=True)
@@ -175,36 +186,20 @@ def generate_synthetic(cfg: SynthConfig) -> ScoreDataset:
     """Generate a labeled synthetic dataset from the configured truth models.
 
     Mated and non-mated draws use independent substreams (seed, 0) and
-    (seed, 1).  Mated records are assigned round-robin ids: each score is
+    (seed, 1).  Mated rows are assigned round-robin ids: each score is
     one compared pair, and every block of 10 consecutive scores shares a
     source.
     """
-    records: list[ScoreRecord] = []
-    if cfg.n_mated > 0:
-        mated = mixture_sample(cfg.mated_model, cfg.n_mated, substream(cfg.seed, 0))
-        for i, s in enumerate(mated):
-            records.append(
-                ScoreRecord(
-                    score=float(s),
-                    origin="mated",
-                    feature_count=cfg.feature_count,
-                    pair_id=f"mated-{i}",
-                    source_id=f"source-{i // _SCORES_PER_SOURCE}",
-                )
-            )
-    if cfg.n_nonmated > 0:
-        nonmated = mixture_sample(cfg.nonmated_model(), cfg.n_nonmated, substream(cfg.seed, 1))
-        for i, s in enumerate(nonmated):
-            records.append(
-                ScoreRecord(
-                    score=float(s),
-                    origin="nonmated",
-                    feature_count=cfg.feature_count,
-                    pair_id=f"nonmated-{i}",
-                    source_id=None,
-                )
-            )
-    return ScoreDataset(records=tuple(records))
+    n_m, n_n = cfg.n_mated, cfg.n_nonmated
+    mated = mixture_sample(cfg.mated_model, n_m, substream(cfg.seed, 0)) if n_m > 0 else np.empty(0)
+    nonmated = mixture_sample(cfg.nonmated_model(), n_n, substream(cfg.seed, 1)) if n_n > 0 else np.empty(0)
+    return ScoreDataset(
+        score=np.concatenate([mated, nonmated]),
+        origin=np.repeat(_ORIGINS, [n_m, n_n]),
+        feature_count=np.full(n_m + n_n, cfg.feature_count),
+        pair_id=[f"mated-{i}" for i in range(n_m)] + [f"nonmated-{i}" for i in range(n_n)],
+        source_id=[f"source-{i // _SCORES_PER_SOURCE}" for i in range(n_m)] + [None] * n_n,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,16 +419,6 @@ def _toy_tails(sc: ToyScenario, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
 
 
-def _toy_true_lr(sc: ToyScenario, x: np.ndarray) -> np.ndarray:
-    if sc.within_sd > 0.0:
-        num = gaussian_pdf(x, GaussianParams(sc.source_mean, sc.within_sd))
-        den = gaussian_pdf(x, GaussianParams(sc.pop_mean, sc.total_sd))
-        with np.errstate(divide="ignore"):
-            return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-    # point-mass source: the density ratio degenerates to an indicator
-    return np.where(x == sc.source_mean, np.inf, 0.0)
-
-
 def toy_study(
     scenarios: Sequence[ToyScenario],
     reps: int,
@@ -465,9 +450,12 @@ def toy_study(
                 x = rng.normal(sc.pop_mean, sc.total_sd, size=reps)
             s = -np.abs(x - sc.source_mean)
             alpha, beta = _toy_tails(sc, s)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(beta > 0.0, alpha / np.where(beta > 0.0, beta, 1.0), np.inf)
-            true_lr = _toy_true_lr(sc, x)
+            ratio, _ = _saturating_ratio(alpha, beta)
+            if sc.within_sd > 0.0:
+                true_lr = specific_source_lr(sc, x)
+            else:
+                # point-mass source: the density ratio degenerates to an indicator
+                true_lr = np.where(x == sc.source_mean, np.inf, 0.0)
             saturated = ~(np.isfinite(ratio) & np.isfinite(true_lr))
             for rep in range(reps):
                 records.append(
@@ -481,23 +469,6 @@ def toy_study(
                     )
                 )
     return tuple(records)
-
-
-@dataclass(frozen=True)
-class RatioRecord:
-    """One evidence ratio with its origin label and feature count."""
-
-    ratio: float
-    origin: str
-    feature_count: int
-
-    def __post_init__(self) -> None:
-        if self.origin not in ("mated", "nonmated"):
-            raise DomainError(f"origin must be 'mated' or 'nonmated', got {self.origin!r}")
-        if not 5 <= self.feature_count <= 15:
-            raise DomainError(f"feature_count must be in [5, 15], got {self.feature_count}")
-        if math.isnan(self.ratio) or self.ratio < 0.0:
-            raise DomainError(f"ratio must be nonnegative or +inf, got {self.ratio}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -533,35 +504,41 @@ class ThresholdTable:
 
 
 def threshold_study(
-    records: Iterable[RatioRecord],
+    ratios,
+    feature_counts,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
 ) -> tuple[ThresholdTable, ThresholdTable]:
-    """Decision-rule audit over non-mated evidence ratios.
+    """Decision-rule audit over the evidence ratios of non-mated pairs.
 
+    `ratios` and `feature_counts` are parallel arrays, one entry per pair.
     For every feature count present and every threshold T: the correct
-    exclusion rate is the fraction of non-mated ratios strictly below T and
-    the erroneous identification rate the fraction at or above T.  A ratio
+    exclusion rate is the fraction of ratios strictly below T and the
+    erroneous identification rate the fraction at or above T.  A ratio
     exactly at the threshold counts as an erroneous identification, the
     conservative reading for the person the evidence is used against.
     """
-    recs = [r for r in records]
-    if len(recs) == 0:
-        raise DomainError("need at least one record")
+    ratio = np.asarray(ratios, dtype=float)
+    fc = np.asarray(feature_counts)
+    if ratio.ndim != 1 or fc.shape != ratio.shape:
+        raise DomainError("ratios and feature_counts must be one-dimensional and of equal length")
+    if ratio.size == 0:
+        raise DomainError("need at least one non-mated ratio")
+    if np.any(np.isnan(ratio) | (ratio < 0.0)):
+        raise DomainError("ratios must be nonnegative or +inf")
+    if np.any((fc < 5) | (fc > 15)):
+        raise DomainError("feature counts must be in [5, 15]")
     cols = tuple(sorted(float(t) for t in thresholds))
     if len(cols) == 0:
         raise DomainError("need at least one threshold")
-    nonmated = [r for r in recs if r.origin == "nonmated"]
-    if len(nonmated) == 0:
-        raise DomainError("need at least one non-mated record")
-    fcs = tuple(sorted({r.feature_count for r in nonmated}))
+    fcs = tuple(int(f) for f in np.unique(fc))
     excl_rows: list[tuple[float, ...]] = []
     err_rows: list[tuple[float, ...]] = []
     counts: list[int] = []
-    for fc in fcs:
-        ratios = np.array([r.ratio for r in nonmated if r.feature_count == fc], dtype=float)
-        counts.append(ratios.size)
-        excl_rows.append(tuple(float(np.mean(ratios < t)) for t in cols))
-        err_rows.append(tuple(float(np.mean(ratios >= t)) for t in cols))
+    for f in fcs:
+        row = ratio[fc == f]
+        counts.append(row.size)
+        excl_rows.append(tuple(float(np.mean(row < t)) for t in cols))
+        err_rows.append(tuple(float(np.mean(row >= t)) for t in cols))
     return (
         ThresholdTable("correct_exclusion", fcs, cols, tuple(excl_rows), tuple(counts)),
         ThresholdTable("erroneous_identification", fcs, cols, tuple(err_rows), tuple(counts)),

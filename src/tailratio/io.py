@@ -14,12 +14,12 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from ._version import __version__
 from .dist import MixtureModel
 from .errors import DataFormatError, DomainError
-from .experiments import ScoreDataset, ScoreRecord, ThresholdTable
+from .experiments import ScoreDataset, ThresholdTable
 
 __all__ = [
     "ModelFile",
@@ -90,79 +90,91 @@ def write_csv(
             writer.writerow([format_value(v) for v in row])
 
 
-def _read_csv_body(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]], dict[str, str]]:
-    """Read a CSV, returning (header, [(line_number, row)], metadata)."""
-    meta: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, newline="") as fh:
+def _csv_rows(fh: IO[str], path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header of an open CSV and a lazy iterator of (line number, cells) rows.
+
+    Blank lines are skipped, and so are the leading `# key=value` metadata
+    lines, which must precede the header.
+    """
+
+    def lines() -> Iterator[tuple[int, list[str]]]:
+        seen_header = False
         for lineno, line in enumerate(fh, start=1):
             stripped = line.rstrip("\n")
             if stripped.startswith("#"):
-                if header is not None:
+                if seen_header:
                     raise DataFormatError("metadata lines must precede the header", line=lineno)
-                body = stripped.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
                 continue
             if stripped == "":
                 continue
-            cells = next(csv.reader([stripped]))
-            if header is None:
-                header = cells
-            else:
-                rows.append((lineno, cells))
-    if header is None:
+            seen_header = True
+            yield lineno, next(csv.reader([stripped]))
+
+    rows = lines()
+    first = next(rows, None)
+    if first is None:
         raise DataFormatError(f"no header found in {path}")
-    return header, rows, meta
+    return first[1], rows
+
+
+def _read_csv_body(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Read a whole CSV, returning (header, [(line_number, row)])."""
+    with open(path, newline="") as fh:
+        header, rows = _csv_rows(fh, path)
+        return header, list(rows)
 
 
 def load_scores(path: str | Path) -> ScoreDataset:
-    """Load a labeled score CSV, validating every row.
+    """Load a labeled score CSV into columns, validating every row.
 
     Header must be `score,origin,feature_count,pair_id` with an optional
-    trailing `source_id` column; malformed rows fail with their line number.
+    trailing `source_id` column; the first malformed row fails with its line
+    number.
     """
-    header, rows, _ = _read_csv_body(path)
-    if header == _SCORE_HEADER_FULL:
-        has_source = True
-    elif header == _SCORE_HEADER:
-        has_source = False
-    else:
-        raise DataFormatError(
-            f"unexpected header {header!r}; want {','.join(_SCORE_HEADER)}[,source_id]", line=1
-        )
-    records: list[ScoreRecord] = []
-    for lineno, cells in rows:
-        if len(cells) != len(header):
-            raise DataFormatError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
-        try:
-            score = float(cells[0])
-            feature_count = int(cells[2])
-            source_id = (cells[4] or None) if has_source else None
-            records.append(
-                ScoreRecord(
-                    score=score,
-                    origin=cells[1],
-                    feature_count=feature_count,
-                    pair_id=cells[3],
-                    source_id=source_id,
-                )
+    score: list[float] = []
+    origin: list[str] = []
+    feature_count: list[int] = []
+    pair_id: list[str] = []
+    source_id: list[str | None] = []
+    line_of_row: list[int] = []
+    failure = None
+    with open(path, newline="") as fh:
+        header, rows = _csv_rows(fh, path)
+        if header not in (_SCORE_HEADER, _SCORE_HEADER_FULL):
+            raise DataFormatError(
+                f"unexpected header {header!r}; want {','.join(_SCORE_HEADER)}[,source_id]", line=1
             )
-        except (ValueError, DomainError) as exc:
-            raise DataFormatError(f"bad record: {exc}", line=lineno) from exc
-    return ScoreDataset(records=tuple(records))
+        has_source = header == _SCORE_HEADER_FULL
+        for lineno, cells in rows:
+            if len(cells) != len(header):
+                failure = DataFormatError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
+                break
+            try:
+                value, count = float(cells[0]), int(cells[2])
+            except ValueError as exc:
+                failure = DataFormatError(f"bad record: {exc}", line=lineno)
+                break
+            score.append(value)
+            origin.append(cells[1])
+            feature_count.append(count)
+            pair_id.append(cells[3])
+            source_id.append((cells[4] or None) if has_source else None)
+            line_of_row.append(lineno)
+    # The rows before an unparsable one are validated first, so the error
+    # always names the first bad line.
+    try:
+        dataset = ScoreDataset(score, origin, feature_count, pair_id, source_id)
+    except DomainError as exc:
+        raise DataFormatError(f"bad record: {exc}", line=line_of_row[exc.payload["row"]]) from exc
+    if failure is not None:
+        raise failure
+    return dataset
 
 
 def save_scores(dataset: ScoreDataset, path: str | Path, meta: Mapping[str, Any] | None = None) -> None:
     """Write a score dataset as CSV (always with the source_id column)."""
-    write_csv(
-        path,
-        _SCORE_HEADER_FULL,
-        ([r.score, r.origin, r.feature_count, r.pair_id, r.source_id] for r in dataset.records),
-        meta=meta,
-    )
+    columns = (dataset.score, dataset.origin, dataset.feature_count, dataset.pair_id, dataset.source_id)
+    write_csv(path, _SCORE_HEADER_FULL, zip(*(c.tolist() for c in columns)), meta=meta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +236,7 @@ def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> 
     With `percent` the file stores percentages (the printed convention for
     identification-rate tables) and cells are divided by 100 on load.
     """
-    header, rows, _ = _read_csv_body(path)
+    header, rows = _read_csv_body(path)
     if len(header) < 3 or header[0] != "feature_count" or header[1] != "pairs":
         raise DataFormatError(f"unexpected header {header!r} in {path}", line=1)
     try:
@@ -266,7 +278,7 @@ class Table1Fixture:
 
 def load_table1_fixture(path: str | Path) -> Table1Fixture:
     """Load the tail-rate fixture CSV."""
-    header, rows, _ = _read_csv_body(path)
+    header, rows = _read_csv_body(path)
     want = ["cutpoint", "printed_expected_per_100k", "observed_count", "observed_total", "printed_observed_per_100k"]
     if header != want:
         raise DataFormatError(f"unexpected header {header!r} in {path}", line=1)
@@ -293,7 +305,7 @@ def load_table1_fixture(path: str | Path) -> Table1Fixture:
 
 def load_table4_summary(path: str | Path) -> dict[str, float]:
     """Load the single-row cross-comparison summary fixture."""
-    header, rows, _ = _read_csv_body(path)
+    header, rows = _read_csv_body(path)
     if len(rows) != 1:
         raise DataFormatError(f"expected exactly one data row in {path}")
     _, cells = rows[0]

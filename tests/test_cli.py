@@ -219,6 +219,7 @@ class TestThresholds:
         err = [ln for ln in (workdir / "audit_error.csv").read_text().splitlines()
                if not ln.startswith("#")]
         assert excl[0].startswith("feature_count,pairs,")
+        assert int(excl[1].split(",")[1]) == 300  # the 100 mated rows are not audited
         excl_rates = [float(v) for v in excl[1].split(",")[2:]]
         err_rates = [float(v) for v in err[1].split(",")[2:]]
         for a, b in zip(excl_rates, err_rates):

@@ -117,6 +117,11 @@ class TestMixture:
         with pytest.raises(DomainError):
             mixture_quantile(REF, 1.0)
 
+    def test_quantile_below_search_bracket_rejected(self):
+        # the cdf at the lower end of the search bracket is about 4e-23 here
+        with pytest.raises(DomainError):
+            mixture_quantile(REF, 1e-30)
+
     def test_sampling_is_deterministic(self):
         a = mixture_sample(REF, 100, seed=7)
         b = mixture_sample(REF, 100, seed=7)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailratio import (
     BloodTypeTable,
@@ -17,6 +19,9 @@ from tailratio import (
     beta_tail,
     discrete_woe,
     evidence_numbers,
+    mixture_cdf,
+    mixture_pdf,
+    mixture_sf,
     score_lr,
     specific_source_lr,
     tipping_score,
@@ -56,11 +61,53 @@ class TestTails:
         assert score_lr(MATED_20_8, REF, 50_000.0) == math.inf
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_REPORT_FIELDS = ("observed_score", "alpha", "beta", "ratio", "slr", "saturated", "slr_saturated")
+
+
+@given(
+    k=st.sampled_from((1, 2, 3)),
+    params=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+    scores=st.lists(st.one_of(st.floats(-5e4, 5e4), st.floats(-200.0, 200.0)), min_size=1, max_size=40),
+    cut=st.integers(0, 40),
+)
+@settings(max_examples=100, deadline=None)
+def test_batch_matches_scalar_calls_bit_for_bit(k, params, scores, cut):
+    # k random components; scores far enough out that tails and densities underflow
+    u = np.asarray(params)
+    model = MixtureModel.from_parts(
+        weights=(0.05 + u[:k]) / np.sum(0.05 + u[:k]),
+        locations=-150.0 + 200.0 * u[3 : 3 + k],
+        scales=0.5 + 30.0 * u[6 : 6 + k],
+    )
+    arr = np.asarray(scores)
+    cut = min(cut, arr.size)
+    for fn in (mixture_pdf, mixture_cdf, mixture_sf):
+        batch = fn(model, arr)
+        assert _bits(batch) == _bits([fn(model, x) for x in scores])
+        assert _bits(batch) == _bits(np.concatenate([fn(model, arr[:cut]), fn(model, arr[cut:])]))
+    batch = evidence_numbers(MATED_20_8, model, arr)
+    singles = [evidence_numbers(MATED_20_8, model, x) for x in scores]
+    parts = (evidence_numbers(MATED_20_8, model, arr[:cut]), evidence_numbers(MATED_20_8, model, arr[cut:]))
+    for field in _REPORT_FIELDS:
+        whole = getattr(batch, field)
+        assert _bits(whole) == _bits([getattr(rep, field) for rep in singles]), field
+        assert _bits(whole) == _bits(np.concatenate([getattr(rep, field) for rep in parts])), field
+
+
 class TestTippingPoint:
     def test_crossing_found_with_tight_gap(self):
         tp = tipping_score(MATED_20_8, REF)
         assert tp.score == pytest.approx(-21.847819474212805, abs=1e-6)
         assert abs(tp.alpha - tp.beta) < 1e-9
+
+    def test_crossing_matches_exhaustive_bisection(self):
+        # the value 200 bisection steps on the same bracket settled on
+        tp = tipping_score(MATED_20_8, REF)
+        assert tp.score == pytest.approx(-21.847819474212805, abs=1e-9)
 
     def test_slr_at_crossing_is_not_one(self):
         # equal tail risks do not imply equal densities

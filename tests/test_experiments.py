@@ -7,9 +7,8 @@ import pytest
 from tailratio import (
     DEFAULT_MATED_MODEL,
     DomainError,
-    RatioRecord,
     REFERENCE_NONMATED_MODEL,
-    ScoreRecord,
+    ScoreDataset,
     SynthConfig,
     TailAudit,
     ThresholdTable,
@@ -25,6 +24,11 @@ from tailratio import (
 REF = REFERENCE_NONMATED_MODEL
 
 
+def same_rows(a: ScoreDataset, b: ScoreDataset) -> bool:
+    columns = ("score", "origin", "feature_count", "pair_id", "source_id")
+    return all(np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
+
+
 class TestSynth:
     def test_default_sizes_and_labels(self):
         ds = generate_synthetic(SynthConfig(seed=0))
@@ -34,19 +38,20 @@ class TestSynth:
 
     def test_mated_sources_are_round_robin(self):
         ds = generate_synthetic(SynthConfig(seed=0))
-        mated = [r for r in ds.records if r.origin == "mated"]
-        assert mated[0].pair_id == "mated-0"
-        assert mated[0].source_id == "source-0"
-        assert mated[9].source_id == "source-0"
-        assert mated[10].source_id == "source-1"
-        assert all(r.source_id is None for r in ds.records if r.origin == "nonmated")
+        mated = ds.origin == "mated"
+        pair_id, source_id = ds.pair_id[mated], ds.source_id[mated]
+        assert pair_id[0] == "mated-0"
+        assert source_id[0] == "source-0"
+        assert source_id[9] == "source-0"
+        assert source_id[10] == "source-1"
+        assert all(s is None for s in ds.source_id[ds.origin == "nonmated"])
 
     def test_deterministic_under_seed(self):
         a = generate_synthetic(SynthConfig(seed=4))
         b = generate_synthetic(SynthConfig(seed=4))
-        assert a.records == b.records
+        assert same_rows(a, b)
         c = generate_synthetic(SynthConfig(seed=5))
-        assert a.records != c.records
+        assert not same_rows(a, c)
 
     def test_contamination_widens_right_tail(self):
         clean = generate_synthetic(SynthConfig(contamination_weight=0.0, seed=1))
@@ -72,9 +77,9 @@ class TestSynth:
 
     def test_record_validation(self):
         with pytest.raises(DomainError):
-            ScoreRecord(score=0.0, origin="other", feature_count=15, pair_id="x")
+            ScoreDataset(score=[0.0], origin=["other"], feature_count=[15], pair_id=["x"], source_id=[None])
         with pytest.raises(DomainError):
-            ScoreRecord(score=0.0, origin="mated", feature_count=4, pair_id="x")
+            ScoreDataset(score=[0.0], origin=["mated"], feature_count=[4], pair_id=["x"], source_id=[None])
 
 
 class TestTailAudit:
@@ -180,13 +185,8 @@ class TestToyStudy:
 
 class TestThresholds:
     def test_hand_built_rates(self):
-        records = [
-            RatioRecord(0.5, "nonmated", 14),
-            RatioRecord(10.0, "nonmated", 14),   # tie counts toward identification
-            RatioRecord(200.0, "nonmated", 14),
-            RatioRecord(3.0, "mated", 14),       # ignored: mated
-        ]
-        excl, err = threshold_study(records, thresholds=[1.0, 10.0, 100.0])
+        ratios = [0.5, 10.0, 200.0]   # the tie at 10 counts toward identification
+        excl, err = threshold_study(ratios, [14, 14, 14], thresholds=[1.0, 10.0, 100.0])
         assert excl.get(14, 1.0) == pytest.approx(1 / 3)
         assert excl.get(14, 10.0) == pytest.approx(1 / 3)
         assert excl.get(14, 100.0) == pytest.approx(2 / 3)
@@ -194,22 +194,25 @@ class TestThresholds:
         assert excl.pair_counts == (3,)
 
     def test_rows_sorted_by_feature_count(self):
-        records = [
-            RatioRecord(5.0, "nonmated", 15),
-            RatioRecord(5.0, "nonmated", 5),
-            RatioRecord(5.0, "nonmated", 10),
-        ]
-        excl, _ = threshold_study(records, thresholds=[1.0])
+        excl, _ = threshold_study([5.0, 5.0, 5.0], [15, 5, 10], thresholds=[1.0])
         assert excl.feature_counts == (5, 10, 15)
 
     def test_infinite_ratio_always_identified(self):
-        records = [RatioRecord(float("inf"), "nonmated", 14)]
-        _, err = threshold_study(records, thresholds=[100_000.0])
+        _, err = threshold_study([float("inf")], [14], thresholds=[100_000.0])
         assert err.get(14, 100_000.0) == 1.0
 
     def test_needs_nonmated_records(self):
         with pytest.raises(DomainError):
-            threshold_study([RatioRecord(1.0, "mated", 14)], thresholds=[1.0])
+            threshold_study([], [], thresholds=[1.0])
+
+    @pytest.mark.parametrize(
+        "ratios, feature_counts",
+        [([float("nan")], [14]), ([-1.0], [14]), ([1.0, 2.0], [14]), ([1.0], [4])],
+        ids=["nan", "negative", "lengths", "feature-count"],
+    )
+    def test_bad_input_rejected(self, ratios, feature_counts):
+        with pytest.raises(DomainError):
+            threshold_study(ratios, feature_counts, thresholds=[1.0])
 
 
 class TestFixtureCheck:

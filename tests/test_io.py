@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tailratio import (
@@ -12,7 +12,6 @@ from tailratio import (
     ModelError,
     REFERENCE_NONMATED_MODEL,
     ScoreDataset,
-    ScoreRecord,
     SynthConfig,
     generate_synthetic,
     load_model,
@@ -31,7 +30,6 @@ from tailratio.io import (
 )
 
 REF = REFERENCE_NONMATED_MODEL
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestValues:
@@ -62,10 +60,11 @@ class TestScoresRoundTrip:
         path = tmp_path / "scores.csv"
         save_scores(ds, path, meta={"seed": 0})
         back = load_scores(path)
-        assert back.records == ds.records
+        for column in ("score", "origin", "feature_count", "pair_id", "source_id"):
+            assert np.array_equal(getattr(back, column), getattr(ds, column))
 
     def test_header_is_pinned(self, tmp_path):
-        ds = ScoreDataset(records=(ScoreRecord(1.5, "mated", 15, "p0", "s0"),))
+        ds = ScoreDataset(score=[1.5], origin=["mated"], feature_count=[15], pair_id=["p0"], source_id=["s0"])
         path = tmp_path / "s.csv"
         save_scores(ds, path)
         lines = path.read_text().splitlines()
@@ -79,15 +78,22 @@ class TestScoresRoundTrip:
             load_scores(path)
 
     def test_bad_row_reports_line_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "score,origin,feature_count,pair_id\n"
-            "1.0,mated,15,p0\n"
-            "oops,mated,15,p1\n"
-        )
-        with pytest.raises(DataFormatError) as exc_info:
-            load_scores(path)
-        assert exc_info.value.line == 3
+        # one case per row rule; each bad row is followed by a good one and by
+        # an unparsable one, so only the first bad line may be reported
+        bad_rows = ("oops,mated,15,p1", "nan,mated,15,p1", "1.0,other,15,p1",
+                    "1.0,mated,4,p1", "1.0,mated,15,")
+        for bad in bad_rows:
+            path = tmp_path / "bad.csv"
+            path.write_text(
+                "score,origin,feature_count,pair_id\n"
+                "1.0,mated,15,p0\n"
+                f"{bad}\n"
+                "2.0,nonmated,15,p2\n"
+                "oops,mated,15,p3\n"
+            )
+            with pytest.raises(DataFormatError) as exc_info:
+                load_scores(path)
+            assert exc_info.value.line == 3, bad
 
     def test_meta_lines_must_precede_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -140,20 +146,20 @@ class TestModelRoundTrip:
 
 class TestFixtureTables:
     def test_threshold_tables_load_with_expected_shape(self):
-        excl = load_threshold_table(FIXTURES / "table5a_exclusion.csv", "correct_exclusion")
+        excl = load_threshold_table(packaged_data_path("table5a_exclusion.csv"), "correct_exclusion")
         assert excl.feature_counts == tuple(range(5, 16))
         assert excl.thresholds == (1.0, 10.0, 100.0, 1000.0, 10_000.0, 100_000.0)
         assert excl.get(15, 10_000.0) == pytest.approx(0.940)
 
     def test_percent_flag_rescales(self):
         err = load_threshold_table(
-            FIXTURES / "table5a_error.csv", "erroneous_identification", percent=True
+            packaged_data_path("table5a_error.csv"), "erroneous_identification", percent=True
         )
         assert err.get(15, 10_000.0) == pytest.approx(0.060)
         assert err.get(5, 1.0) == pytest.approx(0.434)
 
     def test_tail_fixture_rows(self):
-        fx = load_table1_fixture(FIXTURES / "table1.csv")
+        fx = load_table1_fixture(packaged_data_path("table1.csv"))
         assert fx.cutpoints == (0.0, 25.0, 50.0)
         assert fx.printed_expected_per_100k == (73.0, 7.0, 0.7)
         assert fx.observed_counts == (35, 14, 3)
@@ -161,27 +167,13 @@ class TestFixtureTables:
         assert fx.printed_observed_per_100k == (1300.0, 519.0, 111.0)
 
     def test_summary_fixture(self):
-        row = load_table4_summary(FIXTURES / "table4_summary.csv")
+        row = load_table4_summary(packaged_data_path("table4_summary.csv"))
         assert row["feature_count"] == 14
         assert row["cross_comparisons"] == 500
         assert row["rate_below_100"] == pytest.approx(0.994)
 
 
 class TestPackagedData:
-    @pytest.mark.parametrize(
-        "fixture_rel, data_name",
-        [
-            ("table1.csv", "table1.csv"),
-            ("table5a_exclusion.csv", "table5a_exclusion.csv"),
-            ("table5a_error.csv", "table5a_error.csv"),
-            ("table4_summary.csv", "table4_summary.csv"),
-            ("models/nonmated_15.json", "nonmated_15.json"),
-        ],
-    )
-    def test_packaged_copy_matches_fixture(self, fixture_rel, data_name):
-        packaged = packaged_data_path(data_name)
-        assert packaged.read_bytes() == (FIXTURES / fixture_rel).read_bytes()
-
     def test_packaged_reference_model_parameters(self):
         mf = load_model(packaged_data_path("nonmated_15.json"))
         assert mf.model == REF
