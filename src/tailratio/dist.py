@@ -231,14 +231,27 @@ def mixture_quantile(model: MixtureModel, p: float) -> float:
     return brentq(lambda s: mixture_cdf(model, s) - p, lo, hi)
 
 
+def _scores_from_uniforms(model: MixtureModel, u: np.ndarray) -> np.ndarray:
+    """Map 2n uniforms on the last axis to n scores along it.
+
+    The first n pick a component by weight, the next n invert that
+    component's cdf.  `Generator.choice(k, size=n, p=weights)` followed by
+    `Generator.uniform(size=n)` consumes the same doubles and maps them the
+    same way, so a draw keeps its bits.
+    """
+    n = u.shape[-1] // 2
+    cdf = np.cumsum(model.weights)
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(u[..., :n], side="right")
+    v = u[..., n:]
+    return model.locations[idx] + model.scales[idx] * np.log(v / (1.0 - v))
+
+
 def mixture_sample(model: MixtureModel, n: int, seed: SeedLike) -> np.ndarray:
     """Draw n scores: pick a component by weight, then invert that component's cdf."""
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {n}")
-    rng = as_generator(seed)
-    idx = rng.choice(model.k, size=n, p=model.weights)
-    u = rng.uniform(size=n)
-    return model.locations[idx] + model.scales[idx] * np.log(u / (1.0 - u))
+    return _scores_from_uniforms(model, as_generator(seed).random(2 * n))
 
 
 def log_likelihood(model: MixtureModel, data) -> float:

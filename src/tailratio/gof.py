@@ -15,7 +15,8 @@ from typing import Union
 import numpy as np
 from scipy.special import kolmogorov
 
-from .dist import MixtureModel, mixture_cdf, mixture_sample
+from .dist import MixtureModel, _scores_from_uniforms, mixture_cdf
+from .dist import mixture_sample  # noqa: F401  (perfbench's layer trace wraps the name here)
 from .errors import DomainError
 from .fit import FitConfig, fit_mixture
 from .seeds import derive_seed, substream
@@ -35,6 +36,10 @@ __all__ = [
 # double precision, which is exactly where this package operates.
 _CDF_CLAMP = 1e-12
 _MIN_BOOTSTRAP_B = 100
+# The bootstrap draws and scores its replicates in blocks of about this many
+# values (at least one row): enough rows share one cdf call to amortize its
+# overhead, while a block's arrays stay near a megabyte however large B is.
+_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,15 +86,25 @@ class GofOutcome:
             raise DomainError(f"statistic must be nonnegative, got {self.statistic}")
 
 
+def _statistics(kind: str, model: MixtureModel, rows: np.ndarray) -> np.ndarray:
+    """KS or AD statistic of each row of sorted points, reduced over the last axis."""
+    if kind not in ("KS", "AD"):
+        raise DomainError(f"kind must be 'KS' or 'AD', got {kind!r}")
+    n = rows.shape[-1]
+    F = mixture_cdf(model, rows)
+    i = np.arange(1, n + 1)
+    if kind == "KS":
+        return np.max(np.maximum(i / n - F, F - (i - 1) / n), axis=-1)
+    F = np.clip(F, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
+    return -n - np.mean((2 * i - 1) * (np.log(F) + np.log(1.0 - F[..., ::-1])), axis=-1)
+
+
 def ks_statistic(sample: SampleLike, model: MixtureModel) -> float:
     """Maximum distance between the empirical cdf and the model cdf.
 
     Over order statistics the supremum is max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n).
     """
-    emp = _as_empirical(sample)
-    F = mixture_cdf(model, emp.values)
-    i = np.arange(1, emp.n + 1)
-    return float(np.max(np.maximum(i / emp.n - F, F - (i - 1) / emp.n)))
+    return float(_statistics("KS", model, _as_empirical(sample).values))
 
 
 def ad_statistic(sample: SampleLike, model: MixtureModel) -> float:
@@ -98,10 +113,7 @@ def ad_statistic(sample: SampleLike, model: MixtureModel) -> float:
     Order-statistic estimator -n - mean((2i - 1) (ln F(x_(i)) + ln(1 - F(x_(n+1-i))))),
     with F clamped away from 0 and 1 so extreme-tail samples stay finite.
     """
-    emp = _as_empirical(sample)
-    F = np.clip(mixture_cdf(model, emp.values), _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-    i = np.arange(1, emp.n + 1)
-    return float(-emp.n - np.mean((2 * i - 1) * (np.log(F) + np.log(1.0 - F[::-1]))))
+    return float(_statistics("AD", model, _as_empirical(sample).values))
 
 
 def ad_weight(F) -> float:
@@ -126,14 +138,6 @@ def asymptotic_ks_pvalue(d_n: float, n: int) -> float:
     return float(kolmogorov(lam))
 
 
-def _statistic(kind: str, sample: SampleLike, model: MixtureModel) -> float:
-    if kind == "KS":
-        return ks_statistic(sample, model)
-    if kind == "AD":
-        return ad_statistic(sample, model)
-    raise DomainError(f"kind must be 'KS' or 'AD', got {kind!r}")
-
-
 def bootstrap_pvalue(
     sample: SampleLike,
     model: MixtureModel,
@@ -150,27 +154,38 @@ def bootstrap_pvalue(
     reproducible bit-for-bit and independent of evaluation order.  The
     add-one estimator (1 + #{stat_b >= stat_obs}) / (B + 1) never reports 0.
 
+    Replicates are drawn and scored in blocks of rows, each row still on its
+    own substream, with one cdf evaluation per block.  A block holds about
+    2**14 values, or one row when n is larger, so memory is bounded by the
+    block, not by B * n.
+
     With `refit_within_bootstrap` each replicate refits the model to its own
-    draw before computing the statistic, the strict variant that accounts
-    for fitted parameters; the default path does not, because the intended
-    protocol fits on a 75% split and tests on the held-out 25%, which
-    restores approximate validity on its own.
+    draw, in drawn order, before computing the statistic, the strict variant
+    that accounts for fitted parameters; the default path does not, because
+    the intended protocol fits on a 75% split and tests on the held-out 25%,
+    which restores approximate validity on its own.
     """
     emp = _as_empirical(sample)
     if B < _MIN_BOOTSTRAP_B:
         raise DomainError(f"bootstrap size must be at least {_MIN_BOOTSTRAP_B}, got {B}")
-    stat_obs = _statistic(kind, emp, model)
+    stat_obs = float(_statistics(kind, model, emp.values))
+    rows_per_block = max(1, _BLOCK_VALUES // emp.n)
     count = 0
-    for b in range(B):
-        rng = substream(seed, b)
-        draw = mixture_sample(model, emp.n, rng)
+    for start in range(0, B, rows_per_block):
+        block = range(start, min(start + rows_per_block, B))
+        u = np.empty((len(block), 2 * emp.n))
+        for row, b in zip(u, block):
+            substream(seed, b).random(out=row)
+        draws = _scores_from_uniforms(model, u)
         if refit_within_bootstrap:
             cfg = fit_config if fit_config is not None else FitConfig(k=model.k, restarts=1)
-            model_b = fit_mixture(draw, replace(cfg, seed=derive_seed(seed, b))).model
+            stats = np.array([
+                _statistics(kind, fit_mixture(draw, replace(cfg, seed=derive_seed(seed, b))).model, np.sort(draw))
+                for draw, b in zip(draws, block)
+            ])
         else:
-            model_b = model
-        if _statistic(kind, draw, model_b) >= stat_obs:
-            count += 1
+            stats = _statistics(kind, model, np.sort(draws, axis=-1))
+        count += int(np.count_nonzero(stats >= stat_obs))
     p = (1 + count) / (B + 1)
     return GofOutcome(
         statistic_kind=kind,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -94,12 +95,17 @@ def _csv_rows(fh: IO[str], path: str | Path) -> tuple[list[str], Iterator[tuple[
     """The header of an open CSV and a lazy iterator of (line number, cells) rows.
 
     Blank lines are skipped, and so are the leading `# key=value` metadata
-    lines, which must precede the header.
+    lines, which must precede the header.  One reader parses all other
+    lines, and every record must end on its own line: a record that asks
+    for a second line (an unbalanced quote) fails with the line it starts on.
     """
+    pending: deque[int] = deque()  # line numbers handed to the reader, not yet in a row
 
-    def lines() -> Iterator[tuple[int, list[str]]]:
+    def lines() -> Iterator[str]:
         seen_header = False
         for lineno, line in enumerate(fh, start=1):
+            if pending:
+                raise DataFormatError("unbalanced quote: record runs past the end of its line", line=pending[0])
             stripped = line.rstrip("\n")
             if stripped.startswith("#"):
                 if seen_header:
@@ -108,9 +114,10 @@ def _csv_rows(fh: IO[str], path: str | Path) -> tuple[list[str], Iterator[tuple[
             if stripped == "":
                 continue
             seen_header = True
-            yield lineno, next(csv.reader([stripped]))
+            pending.append(lineno)
+            yield stripped
 
-    rows = lines()
+    rows = ((pending.popleft(), cells) for cells in csv.reader(lines()))
     first = next(rows, None)
     if first is None:
         raise DataFormatError(f"no header found in {path}")
@@ -145,21 +152,24 @@ def load_scores(path: str | Path) -> ScoreDataset:
                 f"unexpected header {header!r}; want {','.join(_SCORE_HEADER)}[,source_id]", line=1
             )
         has_source = header == _SCORE_HEADER_FULL
-        for lineno, cells in rows:
-            if len(cells) != len(header):
-                failure = DataFormatError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
-                break
-            try:
-                value, count = float(cells[0]), int(cells[2])
-            except ValueError as exc:
-                failure = DataFormatError(f"bad record: {exc}", line=lineno)
-                break
-            score.append(value)
-            origin.append(cells[1])
-            feature_count.append(count)
-            pair_id.append(cells[3])
-            source_id.append((cells[4] or None) if has_source else None)
-            line_of_row.append(lineno)
+        try:
+            for lineno, cells in rows:
+                if len(cells) != len(header):
+                    failure = DataFormatError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
+                    break
+                try:
+                    value, count = float(cells[0]), int(cells[2])
+                except ValueError as exc:
+                    failure = DataFormatError(f"bad record: {exc}", line=lineno)
+                    break
+                score.append(value)
+                origin.append(cells[1])
+                feature_count.append(count)
+                pair_id.append(cells[3])
+                source_id.append((cells[4] or None) if has_source else None)
+                line_of_row.append(lineno)
+        except DataFormatError as exc:
+            failure = exc
     # The rows before an unparsable one are validated first, so the error
     # always names the first bad line.
     try:

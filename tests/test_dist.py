@@ -138,6 +138,21 @@ class TestMixture:
         with pytest.raises(DomainError):
             mixture_sample(REF, 0, seed=0)
 
+    @pytest.mark.parametrize("model", [
+        MixtureModel.from_parts([1.0], [2.0], [3.0]),
+        REF,
+        MixtureModel.from_parts([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5]),
+    ], ids=["k1", "k2", "k3"])
+    def test_sampling_bits_match_numpy_choice_then_uniform(self, model):
+        for seed in (0, 1, 12345, [7, 3]):
+            for n in (1, 9, 1000):
+                rng = np.random.default_rng(seed)
+                idx = rng.choice(model.k, size=n, p=model.weights)
+                u = rng.uniform(size=n)
+                want = model.locations[idx] + model.scales[idx] * np.log(u / (1.0 - u))
+                got = mixture_sample(model, n, seed)
+                assert np.array_equal(got, want), (seed, n)
+
     def test_log_likelihood_matches_pdf_sum(self):
         data = mixture_sample(REF, 500, seed=1)
         direct = float(np.sum(np.log(mixture_pdf(REF, data))))

@@ -1,6 +1,8 @@
 """Goodness-of-fit layer: KS and AD statistics and their p-values."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from tailratio import (
     ad_weight,
     asymptotic_ks_pvalue,
     bootstrap_pvalue,
+    derive_seed,
+    fit_mixture,
     ks_statistic,
     mixture_cdf,
     mixture_pdf,
@@ -24,6 +28,32 @@ from tailratio import (
 
 REF = REFERENCE_NONMATED_MODEL
 SINGLE = MixtureModel.from_parts([1.0], [0.0], [1.0])
+TRIPLE = MixtureModel.from_parts([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5])
+
+
+def _loop_statistic(kind, sample, model):
+    """The one-sample KS or AD formula, written out on a sorted 1-D copy."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = x.size
+    F = mixture_cdf(model, x)
+    i = np.arange(1, n + 1)
+    if kind == "KS":
+        return float(np.max(np.maximum(i / n - F, F - (i - 1) / n)))
+    F = np.clip(F, 1e-12, 1.0 - 1e-12)
+    return float(-n - np.mean((2 * i - 1) * (np.log(F) + np.log(1.0 - F[::-1]))))
+
+
+def _loop_bootstrap(sample, model, kind, B, seed, fit_config=None):
+    """(statistic, p-value) from one draw per replicate, as a plain loop."""
+    observed = _loop_statistic(kind, sample, model)
+    count = 0
+    for b in range(B):
+        draw = mixture_sample(model, len(sample), substream(seed, b))
+        model_b = model
+        if fit_config is not None:
+            model_b = fit_mixture(draw, replace(fit_config, seed=derive_seed(seed, b))).model
+        count += _loop_statistic(kind, draw, model_b) >= observed
+    return observed, (1 + count) / (B + 1)
 
 
 class TestEmpirical:
@@ -139,6 +169,26 @@ class TestBootstrap:
         )
         assert 0.0 <= refit.p_value <= 1.0
         assert refit.p_value != plain.p_value
+
+    # n=1500 packs 10 rows per block, so B=101 leaves a one-row block; past
+    # 2**14 values every block holds a single row
+    @pytest.mark.parametrize("model", [SINGLE, REF, TRIPLE], ids=["k1", "k2", "k3"])
+    @pytest.mark.parametrize("n,B", [
+        (1, 100), (7, 199), (500, 199), (1500, 100), (1500, 101), (1500, 199), (20_000, 100),
+    ])
+    def test_batched_matches_loop_reference(self, model, n, B):
+        sample = mixture_sample(model, n, seed=[53, n])
+        for kind in ("KS", "AD"):
+            out = bootstrap_pvalue(sample, model, kind, B, seed=n + B)
+            assert (out.statistic, out.p_value) == _loop_bootstrap(sample, model, kind, B, n + B), kind
+
+    def test_refit_matches_loop_reference(self):
+        draws = np.random.default_rng(31).logistic(0.0, 1.3, size=200)
+        fitted = MixtureModel.from_parts([1.0], [float(np.median(draws))], [1.0])
+        cfg = FitConfig(k=1, restarts=1)
+        for kind in ("KS", "AD"):
+            out = bootstrap_pvalue(draws, fitted, kind, 100, seed=4, refit_within_bootstrap=True, fit_config=cfg)
+            assert (out.statistic, out.p_value) == _loop_bootstrap(draws, fitted, kind, 100, 4, cfg), kind
 
     def test_null_rejection_rate_near_level(self):
         # drawn-from-model samples should be rejected at about the nominal level

@@ -79,9 +79,10 @@ class TestScoresRoundTrip:
 
     def test_bad_row_reports_line_number(self, tmp_path):
         # one case per row rule; each bad row is followed by a good one and by
-        # an unparsable one, so only the first bad line may be reported
+        # an unparsable one, so only the first bad line may be reported.  The
+        # last two open a quote that their own line never closes.
         bad_rows = ("oops,mated,15,p1", "nan,mated,15,p1", "1.0,other,15,p1",
-                    "1.0,mated,4,p1", "1.0,mated,15,")
+                    "1.0,mated,4,p1", "1.0,mated,15,", '"1.0,mated,15,p1', '1.0,mated,15,"p1')
         for bad in bad_rows:
             path = tmp_path / "bad.csv"
             path.write_text(
