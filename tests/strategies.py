@@ -1,0 +1,25 @@
+"""Hypothesis strategies shared by the property tests."""
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import strategies as st
+
+from tailratio import MixtureModel
+
+
+def random_mixture(k: int, params) -> MixtureModel:
+    """A k-component mixture from nine numbers in [0, 1]."""
+    u = np.asarray(params)
+    return MixtureModel.from_parts(
+        weights=(0.05 + u[:k]) / np.sum(0.05 + u[:k]),
+        locations=-150.0 + 200.0 * u[3 : 3 + k],
+        scales=0.5 + 30.0 * u[6 : 6 + k],
+    )
+
+
+# k in {1, 2, 3}; locations in [-150, 50], scales in [0.5, 30.5]
+MIXTURES = st.builds(
+    random_mixture,
+    st.sampled_from((1, 2, 3)),
+    st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+)

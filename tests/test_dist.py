@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailratio import (
@@ -27,6 +27,9 @@ from tailratio import (
     mixture_sample,
     mixture_sf,
 )
+from tailratio.dist import quantile_bracket
+
+from strategies import MIXTURES
 
 REF = REFERENCE_NONMATED_MODEL
 
@@ -157,6 +160,24 @@ class TestMixture:
         data = mixture_sample(REF, 500, seed=1)
         direct = float(np.sum(np.log(mixture_pdf(REF, data))))
         assert log_likelihood(REF, data) == pytest.approx(direct, rel=1e-10)
+
+
+@given(MIXTURES, st.floats(-1e4, 1e4))
+@settings(max_examples=200, deadline=None)
+def test_cdf_plus_sf_is_one_property(model, x):
+    assert abs(mixture_cdf(model, x) + mixture_sf(model, x) - 1.0) <= 1e-15
+
+
+@given(MIXTURES, st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_quantile_of_cdf_returns_the_point_property(model, t):
+    lo, hi = quantile_bracket(model)
+    x = lo + t * (hi - lo)
+    p = mixture_cdf(model, x)
+    assume(mixture_cdf(model, lo) < p < 1.0)
+    # x comes back up to Brent's xtol and the width over which the cdf
+    # cannot tell points apart: a few ulps of probability over the density
+    assert abs(mixture_quantile(model, p) - x) <= 1e-11 + 1e-14 / mixture_pdf(model, x)
 
 
 class TestGaussian:

@@ -27,6 +27,8 @@ from tailratio import (
     tipping_score,
 )
 
+from strategies import MIXTURES
+
 REF = REFERENCE_NONMATED_MODEL
 MATED_20_8 = MixtureModel.from_parts([1.0], [20.0], [8.0], origin="mated")
 
@@ -69,20 +71,13 @@ _REPORT_FIELDS = ("observed_score", "alpha", "beta", "ratio", "slr", "saturated"
 
 
 @given(
-    k=st.sampled_from((1, 2, 3)),
-    params=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+    model=MIXTURES,
     scores=st.lists(st.one_of(st.floats(-5e4, 5e4), st.floats(-200.0, 200.0)), min_size=1, max_size=40),
     cut=st.integers(0, 40),
 )
 @settings(max_examples=100, deadline=None)
-def test_batch_matches_scalar_calls_bit_for_bit(k, params, scores, cut):
-    # k random components; scores far enough out that tails and densities underflow
-    u = np.asarray(params)
-    model = MixtureModel.from_parts(
-        weights=(0.05 + u[:k]) / np.sum(0.05 + u[:k]),
-        locations=-150.0 + 200.0 * u[3 : 3 + k],
-        scales=0.5 + 30.0 * u[6 : 6 + k],
-    )
+def test_batch_matches_scalar_calls_bit_for_bit(model, scores, cut):
+    # scores far enough out that tails and densities underflow
     arr = np.asarray(scores)
     cut = min(cut, arr.size)
     for fn in (mixture_pdf, mixture_cdf, mixture_sf):
@@ -96,6 +91,25 @@ def test_batch_matches_scalar_calls_bit_for_bit(k, params, scores, cut):
         whole = getattr(batch, field)
         assert _bits(whole) == _bits([getattr(rep, field) for rep in singles]), field
         assert _bits(whole) == _bits(np.concatenate([getattr(rep, field) for rep in parts])), field
+
+
+@given(MIXTURES, MIXTURES, st.floats(-5e4, 5e4), st.floats(0.0, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_alpha_nondecreasing_beta_nonincreasing(mated, nonmated, s, step):
+    rep = evidence_numbers(mated, nonmated, np.array([s, s + step]))
+    assert rep.alpha[0] <= rep.alpha[1]
+    assert rep.beta[0] >= rep.beta[1]
+
+
+@given(MIXTURES, MIXTURES, st.floats(1e-3, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_tipping_gap_sign_on_each_side(mated, nonmated, offset):
+    # the gap may be flat, both tails on plateaus of the mixtures, so the
+    # signs are not strict
+    tp = tipping_score(mated, nonmated)
+    rep = evidence_numbers(mated, nonmated, np.array([tp.score - offset, tp.score + offset]))
+    gap = rep.alpha - rep.beta
+    assert gap[0] <= 0.0 <= gap[1]
 
 
 class TestTippingPoint:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp, kstwo
 
 from tailratio import (
     DomainError,
@@ -25,17 +26,16 @@ from tailratio import (
     mixture_sample,
     substream,
 )
+from tailratio.gof import _cdf_statistics, _statistics
 
 REF = REFERENCE_NONMATED_MODEL
 SINGLE = MixtureModel.from_parts([1.0], [0.0], [1.0])
 TRIPLE = MixtureModel.from_parts([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5])
 
 
-def _loop_statistic(kind, sample, model):
-    """The one-sample KS or AD formula, written out on a sorted 1-D copy."""
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.size
-    F = mixture_cdf(model, x)
+def _loop_formula(kind, F):
+    """The one-sample KS or AD formula, written out on sorted 1-D cdf values."""
+    n = F.size
     i = np.arange(1, n + 1)
     if kind == "KS":
         return float(np.max(np.maximum(i / n - F, F - (i - 1) / n)))
@@ -43,16 +43,30 @@ def _loop_statistic(kind, sample, model):
     return float(-n - np.mean((2 * i - 1) * (np.log(F) + np.log(1.0 - F[::-1]))))
 
 
+def _loop_statistic(kind, sample, model):
+    """The formula on the model cdf at a sorted copy of the sample."""
+    return _loop_formula(kind, mixture_cdf(model, np.sort(np.asarray(sample, dtype=float))))
+
+
 def _loop_bootstrap(sample, model, kind, B, seed, fit_config=None):
-    """(statistic, p-value) from one draw per replicate, as a plain loop."""
+    """(statistic, p-value) from one null row per replicate, as a plain loop.
+
+    Without a refit, row b is the next n uniforms of the one substream keyed
+    (seed,), sorted; with one, replicate b draws from substream (seed, b)
+    and is scored against its own refit.
+    """
     observed = _loop_statistic(kind, sample, model)
+    n = len(sample)
+    rng = substream(seed)
     count = 0
     for b in range(B):
-        draw = mixture_sample(model, len(sample), substream(seed, b))
-        model_b = model
-        if fit_config is not None:
+        if fit_config is None:
+            stat = _loop_formula(kind, np.sort(rng.random(n)))
+        else:
+            draw = mixture_sample(model, n, substream(seed, b))
             model_b = fit_mixture(draw, replace(fit_config, seed=derive_seed(seed, b))).model
-        count += _loop_statistic(kind, draw, model_b) >= observed
+            stat = _loop_statistic(kind, draw, model_b)
+        count += stat >= observed
     return observed, (1 + count) / (B + 1)
 
 
@@ -92,6 +106,13 @@ class TestKS:
         with pytest.raises(DomainError):
             asymptotic_ks_pvalue(0.1, 0)
 
+    @pytest.mark.parametrize("n", [500, 1500])
+    def test_asymptotic_pvalue_near_exact_finite_n_law(self, n):
+        # the corrected asymptotic p at the exact finite-n critical value;
+        # the worst case, n=500 at p=0.5, reads 0.50435
+        for p in (0.5, 0.1, 0.05, 0.01):
+            assert asymptotic_ks_pvalue(float(kstwo.isf(p, n)), n) == pytest.approx(p, rel=0.01), p
+
     def test_asymptotic_pvalue_monotone_in_statistic(self):
         ps = [asymptotic_ks_pvalue(d, 500) for d in (0.02, 0.04, 0.06, 0.08)]
         assert ps == sorted(ps, reverse=True)
@@ -121,8 +142,8 @@ class TestAD:
         contaminated = np.concatenate([base, rng.logistic(45.0, 25.0, size=20)])
         ks_p = bootstrap_pvalue(contaminated, REF, "KS", 199, seed=0).p_value
         ad_p = bootstrap_pvalue(contaminated, REF, "AD", 199, seed=0).p_value
-        assert ks_p == pytest.approx(0.195)
-        assert ad_p == pytest.approx(0.01)
+        assert ks_p == pytest.approx(0.27)
+        assert ad_p == pytest.approx(0.025)
         assert ad_p < ks_p / 10
 
 
@@ -181,6 +202,18 @@ class TestBootstrap:
         for kind in ("KS", "AD"):
             out = bootstrap_pvalue(sample, model, kind, B, seed=n + B)
             assert (out.statistic, out.p_value) == _loop_bootstrap(sample, model, kind, B, n + B), kind
+
+    # the no-refit null is drawn from uniforms; it must have the law of the
+    # statistic on draws from the model, scored against that model
+    @pytest.mark.parametrize("model", [SINGLE, REF, TRIPLE], ids=["k1", "k2", "k3"])
+    @pytest.mark.parametrize("n", [7, 500])
+    def test_uniform_null_has_the_model_draw_law(self, model, n):
+        reps = 2000
+        draws = np.sort(mixture_sample(model, reps * n, seed=[61, n]).reshape(reps, n), axis=-1)
+        uniforms = np.sort(substream(67, n).random((reps, n)), axis=-1)
+        for kind in ("KS", "AD"):
+            p = ks_2samp(_statistics(kind, model, draws), _cdf_statistics(kind, uniforms)).pvalue
+            assert p > 0.001, (kind, p)
 
     def test_refit_matches_loop_reference(self):
         draws = np.random.default_rng(31).logistic(0.0, 1.3, size=200)

@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailratio import (
     DataFormatError,
@@ -28,6 +32,8 @@ from tailratio.io import (
     load_table1_fixture,
     load_table4_summary,
 )
+
+from strategies import MIXTURES
 
 REF = REFERENCE_NONMATED_MODEL
 
@@ -143,6 +149,23 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(obj))
         with pytest.raises(ModelError):
             load_model(path)
+
+
+@given(
+    MIXTURES,
+    st.sampled_from((None, "mated", "nonmated")),
+    st.one_of(st.none(), st.integers(5, 15)),
+    st.text(max_size=20),
+)
+@settings(max_examples=100, deadline=None)
+def test_model_save_load_round_trip_property(model, origin, feature_count, provenance):
+    model = MixtureModel(model.components, origin=origin, feature_count=feature_count)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        save_model(model, path, provenance=provenance)
+        mf = load_model(path)
+    assert mf.model == model
+    assert mf.provenance == provenance
 
 
 class TestFixtureTables:
