@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, seeding, determinism, error paths."""
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -239,3 +241,100 @@ class TestErrorSurface:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["code"] == "domain_error"
         assert "100" in err["error"]["message"]
+
+
+def _three_feature_count_scores() -> str:
+    """A score CSV with non-mated rows at feature counts 5, 10 and 15.
+
+    The rows span the reference mixture's bulk and tail, repeat scores so
+    ratios tie, and include two scores whose ratio saturates to +inf.
+    """
+    lines = ["score,origin,feature_count,pair_id"]
+    for j, fc in enumerate((5, 10, 15)):
+        for i in range(120):
+            score = -120.0 + 1.5 * i + 0.25 * j
+            lines.append(f"{score!r},nonmated,{fc},n{fc}-{i}")
+        lines.append(f"-60.0,nonmated,{fc},tie{fc}")
+    lines += ["50000.0,nonmated,15,inf-0", "50000.0,nonmated,10,inf-1", "20.0,mated,15,m-0"]
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of every CLI output, pinned to check that refactors leave the bytes
+# alone.  Measured with numpy 2.4.6 and scipy 1.17.1: another numpy can change
+# the seeded streams and another scipy the special functions, and so the
+# digests.
+OUTPUT_DIGESTS = {
+    "gen": "12a9b23caf661b4078aa76ebd84ff9e3ad3d2632ab00b363a1b5834937ee46fc",
+    "sim-toy": "20755f0dc5e7ba1ca971c9b7ae640b027aa9eb1202c3d17d68dc3d6d27960098",
+    "sim-pvalues asymptotic": "01648eb39879c7e20c6c52770ad2ca0b8b60c5a2e07c68c07ca8a6d7bd5aa8bf",
+    "sim-pvalues bootstrap": "2dcd805c89fb57f597461d57078c2ab8e8f3ad147d5608fe7e98f540b493663e",
+    "thresholds --check": "665edc81cf202c8462c6e39c91495571bee02e32561ac5985de693b1ed52d573",
+    "thresholds exclusion": "e14be58a61da1dac66ab2a0bb7d158ca8b983b83cac15b9a2e526199cdb7bf9d",
+    "thresholds error": "4e48b323b21ea51c8256636c170cdcdde542b798ffe2b81c3bdba952f77eae35",
+    "fit stdout": "b3d7cec81731e221f6ed9eec8f15eaca33c95ad96a773f20d95d78a46049e95f",
+    "fit model": "094c965d7c33e4fafb7a3e604ebde4a0a3cad636d3bfda9af1696142361a6113",
+    "eval": "0bb9fe85340e34146f0fc5f08d9841a29dd2eb6cf9685a3c240148f3b29d3f25",
+    "eval saturated": "7039c1bf821b2d9a11301dc864681454eea0fb98f38cb7848812d52d85d9488a",
+    "gof bootstrap": "64157d61f0ad2b9c22ce2547fcc5aac1a403dd3d821b8ebf76043ff12ec0f882",
+    "gof asymptotic": "3492e9e3ef11047eacfa76455d916156d47a07f2e84ddc4dc010cee37e77adea",
+    "report": "580accc6f447c071f4e4ebe3d82b6ebe09633c179be4b3a77409a3ba43207690",
+    "report smaller": "cfdf0447a779a9b31933d2767dbf001c069521466b33556d0a58ea59a215b6f1",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(tmp_path_factory):
+    """Bytes of each pinned output, from one run of every subcommand."""
+    runner = CliRunner()
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("digests"))
+    try:
+        save_model(REFERENCE_NONMATED_MODEL, REF_JSON, provenance="test")
+        save_model(DEFAULT_MATED_MODEL, MATED_JSON, provenance="test")
+        with open("fc.csv", "w") as fh:
+            fh.write(_three_feature_count_scores())
+
+        def run(args, code=0):
+            result = runner.invoke(main, args, catch_exceptions=False)
+            assert result.exit_code == code, result.output
+            return result.output.encode()
+
+        def read(path):
+            with open(path, "rb") as fh:
+                return fh.read()
+
+        run(["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "3"])
+        run(["sim-toy", "--reps", "100", "--seed", "2", "--out", "toy.csv"])
+        pv = ["sim-pvalues", "--scores", "s.csv", "--reps", "10", "--resample-n", "200",
+              "--bootstrap-b", "100", "--seed", "1"]
+        run([*pv, "--ks-p", "asymptotic", "--out", "pv_asym.csv"])
+        run([*pv, "--ks-p", "bootstrap", "--out", "pv_boot.csv"])
+        run(["thresholds", "--scores", "fc.csv", "--out-prefix", "audit"])
+        fit_out = run(["fit", "--scores", "s.csv", "--restarts", "2", "--seed", "5", "--out", "f.json"])
+        pair = ["--mated", MATED_JSON, "--nonmated", REF_JSON]
+        return {
+            "gen": read("s.csv"),
+            "sim-toy": read("toy.csv"),
+            "sim-pvalues asymptotic": read("pv_asym.csv"),
+            "sim-pvalues bootstrap": read("pv_boot.csv"),
+            "thresholds --check": run(["thresholds", "--check"]),
+            "thresholds exclusion": read("audit_exclusion.csv"),
+            "thresholds error": read("audit_error.csv"),
+            "fit stdout": fit_out,
+            "fit model": read("f.json"),
+            "eval": run(["eval", *pair, "--score", "-30"]),
+            "eval saturated": run(["eval", *pair, "--score", "50000"]),
+            "gof bootstrap": run(["gof", "--scores", "s.csv", "--model", "f.json", "--seed", "4"]),
+            "gof asymptotic": run(["gof", "--scores", "s.csv", "--model", REF_JSON, "--kind", "KS",
+                                   "--p-method", "asymptotic"]),
+            "report": run(["report", *pair, "--score", "0"]),
+            "report smaller": run(["report", "--mated", REF_JSON, "--nonmated", MATED_JSON,
+                                   "--score", "-100"]),
+        }
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_output_digest(cli_outputs, name):
+    assert hashlib.sha256(cli_outputs[name]).hexdigest() == OUTPUT_DIGESTS[name]
