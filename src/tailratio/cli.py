@@ -372,15 +372,10 @@ def sim_pvalues(scores_path, origin, feature_count, reps, fraction, resample_n, 
     config = dict(subcommand="sim-pvalues", scores=str(scores_path), origin=origin,
                   feature_count=feature_count, reps=reps, fraction=fraction, resample_n=resample_n,
                   k=k, restarts=restarts, ks_p=ks_p, bootstrap_b=bootstrap_b)
-    rows: list[list] = []
-    kept = iter(zip(result.ks_observed, result.ad_observed, result.ks_null, result.ad_null))
+    panels = (result.ks_observed, result.ad_observed, result.ks_null, result.ad_null)
+    kept = zip(*(p.tolist() for p in panels))
     missing = set(result.missing)
-    for rep in range(result.reps):
-        if rep in missing:
-            rows.append([rep, None, None, None, None])
-        else:
-            ks_o, ad_o, ks_n, ad_n = next(kept)
-            rows.append([rep, ks_o, ad_o, ks_n, ad_n])
+    rows = [[rep, *([None] * 4 if rep in missing else next(kept))] for rep in range(result.reps)]
     meta = build_meta(seed, config, extra={"missing": len(result.missing)})
     write_csv(out, ["rep", "ks_observed", "ad_observed", "ks_null", "ad_null"], rows, meta=meta)
     click.echo(f"wrote {result.reps} replicates to {out} ({len(result.missing)} missing)")
@@ -395,12 +390,12 @@ def sim_pvalues(scores_path, origin, feature_count, reps, fraction, resample_n, 
 @_wrap_errors
 def sim_toy(reps, pop_mean, between_sd, out, seed):
     """Run the toy convergence study; one CSV row per draw."""
-    records = toy_study(default_toy_scenarios(pop_mean=pop_mean, between_sd=between_sd), reps, seed=seed)
+    study = toy_study(default_toy_scenarios(pop_mean=pop_mean, between_sd=between_sd), reps, seed=seed)
     config = dict(subcommand="sim-toy", reps=reps, pop_mean=pop_mean, between_sd=between_sd)
-    rows = [[r.scenario, r.hypothesis, r.rep, r.true_lr, r.frstat_like, r.saturated] for r in records]
-    write_csv(out, ["scenario", "hypothesis", "rep", "true_lr", "frstat_like", "saturated"],
-              rows, meta=build_meta(seed, config))
-    click.echo(f"wrote {len(rows)} rows to {out}")
+    header = ["scenario", "hypothesis", "rep", "true_lr", "frstat_like", "saturated"]
+    rows = zip(*(getattr(study, name).tolist() for name in header))
+    write_csv(out, header, rows, meta=build_meta(seed, config))
+    click.echo(f"wrote {len(study)} rows to {out}")
 
 
 @main.command("thresholds")
@@ -457,8 +452,8 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
     meta = build_meta(0, config)
     for table, suffix in ((excl_table, "exclusion"), (err_table, "error")):
         rows = [
-            [fc, table.pair_counts[i], *table.rates[i]]
-            for i, fc in enumerate(table.feature_counts)
+            [fc, pairs, *rates]
+            for fc, pairs, rates in zip(table.feature_counts, table.pair_counts, table.rates.tolist())
         ]
         write_csv(f"{out_prefix}_{suffix}.csv",
                   ["feature_count", "pairs", *[format_value(t) for t in table.thresholds]],

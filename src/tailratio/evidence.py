@@ -35,10 +35,7 @@ __all__ = [
     "DiscreteWoe",
     "ToyScenario",
     "TippingPoint",
-    "alpha_tail",
-    "beta_tail",
     "evidence_numbers",
-    "score_lr",
     "tipping_score",
     "discrete_woe",
     "specific_source_lr",
@@ -147,16 +144,6 @@ class TippingPoint:
     slr_saturated: bool
 
 
-def alpha_tail(mated: MixtureModel, s: float) -> float:
-    """Risk of erroneous exclusion: P(score <= s) under the mated model."""
-    return mixture_cdf(mated, float(s))
-
-
-def beta_tail(nonmated: MixtureModel, s: float) -> float:
-    """Risk of erroneous identification: P(score > s) under the non-mated model."""
-    return mixture_sf(nonmated, float(s))
-
-
 def _saturating_ratio(num, den):
     """num / den elementwise, with +inf and a set flag wherever den is 0."""
     den = np.asarray(den, dtype=float)
@@ -183,16 +170,6 @@ def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> Evidence
     return EvidenceReport(*fields)
 
 
-def score_lr(mated: MixtureModel, nonmated: MixtureModel, s: float) -> float:
-    """Score-based likelihood ratio: mated density over non-mated density at s.
-
-    Returns +inf when the denominator underflows (saturation marker).
-    """
-    s = float(s)
-    ratio, _ = _saturating_ratio(mixture_pdf(mated, s), mixture_pdf(nonmated, s))
-    return float(ratio)
-
-
 def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> TippingPoint:
     """Find the score where the exclusion and identification risks are equal.
 
@@ -208,7 +185,7 @@ def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> TippingPoint:
     lo, hi = min(lo_m, lo_n), max(hi_m, hi_n)
 
     def gap(s: float) -> float:
-        return alpha_tail(mated, s) - beta_tail(nonmated, s)
+        return mixture_cdf(mated, s) - mixture_sf(nonmated, s)
 
     if gap(lo) > 0.0 or gap(hi) < 0.0:
         raise NoTippingPointError("tail risks do not cross on the search bracket")

@@ -17,7 +17,7 @@ from .dist import GaussianParams, MixtureModel, gaussian_cdf, mixture_sample, mi
 from .errors import DomainError, FitFailureError
 from .evidence import ToyScenario, _saturating_ratio, specific_source_lr
 from .fit import FitConfig, fit_mixture, split_dataset
-from .gof import ad_statistic, asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
+from .gof import asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
 from .seeds import derive_seed, substream
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "SynthConfig",
     "TailAudit",
     "PValueStudyResult",
-    "ToyRecord",
+    "ToyStudy",
     "ThresholdTable",
     "Violation",
     "generate_synthetic",
@@ -251,49 +251,44 @@ def tail_audit(model: MixtureModel, observed, cutpoints: Sequence[float]) -> Tai
     return TailAudit.from_counts(cuts, counts, int(arr.size), model=model)
 
 
+_PANELS = ("ks_observed", "ad_observed", "ks_null", "ad_null")
+
+
 @dataclass(frozen=True, eq=False)
 class PValueStudyResult:
-    """Four p-value panels from the split/fit/test/resample protocol.
+    """Four p-value panels from the split/fit/test/resample protocol, as float arrays.
 
-    Replicates whose fit failed are excluded from the panels but recorded
-    in `missing` so the failure count stays visible.
+    Entry i of every panel comes from the i-th replicate whose fit
+    succeeded.  Replicates whose fit failed are excluded from the panels
+    but recorded in `missing` so the failure count stays visible.
     """
 
-    ks_observed: tuple[float, ...]
-    ad_observed: tuple[float, ...]
-    ks_null: tuple[float, ...]
-    ad_null: tuple[float, ...]
+    ks_observed: np.ndarray
+    ad_observed: np.ndarray
+    ks_null: np.ndarray
+    ad_null: np.ndarray
     reps: int
     missing: tuple[int, ...]
-    seed: int
-    fraction: float
-    resample_n: int
-    bootstrap_b: int
-    p_methods: tuple[str, str]
 
     def __post_init__(self) -> None:
-        panels = (self.ks_observed, self.ad_observed, self.ks_null, self.ad_null)
-        lengths = {len(p) for p in panels}
-        if lengths != {self.reps - len(self.missing)}:
-            raise DomainError("panel lengths must all equal reps minus missing count")
-        for panel in panels:
-            for p in panel:
-                if not 0.0 <= p <= 1.0:
-                    raise DomainError(f"p-values must be in [0, 1], got {p}")
+        panels = [np.asarray(getattr(self, name), dtype=float) for name in _PANELS]
+        if {p.shape for p in panels} != {(self.reps - len(self.missing),)}:
+            raise DomainError("panels must be one-dimensional, of length reps minus missing count")
+        stacked = np.stack(panels)
+        bad = ~((stacked >= 0.0) & (stacked <= 1.0))
+        if np.any(bad):
+            raise DomainError(f"p-values must be in [0, 1], got {stacked[bad][0]}")
+        for name, panel in zip(_PANELS, panels):
+            object.__setattr__(self, name, panel)
 
 
-def _ks_pvalue(sample: np.ndarray, model: MixtureModel, method: str, seed: int, B: int) -> float:
+_P_METHODS = {"KS": ("asymptotic", "bootstrap"), "AD": ("bootstrap",)}
+
+
+def _pvalue(kind: str, method: str, sample: np.ndarray, model: MixtureModel, seed: int, B: int) -> float:
     if method == "asymptotic":
         return asymptotic_ks_pvalue(ks_statistic(sample, model), len(sample))
-    if method == "bootstrap":
-        return bootstrap_pvalue(sample, model, "KS", B, seed).p_value
-    raise DomainError(f"KS p-value method must be 'asymptotic' or 'bootstrap', got {method!r}")
-
-
-def _ad_pvalue(sample: np.ndarray, model: MixtureModel, method: str, seed: int, B: int) -> float:
-    if method != "bootstrap":
-        raise DomainError(f"AD p-value method must be 'bootstrap', got {method!r}")
-    return bootstrap_pvalue(sample, model, "AD", B, seed).p_value
+    return bootstrap_pvalue(sample, model, kind, B, seed).p_value
 
 
 def pvalue_study(
@@ -331,6 +326,9 @@ def pvalue_study(
         raise DomainError(f"workers must be at least 1, got {workers}")
 
     ks_method, ad_method = p_methods
+    for kind, method in (("KS", ks_method), ("AD", ad_method)):
+        if method not in _P_METHODS[kind]:
+            raise DomainError(f"{kind} p-value method must be one of {_P_METHODS[kind]}, got {method!r}")
 
     def one_rep(rep: int) -> tuple[float, float, float, float] | None:
         split = split_dataset(arr, fraction, substream(seed, rep, 0))
@@ -338,12 +336,13 @@ def pvalue_study(
             model = fit_mixture(split.train, replace(fit_config, seed=rep)).model
         except FitFailureError:
             return None
-        ks_obs = _ks_pvalue(split.test, model, ks_method, derive_seed(seed, rep, 5), bootstrap_b)
-        ad_obs = _ad_pvalue(split.test, model, ad_method, derive_seed(seed, rep, 2), bootstrap_b)
         null_draw = mixture_sample(model, resample_n, substream(seed, rep, 4))
-        ks_null = _ks_pvalue(null_draw, model, ks_method, derive_seed(seed, rep, 6), bootstrap_b)
-        ad_null = _ad_pvalue(null_draw, model, ad_method, derive_seed(seed, rep, 3), bootstrap_b)
-        return ks_obs, ad_obs, ks_null, ad_null
+        return (
+            _pvalue("KS", ks_method, split.test, model, derive_seed(seed, rep, 5), bootstrap_b),
+            _pvalue("AD", ad_method, split.test, model, derive_seed(seed, rep, 2), bootstrap_b),
+            _pvalue("KS", ks_method, null_draw, model, derive_seed(seed, rep, 6), bootstrap_b),
+            _pvalue("AD", ad_method, null_draw, model, derive_seed(seed, rep, 3), bootstrap_b),
+        )
 
     if workers == 1:
         results = [one_rep(r) for r in range(reps)]
@@ -352,32 +351,23 @@ def pvalue_study(
             results = list(pool.map(one_rep, range(reps)))
 
     missing = tuple(r for r, out in enumerate(results) if out is None)
-    kept = [out for out in results if out is not None]
-    return PValueStudyResult(
-        ks_observed=tuple(out[0] for out in kept),
-        ad_observed=tuple(out[1] for out in kept),
-        ks_null=tuple(out[2] for out in kept),
-        ad_null=tuple(out[3] for out in kept),
-        reps=reps,
-        missing=missing,
-        seed=seed,
-        fraction=fraction,
-        resample_n=resample_n,
-        bootstrap_b=bootstrap_b,
-        p_methods=(ks_method, ad_method),
-    )
+    panels = np.array([out for out in results if out is not None], dtype=float).reshape(-1, 4).T
+    return PValueStudyResult(*panels, reps=reps, missing=missing)
 
 
-@dataclass(frozen=True)
-class ToyRecord:
-    """One paired draw from the toy convergence study."""
+@dataclass(frozen=True, eq=False)
+class ToyStudy:
+    """Paired draws of the toy convergence study as parallel columns, one entry per draw."""
 
-    scenario: str
-    hypothesis: str
-    rep: int
-    true_lr: float
-    frstat_like: float
-    saturated: bool
+    scenario: np.ndarray
+    hypothesis: np.ndarray
+    rep: np.ndarray
+    true_lr: np.ndarray
+    frstat_like: np.ndarray
+    saturated: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rep.size
 
 
 def default_toy_scenarios(pop_mean: float = 0.0, between_sd: float = 1.0) -> tuple[ToyScenario, ...]:
@@ -423,7 +413,7 @@ def toy_study(
     scenarios: Sequence[ToyScenario],
     reps: int,
     seed: int = 0,
-) -> tuple[ToyRecord, ...]:
+) -> ToyStudy:
     """Paired true-LR and tail-ratio values over scenarios and hypotheses.
 
     For each scenario row and each hypothesis (H0: draw from the named
@@ -431,14 +421,15 @@ def toy_study(
     observations, scores each as s = -|x - source_mean|, and pairs the
     closed-form tail ratio with the closed-form specific-source LR.
     Saturated ratios (either value nonfinite) are carried as markers, not
-    dropped.  Cell (i, h) uses substream (seed, i, h), so records are
-    deterministic and independent of evaluation order.
+    dropped.  Cell (i, h) uses substream (seed, i, h), so the columns are
+    deterministic and independent of evaluation order; they list the cells
+    in scenario, then hypothesis order.
     """
     if len(scenarios) == 0:
         raise DomainError("need at least one scenario")
     if reps < 100:
         raise DomainError(f"need at least 100 replicates, got {reps}")
-    records: list[ToyRecord] = []
+    cells: list[tuple[np.ndarray, ...]] = []
     for si, base in enumerate(scenarios):
         label = chr(ord("a") + si) if si < 26 else str(si)
         for hi, hyp in enumerate(("H0", "H1")):
@@ -457,41 +448,35 @@ def toy_study(
                 # point-mass source: the density ratio degenerates to an indicator
                 true_lr = np.where(x == sc.source_mean, np.inf, 0.0)
             saturated = ~(np.isfinite(ratio) & np.isfinite(true_lr))
-            for rep in range(reps):
-                records.append(
-                    ToyRecord(
-                        scenario=label,
-                        hypothesis=hyp,
-                        rep=rep,
-                        true_lr=float(true_lr[rep]),
-                        frstat_like=float(ratio[rep]),
-                        saturated=bool(saturated[rep]),
-                    )
-                )
-    return tuple(records)
+            cells.append((np.full(reps, label), np.full(reps, hyp), np.arange(reps), true_lr, ratio, saturated))
+    return ToyStudy(*(np.concatenate(column) for column in zip(*cells)))
 
 
 @dataclass(frozen=True, eq=False)
 class ThresholdTable:
-    """Rates per feature count (rows) and decision threshold (columns)."""
+    """Rates per feature count (rows) and decision threshold (columns).
+
+    `rates` is a 2-D float array: `rates[i, j]` is the rate at
+    `feature_counts[i]` and `thresholds[j]`.
+    """
 
     kind: str
     feature_counts: tuple[int, ...]
     thresholds: tuple[float, ...]
-    rates: tuple[tuple[float, ...], ...]
+    rates: np.ndarray
     pair_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.kind not in ("correct_exclusion", "erroneous_identification"):
             raise DomainError(f"unknown table kind {self.kind!r}")
-        if len(self.rates) != len(self.feature_counts) or len(self.pair_counts) != len(self.feature_counts):
-            raise DomainError("row count mismatch")
-        for row in self.rates:
-            if len(row) != len(self.thresholds):
-                raise DomainError("column count mismatch")
-            for rate in row:
-                if not 0.0 <= rate <= 1.0:
-                    raise DomainError(f"rates must be in [0, 1], got {rate}")
+        rates = np.asarray(self.rates, dtype=float)
+        rows = len(self.feature_counts)
+        if rates.shape != (rows, len(self.thresholds)) or len(self.pair_counts) != rows:
+            raise DomainError("need a rate row and a pair count per feature count, a rate column per threshold")
+        bad = ~((rates >= 0.0) & (rates <= 1.0))
+        if np.any(bad):
+            raise DomainError(f"rates must be in [0, 1], got {rates[bad][0]}")
+        object.__setattr__(self, "rates", rates)
 
     def get(self, feature_count: int, threshold: float) -> float:
         """Rate at one (feature_count, threshold) cell."""
@@ -500,7 +485,7 @@ class ThresholdTable:
             j = self.thresholds.index(threshold)
         except ValueError as exc:
             raise DomainError(f"no cell ({feature_count}, {threshold}) in table") from exc
-        return self.rates[i][j]
+        return float(self.rates[i, j])
 
 
 def threshold_study(
@@ -530,18 +515,16 @@ def threshold_study(
     cols = tuple(sorted(float(t) for t in thresholds))
     if len(cols) == 0:
         raise DomainError("need at least one threshold")
-    fcs = tuple(int(f) for f in np.unique(fc))
-    excl_rows: list[tuple[float, ...]] = []
-    err_rows: list[tuple[float, ...]] = []
-    counts: list[int] = []
-    for f in fcs:
-        row = ratio[fc == f]
-        counts.append(row.size)
-        excl_rows.append(tuple(float(np.mean(row < t)) for t in cols))
-        err_rows.append(tuple(float(np.mean(row >= t)) for t in cols))
+    if any(np.isnan(cols)):
+        raise DomainError("thresholds must not be NaN")
+    fcs, counts = np.unique(fc, return_counts=True)
+    # ratios strictly below each threshold, one row per feature count
+    below = np.array([np.sort(ratio[fc == f]).searchsorted(cols) for f in fcs])
+    n = counts[:, None]
+    rows, pairs = tuple(int(f) for f in fcs), tuple(counts.tolist())
     return (
-        ThresholdTable("correct_exclusion", fcs, cols, tuple(excl_rows), tuple(counts)),
-        ThresholdTable("erroneous_identification", fcs, cols, tuple(err_rows), tuple(counts)),
+        ThresholdTable("correct_exclusion", rows, cols, below / n, pairs),
+        ThresholdTable("erroneous_identification", rows, cols, (n - below) / n, pairs),
     )
 
 
@@ -575,12 +558,9 @@ def table_fixture_check(
         or exclusion.pair_counts != identification.pair_counts
     ):
         raise DomainError("tables are not aligned")
-    violations: list[Violation] = []
-    for i, fc in enumerate(exclusion.feature_counts):
-        for j, t in enumerate(exclusion.thresholds):
-            excl = exclusion.rates[i][j]
-            err = identification.rates[i][j]
-            deviation = abs(excl + err - 1.0)
-            if deviation > tolerance:
-                violations.append(Violation(fc, t, excl, err, deviation))
-    return tuple(violations)
+    deviation = np.abs(exclusion.rates + identification.rates - 1.0)
+    cells = (exclusion.rates, identification.rates, deviation)
+    return tuple(
+        Violation(exclusion.feature_counts[i], exclusion.thresholds[j], *(float(c[i, j]) for c in cells))
+        for i, j in np.argwhere(deviation > tolerance)
+    )

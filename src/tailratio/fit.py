@@ -60,7 +60,6 @@ class SplitResult:
 
     train: np.ndarray
     test: np.ndarray
-    fraction: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +91,7 @@ def split_dataset(scores, fraction: float, seed: SeedLike) -> SplitResult:
     if n_train == 0 or n_train == n:
         raise DomainError(f"degenerate split: {n_train} train of {n} total")
     idx = as_generator(seed).permutation(n)
-    return SplitResult(train=arr[idx[:n_train]], test=arr[idx[n_train:]], fraction=fraction)
+    return SplitResult(train=arr[idx[:n_train]], test=arr[idx[n_train:]])
 
 
 def _sample_stats(arr: np.ndarray) -> tuple[np.ndarray, float, float]:

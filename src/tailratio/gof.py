@@ -10,7 +10,6 @@ for either.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 from scipy.special import kolmogorov
@@ -22,7 +21,6 @@ from .fit import FitConfig, fit_mixture
 from .seeds import derive_seed, substream
 
 __all__ = [
-    "EmpiricalDistribution",
     "GofOutcome",
     "ks_statistic",
     "ad_statistic",
@@ -44,30 +42,14 @@ _MIN_BOOTSTRAP_B = 100
 _BLOCK_VALUES = 2**14
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalDistribution:
-    """A sorted sample and its size, the empirical cdf's raw material."""
-
-    values: np.ndarray
-    n: int
-
-    @classmethod
-    def from_sample(cls, sample) -> "EmpiricalDistribution":
-        arr = np.sort(np.asarray(sample, dtype=float))
-        if arr.size == 0:
-            raise DomainError("empirical distribution needs at least one point")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("sample must be finite")
-        return cls(values=arr, n=int(arr.size))
-
-
-SampleLike = Union[EmpiricalDistribution, "np.ndarray", list, tuple]
-
-
-def _as_empirical(sample: SampleLike) -> EmpiricalDistribution:
-    if isinstance(sample, EmpiricalDistribution):
-        return sample
-    return EmpiricalDistribution.from_sample(sample)
+def _sorted_sample(sample) -> np.ndarray:
+    """A sorted float copy of a nonempty, finite sample: the empirical cdf's raw material."""
+    arr = np.sort(np.asarray(sample, dtype=float))
+    if arr.size == 0:
+        raise DomainError("empirical distribution needs at least one point")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("sample must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -105,21 +87,21 @@ def _statistics(kind: str, model: MixtureModel, rows: np.ndarray) -> np.ndarray:
     return _cdf_statistics(kind, mixture_cdf(model, rows))
 
 
-def ks_statistic(sample: SampleLike, model: MixtureModel) -> float:
+def ks_statistic(sample, model: MixtureModel) -> float:
     """Maximum distance between the empirical cdf and the model cdf.
 
     Over order statistics the supremum is max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n).
     """
-    return float(_statistics("KS", model, _as_empirical(sample).values))
+    return float(_statistics("KS", model, _sorted_sample(sample)))
 
 
-def ad_statistic(sample: SampleLike, model: MixtureModel) -> float:
+def ad_statistic(sample, model: MixtureModel) -> float:
     """Tail-weighted quadratic distance between empirical and model cdfs.
 
     Order-statistic estimator -n - mean((2i - 1) (ln F(x_(i)) + ln(1 - F(x_(n+1-i))))),
     with F clamped away from 0 and 1 so extreme-tail samples stay finite.
     """
-    return float(_statistics("AD", model, _as_empirical(sample).values))
+    return float(_statistics("AD", model, _sorted_sample(sample)))
 
 
 def ad_weight(F) -> float:
@@ -145,7 +127,7 @@ def asymptotic_ks_pvalue(d_n: float, n: int) -> float:
 
 
 def bootstrap_pvalue(
-    sample: SampleLike,
+    sample,
     model: MixtureModel,
     kind: str,
     B: int,
@@ -174,22 +156,23 @@ def bootstrap_pvalue(
     drawn order, and scores the draw against its refit: the strict variant
     that accounts for fitted parameters.
     """
-    emp = _as_empirical(sample)
+    values = _sorted_sample(sample)
+    n = values.size
     if B < _MIN_BOOTSTRAP_B:
         raise DomainError(f"bootstrap size must be at least {_MIN_BOOTSTRAP_B}, got {B}")
-    stat_obs = float(_statistics(kind, model, emp.values))
+    stat_obs = float(_statistics(kind, model, values))
     stats = np.empty(B)
     if refit_within_bootstrap:
         cfg = fit_config if fit_config is not None else FitConfig(k=model.k, restarts=1)
         for b in range(B):
-            draw = _scores_from_uniforms(model, substream(seed, b).random(2 * emp.n))
+            draw = _scores_from_uniforms(model, substream(seed, b).random(2 * n))
             fitted = fit_mixture(draw, replace(cfg, seed=derive_seed(seed, b))).model
             stats[b] = _statistics(kind, fitted, np.sort(draw))
     else:
         rng = substream(seed)
-        rows_per_block = max(1, _BLOCK_VALUES // emp.n)
+        rows_per_block = max(1, _BLOCK_VALUES // n)
         for start in range(0, B, rows_per_block):
-            u = rng.random((min(rows_per_block, B - start), emp.n))
+            u = rng.random((min(rows_per_block, B - start), n))
             u.sort(axis=-1)
             stats[start:start + len(u)] = _cdf_statistics(kind, u)
     p = (1 + int(np.count_nonzero(stats >= stat_obs))) / (B + 1)

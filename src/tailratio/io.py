@@ -17,6 +17,8 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from ._version import __version__
 from .dist import MixtureModel
 from .errors import DataFormatError, DomainError
@@ -270,7 +272,7 @@ def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> 
         kind=kind,
         feature_counts=tuple(fcs),
         thresholds=thresholds,
-        rates=tuple(rates),
+        rates=np.reshape(rates, (len(fcs), len(thresholds))),
         pair_counts=tuple(counts),
     )
 

@@ -15,14 +15,11 @@ from tailratio import (
     NoTippingPointError,
     REFERENCE_NONMATED_MODEL,
     ToyScenario,
-    alpha_tail,
-    beta_tail,
     discrete_woe,
     evidence_numbers,
     mixture_cdf,
     mixture_pdf,
     mixture_sf,
-    score_lr,
     specific_source_lr,
     tipping_score,
 )
@@ -37,10 +34,10 @@ ABO = BloodTypeTable.from_mapping({"O": 0.44, "A": 0.42, "B": 0.10, "AB": 0.04})
 
 class TestTails:
     def test_alpha_is_left_tail_of_mated(self):
-        assert alpha_tail(MATED_20_8, 0.0) == pytest.approx(0.07585818002124355, rel=1e-12)
+        assert evidence_numbers(MATED_20_8, REF, 0.0).alpha == pytest.approx(0.07585818002124355, rel=1e-12)
 
     def test_beta_is_right_tail_of_nonmated(self):
-        assert beta_tail(REF, 0.0) == pytest.approx(0.0007371214611347743, rel=1e-12)
+        assert evidence_numbers(MATED_20_8, REF, 0.0).beta == pytest.approx(0.0007371214611347743, rel=1e-12)
 
     def test_evidence_numbers_at_zero(self):
         rep = evidence_numbers(MATED_20_8, REF, 0.0)
@@ -60,7 +57,8 @@ class TestTails:
         assert rep.saturated
 
     def test_score_lr_saturates_to_inf(self):
-        assert score_lr(MATED_20_8, REF, 50_000.0) == math.inf
+        rep = evidence_numbers(MATED_20_8, REF, 50_000.0)
+        assert rep.slr == math.inf and rep.slr_saturated
 
 
 def _bits(values) -> bytes:
@@ -131,7 +129,7 @@ class TestTippingPoint:
 
     def test_identical_models_cross_at_median_with_slr_one(self):
         tp = tipping_score(REF, REF)
-        assert alpha_tail(REF, tp.score) == pytest.approx(0.5, abs=1e-9)
+        assert evidence_numbers(REF, REF, tp.score).alpha == pytest.approx(0.5, abs=1e-9)
         assert tp.slr == pytest.approx(1.0, rel=1e-9)
 
 

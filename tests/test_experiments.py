@@ -3,10 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailratio import (
     DEFAULT_MATED_MODEL,
     DomainError,
+    PValueStudyResult,
     REFERENCE_NONMATED_MODEL,
     ScoreDataset,
     SynthConfig,
@@ -114,10 +117,9 @@ class TestPValueStudy:
         data = generate_synthetic(SynthConfig(seed=0)).scores(origin="nonmated")
         a = pvalue_study(data, reps=10, seed=0, workers=1)
         b = pvalue_study(data, reps=10, seed=0, workers=3)
-        assert a.ks_observed == b.ks_observed
-        assert a.ad_observed == b.ad_observed
-        assert a.ks_null == b.ks_null
-        assert a.ad_null == b.ad_null
+        for panel in ("ks_observed", "ad_observed", "ks_null", "ad_null"):
+            assert getattr(a, panel).dtype == float and getattr(a, panel).shape == (10,)
+            assert np.array_equal(getattr(a, panel), getattr(b, panel)), panel
         assert a.missing == b.missing == ()
 
     def test_input_validation(self):
@@ -129,40 +131,63 @@ class TestPValueStudy:
             pvalue_study(data, reps=9)
         with pytest.raises(DomainError):
             pvalue_study(data, reps=10, workers=0)
+        with pytest.raises(DomainError):
+            pvalue_study(data, reps=10, p_methods=("asymptotic", "asymptotic"))
+        with pytest.raises(DomainError):
+            pvalue_study(data, reps=10, p_methods=("exact", "bootstrap"))
+
+    def test_result_panels_checked(self):
+        ok = PValueStudyResult((0.5, 1.0), [0.0, 0.25], np.ones(2), np.zeros(2), reps=3, missing=(1,))
+        assert ok.ks_observed.tolist() == [0.5, 1.0]
+        with pytest.raises(DomainError):
+            PValueStudyResult((0.5,), (0.5,), (0.5,), (0.5,), reps=3, missing=(1,))
+        with pytest.raises(DomainError):
+            PValueStudyResult(np.full((2, 1), 0.5), np.full(2, 0.5), np.full(2, 0.5), np.full(2, 0.5),
+                              reps=2, missing=())
+        for bad in (-0.1, 1.5, np.nan):
+            with pytest.raises(DomainError):
+                PValueStudyResult((0.5,), (0.5,), (bad,), (0.5,), reps=1, missing=())
+
+
+_TOY_COLUMNS = ("scenario", "hypothesis", "rep", "true_lr", "frstat_like", "saturated")
 
 
 class TestToyStudy:
     def test_layout_and_determinism(self):
         scenarios = default_toy_scenarios()
-        records = toy_study(scenarios, 100, seed=0)
-        assert len(records) == len(scenarios) * 2 * 100
-        labels = {r.scenario for r in records}
-        assert labels == {"a", "b", "c"}
+        study = toy_study(scenarios, 100, seed=0)
+        assert len(study) == len(scenarios) * 2 * 100
+        assert all(getattr(study, c).shape == (len(study),) for c in _TOY_COLUMNS)
+        assert set(study.scenario.tolist()) == {"a", "b", "c"}
+        # cells in scenario, then hypothesis order, reps in order within a cell
+        assert study.scenario.tolist() == [s for s in "abc" for _ in range(200)]
+        assert study.hypothesis.tolist() == [h for _ in "abc" for h in ("H0", "H1") for _ in range(100)]
+        assert study.rep.tolist() == list(range(100)) * 6
+        assert study.saturated.dtype == bool
+        assert np.array_equal(study.saturated, ~(np.isfinite(study.true_lr) & np.isfinite(study.frstat_like)))
         again = toy_study(scenarios, 100, seed=0)
-        assert records == again
+        for c in _TOY_COLUMNS:
+            assert np.array_equal(getattr(study, c), getattr(again, c)), c
 
     def test_h1_alpha_does_not_underflow(self):
         # With the erf-based normal cdf, alpha underflowed to 0 on 985 H1
         # draws (a: 1, b: 61, c: 923); ndtr keeps 275 of them positive
         # (a: 1, b: 61, c: 213), so only 710 ratios in (c) remain 0.
-        records = toy_study(default_toy_scenarios(), 1000, seed=0)
-        h1 = [r for r in records if r.hypothesis == "H1"]
-        zero = {s: sum(r.frstat_like == 0.0 for r in h1 if r.scenario == s) for s in "abc"}
-        positive = {s: sum(0.0 < r.frstat_like < np.inf for r in h1 if r.scenario == s) for s in "abc"}
+        study = toy_study(default_toy_scenarios(), 1000, seed=0)
+        ratio = study.frstat_like
+        h1 = {s: (study.hypothesis == "H1") & (study.scenario == s) for s in "abc"}
+        zero = {s: int(np.sum(h1[s] & (ratio == 0.0))) for s in "abc"}
+        positive = {s: int(np.sum(h1[s] & (0.0 < ratio) & (ratio < np.inf))) for s in "abc"}
         assert zero == {"a": 0, "b": 0, "c": 710}
         assert positive == {"a": 1000, "b": 1000, "c": 290}
 
     def test_direction_of_bias_scenario_a(self):
         # under H0 the tail ratio overstates, under H1 it understates
         sc_a = default_toy_scenarios()[0]
-        records = toy_study([sc_a], 1000, seed=0)
+        study = toy_study([sc_a], 1000, seed=0)
         for hyp, expected in (("H0", 1.1637148811970921), ("H1", 0.2610793681080236)):
-            vals = [
-                r.frstat_like / r.true_lr
-                for r in records
-                if r.hypothesis == hyp and not r.saturated and r.true_lr > 0
-            ]
-            med = float(np.median(vals))
+            keep = (study.hypothesis == hyp) & ~study.saturated & (study.true_lr > 0)
+            med = float(np.median(study.frstat_like[keep] / study.true_lr[keep]))
             assert med == pytest.approx(expected, rel=1e-9)
         assert 1.0 < 1.1637148811970921       # H0 side overstates
         assert 0.2610793681080236 < 1.0       # H1 side understates
@@ -171,12 +196,11 @@ class TestToyStudy:
         # with within_sd at 1% of between_sd, a random-source draw almost
         # never lands near the source: both numbers underflow toward 0
         sc_c = default_toy_scenarios()[2]
-        records = toy_study([sc_c], 100, seed=0)
-        h1 = [r for r in records if r.hypothesis == "H1"]
-        assert sum(r.true_lr == 0.0 for r in h1) > 50
-        assert sum(r.frstat_like == 0.0 for r in h1) > 50
-        h0 = [r for r in records if r.hypothesis == "H0"]
-        assert all(r.true_lr > 1.0 for r in h0)
+        study = toy_study([sc_c], 100, seed=0)
+        h1 = study.hypothesis == "H1"
+        assert np.sum(study.true_lr[h1] == 0.0) > 50
+        assert np.sum(study.frstat_like[h1] == 0.0) > 50
+        assert np.all(study.true_lr[~h1] > 1.0)
 
     def test_rep_floor(self):
         with pytest.raises(DomainError):
@@ -201,6 +225,15 @@ class TestThresholds:
         _, err = threshold_study([float("inf")], [14], thresholds=[100_000.0])
         assert err.get(14, 100_000.0) == 1.0
 
+    def test_rates_are_a_float_table(self):
+        excl, err = threshold_study([0.5, 10.0, 200.0, 3.0], [14, 14, 14, 5], thresholds=[100.0, 1.0, 10.0])
+        assert excl.thresholds == (1.0, 10.0, 100.0)
+        assert excl.rates.shape == err.rates.shape == (2, 3)
+        assert excl.rates.tolist() == [[0.0, 1.0, 1.0], [1 / 3, 1 / 3, 2 / 3]]
+        assert type(excl.get(5, 10.0)) is float
+        with pytest.raises(DomainError):
+            excl.get(5, 1000.0)
+
     def test_needs_nonmated_records(self):
         with pytest.raises(DomainError):
             threshold_study([], [], thresholds=[1.0])
@@ -213,6 +246,36 @@ class TestThresholds:
     def test_bad_input_rejected(self, ratios, feature_counts):
         with pytest.raises(DomainError):
             threshold_study(ratios, feature_counts, thresholds=[1.0])
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(DomainError):
+            threshold_study([1.0], [14], thresholds=[1.0, float("nan")])
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([0.0, 1.0, 10.0, 100.0, float("inf")]), st.floats(0.0, 1e6)),
+            st.integers(5, 15),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    thresholds=st.lists(st.one_of(st.sampled_from([1.0, 10.0, 100.0, float("inf")]), st.floats(0.0, 1e6)),
+                        min_size=1, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_threshold_rates_match_per_cell_means_bit_for_bit(rows, thresholds):
+    # ties at the thresholds and +inf ratios included
+    ratio = np.array([r for r, _ in rows])
+    fc = np.array([f for _, f in rows])
+    excl, err = threshold_study(ratio, fc, thresholds)
+    cols = sorted(thresholds)
+    for i, f in enumerate(sorted(set(fc.tolist()))):
+        row = ratio[fc == f]
+        assert excl.rates[i].tolist() == [float(np.mean(row < t)) for t in cols]
+        assert err.rates[i].tolist() == [float(np.mean(row >= t)) for t in cols]
+        assert excl.pair_counts[i] == row.size
 
 
 class TestFixtureCheck:
@@ -233,6 +296,22 @@ class TestFixtureCheck:
         assert len(violations) == 1
         assert violations[0].feature_count == 14
         assert violations[0].deviation == pytest.approx(0.01)
+
+    def test_table_shape_and_range_checked(self):
+        with pytest.raises(DomainError):
+            ThresholdTable("correct_exclusion", (14, 15), (10.0,), ((0.9, 0.8),), (100, 100))
+        with pytest.raises(DomainError):
+            ThresholdTable("correct_exclusion", (14,), (10.0,), ((0.9,),), (100, 100))
+        for bad in (-0.1, 1.1, float("nan")):
+            with pytest.raises(DomainError):
+                ThresholdTable("correct_exclusion", (14,), (10.0,), ((bad,),), (100,))
+
+    def test_violations_in_row_major_order(self):
+        excl = ThresholdTable("correct_exclusion", (5, 14), (1.0, 10.0), ((0.5, 0.9), (0.2, 0.94)), (9, 9))
+        err = ThresholdTable("erroneous_identification", (5, 14), (1.0, 10.0), ((0.4, 0.1), (0.9, 0.05)), (9, 9))
+        violations = table_fixture_check(excl, err)
+        assert [(v.feature_count, v.threshold) for v in violations] == [(5, 1.0), (14, 1.0), (14, 10.0)]
+        assert all(type(x) in (int, float) for v in violations for x in vars(v).values())
 
     def test_misaligned_tables_rejected(self):
         excl = ThresholdTable("correct_exclusion", (14,), (10.0,), ((0.94,),), (100,))

@@ -9,7 +9,6 @@ from scipy.stats import ks_2samp, kstwo
 
 from tailratio import (
     DomainError,
-    EmpiricalDistribution,
     FitConfig,
     GofOutcome,
     MixtureModel,
@@ -71,16 +70,29 @@ def _loop_bootstrap(sample, model, kind, B, seed, fit_config=None):
 
 
 class TestEmpirical:
+    """Every statistic scores the empirical cdf of its sample: sorted, counted, finite."""
+
     def test_sorts_and_counts(self):
-        emp = EmpiricalDistribution.from_sample([3.0, 1.0, 2.0])
-        assert emp.values.tolist() == [1.0, 2.0, 3.0]
-        assert emp.n == 3
+        sample = mixture_sample(TRIPLE, 50, seed=71)
+        shuffled = np.random.default_rng(73).permutation(sample)
+        for kind in ("KS", "AD"):
+            sorted_stat = _loop_statistic(kind, sample, TRIPLE)
+            assert _statistics(kind, TRIPLE, np.sort(sample)) == sorted_stat
+            for arg in (sample, shuffled, shuffled.tolist(), tuple(shuffled[::-1])):
+                stat = ks_statistic(arg, TRIPLE) if kind == "KS" else ad_statistic(arg, TRIPLE)
+                assert stat == sorted_stat, kind
+                out = bootstrap_pvalue(arg, TRIPLE, kind, 100, seed=3)
+                assert (out.statistic, out.p_value) == _loop_bootstrap(sample, TRIPLE, kind, 100, 3), kind
 
     def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(DomainError):
-            EmpiricalDistribution.from_sample([])
-        with pytest.raises(DomainError):
-            EmpiricalDistribution.from_sample([1.0, np.nan])
+        for bad in ([], [1.0, np.nan], [np.inf, 0.0], [0.0, -np.inf]):
+            with pytest.raises(DomainError):
+                ks_statistic(bad, REF)
+            with pytest.raises(DomainError):
+                ad_statistic(bad, REF)
+            for kind in ("KS", "AD"):
+                with pytest.raises(DomainError):
+                    bootstrap_pvalue(bad, REF, kind, 100, seed=0)
 
 
 class TestKS:
