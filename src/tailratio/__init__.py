@@ -5,149 +5,30 @@ score into a pair of opposing tail error probabilities and their ratio,
 checks fitted models with KS and AD goodness-of-fit tests, and runs the
 validation studies (tail audits, p-value calibration, toy convergence,
 threshold decision rules) end to end.
+
+The public names are each module's `__all__`, re-exported here.
 """
 from __future__ import annotations
 
+from . import dist, errors, evidence, experiments, fit, gof, io, seeds
 from ._version import __version__
-from .dist import (
-    GaussianParams,
-    LogisticComponent,
-    MixtureModel,
-    gaussian_cdf,
-    gaussian_pdf,
-    log_likelihood,
-    logistic_cdf,
-    logistic_pdf,
-    logistic_sf,
-    mixture_cdf,
-    mixture_pdf,
-    mixture_quantile,
-    mixture_sample,
-    mixture_sf,
-)
-from .errors import (
-    DataFormatError,
-    DomainError,
-    FitFailureError,
-    ModelError,
-    NoTippingPointError,
-    TailratioError,
-)
-from .evidence import (
-    BloodTypeTable,
-    DiscreteWoe,
-    EvidenceReport,
-    TippingPoint,
-    ToyScenario,
-    discrete_woe,
-    evidence_numbers,
-    specific_source_lr,
-    tipping_score,
-)
-from .experiments import (
-    DEFAULT_MATED_MODEL,
-    DEFAULT_THRESHOLDS,
-    PValueStudyResult,
-    REFERENCE_NONMATED_MODEL,
-    ScoreDataset,
-    SynthConfig,
-    TailAudit,
-    ThresholdTable,
-    ToyStudy,
-    Violation,
-    default_toy_scenarios,
-    generate_synthetic,
-    pvalue_study,
-    table_fixture_check,
-    tail_audit,
-    threshold_study,
-    toy_study,
-)
-from .fit import FitConfig, FitResult, SplitResult, fit_mixture, init_params, split_dataset
-from .gof import (
-    GofOutcome,
-    ad_statistic,
-    ad_weight,
-    asymptotic_ks_pvalue,
-    bootstrap_pvalue,
-    ks_statistic,
-)
-from .io import (
-    load_model,
-    load_scores,
-    load_threshold_table,
-    packaged_data_path,
-    save_model,
-    save_scores,
-)
-from .seeds import derive_seed, substream
+from .dist import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .evidence import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .fit import *  # noqa: F401,F403
+from .gof import *  # noqa: F401,F403
+from .io import *  # noqa: F401,F403
+from .seeds import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "BloodTypeTable",
-    "DataFormatError",
-    "DEFAULT_MATED_MODEL",
-    "DEFAULT_THRESHOLDS",
-    "DiscreteWoe",
-    "DomainError",
-    "EvidenceReport",
-    "FitConfig",
-    "FitFailureError",
-    "FitResult",
-    "GaussianParams",
-    "GofOutcome",
-    "LogisticComponent",
-    "MixtureModel",
-    "ModelError",
-    "NoTippingPointError",
-    "PValueStudyResult",
-    "REFERENCE_NONMATED_MODEL",
-    "ScoreDataset",
-    "SplitResult",
-    "SynthConfig",
-    "TailAudit",
-    "TailratioError",
-    "ThresholdTable",
-    "TippingPoint",
-    "ToyScenario",
-    "ToyStudy",
-    "Violation",
-    "ad_statistic",
-    "ad_weight",
-    "asymptotic_ks_pvalue",
-    "bootstrap_pvalue",
-    "default_toy_scenarios",
-    "derive_seed",
-    "discrete_woe",
-    "evidence_numbers",
-    "fit_mixture",
-    "gaussian_cdf",
-    "gaussian_pdf",
-    "generate_synthetic",
-    "init_params",
-    "ks_statistic",
-    "load_model",
-    "load_scores",
-    "load_threshold_table",
-    "log_likelihood",
-    "logistic_cdf",
-    "logistic_pdf",
-    "logistic_sf",
-    "mixture_cdf",
-    "mixture_pdf",
-    "mixture_quantile",
-    "mixture_sample",
-    "mixture_sf",
-    "packaged_data_path",
-    "pvalue_study",
-    "save_model",
-    "save_scores",
-    "specific_source_lr",
-    "split_dataset",
-    "substream",
-    "table_fixture_check",
-    "tail_audit",
-    "threshold_study",
-    "tipping_score",
-    "toy_study",
+    *dist.__all__,
+    *errors.__all__,
+    *evidence.__all__,
+    *experiments.__all__,
+    *fit.__all__,
+    *gof.__all__,
+    *io.__all__,
+    *seeds.__all__,
 ]

@@ -105,10 +105,8 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise click.BadParameter(f"bad {what}: {exc}")
 
 
-def _load_model_arg(path: str | None, default_name: str | None = None) -> MixtureModel:
+def _load_model_arg(path: str | None, default_name: str) -> MixtureModel:
     if path is None:
-        if default_name is None:
-            raise click.BadParameter("a model file is required")
         path = str(packaged_data_path(default_name))
     return load_model(path).model
 
@@ -143,25 +141,14 @@ def gen(out, n_mated, n_nonmated, feature_count, contamination_weight,
         n_mated=n_mated,
         n_nonmated=n_nonmated,
         feature_count=feature_count,
-        seed=seed,
     )
+    config = dict(kwargs, subcommand="gen", mated_model=mated_path or "builtin",
+                  nonmated_core=core_path or "builtin")
     if mated_path is not None:
         kwargs["mated_model"] = load_model(mated_path).model
     if core_path is not None:
         kwargs["nonmated_core"] = load_model(core_path).model
-    cfg = SynthConfig(**kwargs)
-    dataset = generate_synthetic(cfg)
-    config = dict(
-        subcommand="gen",
-        n_mated=n_mated,
-        n_nonmated=n_nonmated,
-        feature_count=feature_count,
-        contamination_weight=contamination_weight,
-        contamination_location=contamination_location,
-        contamination_scale=contamination_scale,
-        mated_model=mated_path or "builtin",
-        nonmated_core=core_path or "builtin",
-    )
+    dataset = generate_synthetic(SynthConfig(**kwargs, seed=seed))
     save_scores(dataset, out, meta=build_meta(seed, config))
     click.echo(f"wrote {len(dataset)} records to {out}")
 
@@ -441,7 +428,7 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
         return
     if scores_path is None or out_prefix is None:
         raise click.BadParameter("compute mode needs --scores and --out-prefix")
-    mated = _load_model_arg(mated_path) if mated_path else DEFAULT_MATED_MODEL
+    mated = load_model(mated_path).model if mated_path else DEFAULT_MATED_MODEL
     nonmated = _load_model_arg(nonmated_path, default_name="nonmated_15.json")
     dataset = load_scores(scores_path)
     is_nonmated = dataset.origin == "nonmated"

@@ -3,6 +3,15 @@ from __future__ import annotations
 
 from typing import Any
 
+__all__ = [
+    "TailratioError",
+    "DomainError",
+    "ModelError",
+    "DataFormatError",
+    "FitFailureError",
+    "NoTippingPointError",
+]
+
 
 class TailratioError(Exception):
     """Base class for all package errors; carries a machine-readable payload."""

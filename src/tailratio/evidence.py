@@ -5,40 +5,27 @@ erroneous exclusion (left tail of the mated score distribution at s), the
 risk of erroneous identification (right tail of the non-mated distribution
 at s), their ratio, and the score-based likelihood ratio (the ratio of the
 two densities at s).  It also finds the tipping score where the two tail
-risks are equal, and provides the discrete blood-group weight of evidence
-and the closed-form specific-source likelihood ratio used by the toy
-simulation study.
+risks are equal, and provides the discrete blood-group weight of evidence.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .dist import (
-    GaussianParams,
-    MixtureModel,
-    gaussian_pdf,
-    mixture_cdf,
-    mixture_pdf,
-    mixture_sf,
-    quantile_bracket,
-)
+from .dist import MixtureModel, mixture_cdf, mixture_pdf, mixture_sf, quantile_bracket
 from .errors import DomainError, NoTippingPointError
 
 __all__ = [
     "EvidenceReport",
     "BloodTypeTable",
     "DiscreteWoe",
-    "ToyScenario",
     "TippingPoint",
     "evidence_numbers",
     "tipping_score",
     "discrete_woe",
-    "specific_source_lr",
 ]
 
 _TIPPING_TOL = 1e-9
@@ -101,36 +88,6 @@ class DiscreteWoe:
 
     correspondence_ratio: float
     per_type_lr: dict[str, float]
-
-
-@dataclass(frozen=True)
-class ToyScenario:
-    """Gaussian toy-model scenario for the convergence study.
-
-    A population of sources has means N(pop_mean, between_sd); repeated
-    observations of one source scatter N(source_mean, within_sd).  The
-    hypothesis tags which distribution the observation is drawn from:
-    H0 the named source, H1 a random population source.
-    """
-
-    pop_mean: float
-    between_sd: float
-    within_sd: float
-    source_mean: float
-    hypothesis: str = "H0"
-
-    def __post_init__(self) -> None:
-        if self.between_sd < 0.0 or self.within_sd < 0.0:
-            raise DomainError("scenario sds must be nonnegative")
-        if self.between_sd == 0.0 and self.within_sd == 0.0:
-            raise DomainError("between_sd and within_sd must not both be 0")
-        if self.hypothesis not in ("H0", "H1"):
-            raise DomainError(f"hypothesis must be 'H0' or 'H1', got {self.hypothesis!r}")
-
-    @property
-    def total_sd(self) -> float:
-        """Marginal sd of an observation from a random source."""
-        return math.hypot(self.between_sd, self.within_sd)
 
 
 @dataclass(frozen=True)
@@ -212,17 +169,3 @@ def discrete_woe(table: BloodTypeTable, observed_type: str | None = None) -> Dis
     per_type = {label: 1.0 / freq for label, freq in table.frequencies}
     return DiscreteWoe(correspondence_ratio=1.0 / sum_sq, per_type_lr=per_type)
 
-
-def specific_source_lr(sc: ToyScenario, x):
-    """Closed-form specific-source LR at an observation or an array of them:
-    density under the named source over density under a random population
-    source.
-
-    Returns +inf where the denominator underflows (saturation marker).
-    """
-    if sc.within_sd <= 0.0:
-        raise DomainError("within_sd must be positive for a density ratio")
-    num = gaussian_pdf(x, GaussianParams(sc.source_mean, sc.within_sd))
-    den = gaussian_pdf(x, GaussianParams(sc.pop_mean, sc.total_sd))
-    ratio, _ = _saturating_ratio(num, den)
-    return float(ratio) if np.isscalar(x) else ratio

@@ -7,15 +7,17 @@ index, channel) and results are aggregated by replicate index.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
-from .dist import GaussianParams, MixtureModel, gaussian_cdf, mixture_sample, mixture_sf
+from .dist import _FEATURE_COUNTS, MixtureModel, mixture_sample, mixture_sf
 from .errors import DomainError, FitFailureError
-from .evidence import ToyScenario, _saturating_ratio, specific_source_lr
+from .evidence import _saturating_ratio
 from .fit import FitConfig, fit_mixture, split_dataset
 from .gof import asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
 from .seeds import derive_seed, substream
@@ -29,6 +31,7 @@ __all__ = [
     "SynthConfig",
     "TailAudit",
     "PValueStudyResult",
+    "ToyScenario",
     "ToyStudy",
     "ThresholdTable",
     "Violation",
@@ -36,6 +39,7 @@ __all__ = [
     "tail_audit",
     "pvalue_study",
     "toy_study",
+    "specific_source_lr",
     "default_toy_scenarios",
     "threshold_study",
     "table_fixture_check",
@@ -80,9 +84,9 @@ class ScoreDataset:
     """Labeled scores as parallel columns, one entry per compared pair.
 
     `source_id` is None where a row names no source.  Every row is checked
-    on construction: a finite score, a known origin, a feature count in
-    [5, 15] and a nonempty pair id.  The first bad row raises a DomainError
-    whose payload carries its index as `row`.
+    on construction: a finite score, a known origin, an integer feature
+    count in [5, 15] and a nonempty pair id.  The first bad row raises a
+    DomainError whose payload carries its index as `row`.
     """
 
     score: np.ndarray
@@ -102,7 +106,8 @@ class ScoreDataset:
         problems = (
             (~np.isfinite(score), "score must be finite", score),
             (~np.isin(origin, _ORIGINS), "origin must be 'mated' or 'nonmated'", origin),
-            ((feature_count < 5) | (feature_count > 15), "feature_count must be in [5, 15]", feature_count),
+            (~np.isin(feature_count, _FEATURE_COUNTS, kind="sort"), "feature_count must be an integer in [5, 15]",
+             feature_count),
             (~pair_id.astype(bool), "pair_id must be nonempty", pair_id),
         )
         first_bad = [(int(np.argmax(bad)), k) for k, (bad, _, _) in enumerate(problems) if np.any(bad)]
@@ -160,8 +165,8 @@ class SynthConfig:
             raise DomainError(f"contamination_scale must be positive, got {self.contamination_scale}")
         if self.n_mated < 0 or self.n_nonmated < 0:
             raise DomainError("record counts must be nonnegative")
-        if not 5 <= self.feature_count <= 15:
-            raise DomainError(f"feature_count must be in [5, 15], got {self.feature_count}")
+        if self.feature_count not in _FEATURE_COUNTS:
+            raise DomainError(f"feature_count must be an integer in [5, 15], got {self.feature_count!r}")
 
     def nonmated_model(self) -> MixtureModel:
         """The full non-mated sampling model: core scaled down plus contamination."""
@@ -355,6 +360,38 @@ def pvalue_study(
     return PValueStudyResult(*panels, reps=reps, missing=missing)
 
 
+@dataclass(frozen=True)
+class ToyScenario:
+    """Gaussian toy-model scenario for the convergence study.
+
+    A population of sources has means N(pop_mean, between_sd); repeated
+    observations of one source scatter N(source_mean, within_sd).  The
+    hypothesis tags which distribution the observation is drawn from:
+    H0 the named source, H1 a random population source.
+    """
+
+    pop_mean: float
+    between_sd: float
+    within_sd: float
+    source_mean: float
+    hypothesis: str = "H0"
+
+    def __post_init__(self) -> None:
+        if not np.all(np.isfinite((self.pop_mean, self.between_sd, self.within_sd, self.source_mean))):
+            raise DomainError("scenario parameters must be finite")
+        if self.between_sd < 0.0 or self.within_sd < 0.0:
+            raise DomainError("scenario sds must be nonnegative")
+        if self.between_sd == 0.0 and self.within_sd == 0.0:
+            raise DomainError("between_sd and within_sd must not both be 0")
+        if self.hypothesis not in ("H0", "H1"):
+            raise DomainError(f"hypothesis must be 'H0' or 'H1', got {self.hypothesis!r}")
+
+    @property
+    def total_sd(self) -> float:
+        """Marginal sd of an observation from a random source."""
+        return math.hypot(self.between_sd, self.within_sd)
+
+
 @dataclass(frozen=True, eq=False)
 class ToyStudy:
     """Paired draws of the toy convergence study as parallel columns, one entry per draw."""
@@ -388,7 +425,26 @@ def default_toy_scenarios(pop_mean: float = 0.0, between_sd: float = 1.0) -> tup
     )
 
 
-_STD_NORMAL = GaussianParams(0.0, 1.0)
+def _normal_pdf(x: np.ndarray, mean: float, sd: float) -> np.ndarray:
+    z = (x - mean) / sd
+    return np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
+
+
+def specific_source_lr(sc: ToyScenario, x):
+    """Closed-form specific-source LR at an observation or an array of them:
+    density under the named source over density under a random population
+    source.
+
+    Returns +inf where the denominator underflows (saturation marker).
+    """
+    if sc.within_sd <= 0.0:
+        raise DomainError("within_sd must be positive for a density ratio")
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("observations must be finite")
+    num = _normal_pdf(arr, sc.source_mean, sc.within_sd)
+    ratio, _ = _saturating_ratio(num, _normal_pdf(arr, sc.pop_mean, sc.total_sd))
+    return float(ratio) if np.isscalar(x) else ratio
 
 
 def _toy_tails(sc: ToyScenario, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,12 +456,12 @@ def _toy_tails(sc: ToyScenario, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     total = sc.total_sd
     if sc.within_sd > 0.0:
-        alpha = 2.0 * gaussian_cdf(s / sc.within_sd, _STD_NORMAL)
+        alpha = 2.0 * ndtr(s / sc.within_sd)
     else:
         alpha = np.where(s == 0.0, 1.0, 0.0)
     upper = (sc.source_mean - s - sc.pop_mean) / total
     lower = (sc.source_mean + s - sc.pop_mean) / total
-    beta = gaussian_cdf(upper, _STD_NORMAL) - gaussian_cdf(lower, _STD_NORMAL)
+    beta = ndtr(upper) - ndtr(lower)
     return np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
 
 
@@ -510,8 +566,8 @@ def threshold_study(
         raise DomainError("need at least one non-mated ratio")
     if np.any(np.isnan(ratio) | (ratio < 0.0)):
         raise DomainError("ratios must be nonnegative or +inf")
-    if np.any((fc < 5) | (fc > 15)):
-        raise DomainError("feature counts must be in [5, 15]")
+    if not np.all(np.isin(fc, _FEATURE_COUNTS, kind="sort")):
+        raise DomainError("feature counts must be integers in [5, 15]")
     cols = tuple(sorted(float(t) for t in thresholds))
     if len(cols) == 0:
         raise DomainError("need at least one threshold")

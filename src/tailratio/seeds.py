@@ -5,6 +5,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+__all__ = ["substream", "derive_seed"]
+
 SeedLike = Union[int, Sequence[int], np.random.Generator]
 
 SEED_ENV_VAR = "TAILRATIO_SEED"

@@ -1,7 +1,5 @@
-"""Distribution layer: logistic forms, mixtures, quantiles, sampling."""
+"""Distribution layer: logistic mixtures, quantiles, sampling."""
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -10,17 +8,11 @@ from hypothesis import strategies as st
 
 from tailratio import (
     DomainError,
-    GaussianParams,
     LogisticComponent,
     MixtureModel,
     ModelError,
     REFERENCE_NONMATED_MODEL,
-    gaussian_cdf,
-    gaussian_pdf,
     log_likelihood,
-    logistic_cdf,
-    logistic_pdf,
-    logistic_sf,
     mixture_cdf,
     mixture_pdf,
     mixture_quantile,
@@ -34,32 +26,40 @@ from strategies import MIXTURES
 REF = REFERENCE_NONMATED_MODEL
 
 
+def logistic(location: float, scale: float) -> MixtureModel:
+    """A single logistic as a one-component mixture."""
+    return MixtureModel.from_parts((1.0,), (location,), (scale,))
+
+
 class TestLogistic:
     def test_cdf_at_location_is_half(self):
-        assert logistic_cdf(-83.75, -83.75, 5.625) == pytest.approx(0.5, rel=1e-15)
+        assert mixture_cdf(logistic(-83.75, 5.625), -83.75) == pytest.approx(0.5, rel=1e-15)
 
     def test_cdf_plus_sf_is_one(self):
+        single = logistic(-61.25, 10.9375)
         for x in (-200.0, -83.75, -10.0, 0.0, 55.5):
-            total = logistic_cdf(x, -61.25, 10.9375) + logistic_sf(x, -61.25, 10.9375)
+            total = mixture_cdf(single, x) + mixture_sf(single, x)
             assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_pdf_peak_value(self):
         # peak density of a logistic is 1 / (4 s)
-        assert logistic_pdf(-83.75, -83.75, 5.625) == pytest.approx(1.0 / (4 * 5.625), rel=1e-12)
+        assert mixture_pdf(logistic(-83.75, 5.625), -83.75) == pytest.approx(1.0 / (4 * 5.625), rel=1e-12)
 
     def test_pdf_integrates_to_one(self):
         xs = np.linspace(-200.0, 50.0, 200_001)
-        total = np.trapezoid(logistic_pdf(xs, -83.75, 5.625), xs)
+        total = np.trapezoid(mixture_pdf(logistic(-83.75, 5.625), xs), xs)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_deep_tail_stays_finite_and_positive(self):
-        assert 0.0 < logistic_sf(5000.0, 0.0, 1.0) < 1e-300 or logistic_sf(5000.0, 0.0, 1.0) == 0.0
-        assert np.isfinite(logistic_pdf(-5000.0, 0.0, 1.0))
+        standard = logistic(0.0, 1.0)
+        assert 0.0 < mixture_sf(standard, 5000.0) < 1e-300 or mixture_sf(standard, 5000.0) == 0.0
+        assert np.isfinite(mixture_pdf(standard, -5000.0))
 
     @given(st.floats(-100, 100), st.floats(-50, 50), st.floats(0.01, 50))
     @settings(max_examples=50, deadline=None)
     def test_cdf_monotone_property(self, x, loc, scale):
-        assert logistic_cdf(x, loc, scale) <= logistic_cdf(x + 1.0, loc, scale)
+        single = logistic(loc, scale)
+        assert mixture_cdf(single, x) <= mixture_cdf(single, x + 1.0)
 
 
 class TestModelValidation:
@@ -89,6 +89,13 @@ class TestModelValidation:
     def test_feature_count_range_checked(self):
         with pytest.raises(ModelError):
             MixtureModel.from_parts([1.0], [0.0], [1.0], feature_count=4)
+
+    @pytest.mark.parametrize("feature_count", [7.5, float("nan"), "15"])
+    def test_feature_count_must_be_an_integer(self, feature_count):
+        with pytest.raises(ModelError):
+            MixtureModel.from_parts([1.0], [0.0], [1.0], feature_count=feature_count)
+        for integral in (7, 7.0, np.int8(7), np.float32(7.0)):
+            assert MixtureModel.from_parts([1.0], [0.0], [1.0], feature_count=integral).feature_count == 7
 
 
 class TestMixture:
@@ -179,20 +186,3 @@ def test_quantile_of_cdf_returns_the_point_property(model, t):
     # cannot tell points apart: a few ulps of probability over the density
     assert abs(mixture_quantile(model, p) - x) <= 1e-11 + 1e-14 / mixture_pdf(model, x)
 
-
-class TestGaussian:
-    def test_pdf_peak(self):
-        g = GaussianParams(2.0, 3.0)
-        assert gaussian_pdf(2.0, g) == pytest.approx(1.0 / (3.0 * math.sqrt(2 * math.pi)), rel=1e-12)
-
-    def test_cdf_midpoint_and_tails(self):
-        g = GaussianParams(0.0, 1.0)
-        assert gaussian_cdf(0.0, g) == pytest.approx(0.5, rel=1e-12)
-        assert gaussian_cdf(1.959963984540054, g) == pytest.approx(0.975, abs=1e-9)
-        # 0.5 * (1 + erf(z / sqrt 2)) is exactly 0 below z = -8.3
-        assert gaussian_cdf(-9.0, g) == pytest.approx(1.1285884059538408e-19, rel=1e-12)
-        assert gaussian_cdf(-30.0, g) > 0.0
-
-    def test_sd_must_be_positive(self):
-        with pytest.raises(DomainError):
-            GaussianParams(0.0, 0.0)

@@ -1,6 +1,8 @@
 """Experiment layer: synthesis, tail audits, studies, threshold tables."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,14 +17,17 @@ from tailratio import (
     SynthConfig,
     TailAudit,
     ThresholdTable,
+    ToyScenario,
     default_toy_scenarios,
     generate_synthetic,
     pvalue_study,
+    specific_source_lr,
     table_fixture_check,
     tail_audit,
     threshold_study,
     toy_study,
 )
+from tailratio.experiments import _toy_tails
 
 REF = REFERENCE_NONMATED_MODEL
 
@@ -83,6 +88,19 @@ class TestSynth:
             ScoreDataset(score=[0.0], origin=["other"], feature_count=[15], pair_id=["x"], source_id=[None])
         with pytest.raises(DomainError):
             ScoreDataset(score=[0.0], origin=["mated"], feature_count=[4], pair_id=["x"], source_id=[None])
+
+    # a string makes the whole column non-numeric, so row 0 is the first bad one
+    @pytest.mark.parametrize("bad, row", [(7.5, 1), (float("nan"), 1), ("7", 0)])
+    def test_feature_count_must_be_an_integer(self, bad, row):
+        with pytest.raises(DomainError) as info:
+            ScoreDataset(score=[0.0, 1.0], origin=["mated"] * 2, feature_count=[7, bad], pair_id=["x", "y"],
+                         source_id=[None, None])
+        assert info.value.payload["row"] == row
+        with pytest.raises(DomainError):
+            SynthConfig(feature_count=bad)
+        for integral in ([7.0], np.array([7], dtype=np.int8), np.array([7.0], dtype=np.float32)):
+            ds = ScoreDataset(score=[0.0], origin=["mated"], feature_count=integral, pair_id=["x"], source_id=[None])
+            assert ds.feature_count.tolist() == [7]
 
 
 class TestTailAudit:
@@ -207,6 +225,46 @@ class TestToyStudy:
             toy_study(default_toy_scenarios(), 99, seed=0)
 
 
+class TestToyGaussian:
+    def test_specific_source_lr_peak_ratio(self):
+        sc = ToyScenario(pop_mean=-2.0, between_sd=4.0, within_sd=3.0, source_mean=2.0)
+        # at the source mean: N(2, 3) peak density over the N(-2, 5) density
+        peak = 1.0 / (3.0 * math.sqrt(2 * math.pi))
+        random_source = math.exp(-0.5 * (4.0 / 5.0) ** 2) / (5.0 * math.sqrt(2 * math.pi))
+        assert specific_source_lr(sc, 2.0) == pytest.approx(peak / random_source, rel=1e-12)
+        assert isinstance(specific_source_lr(sc, 2.0), float)
+
+    def test_deep_tail_alpha(self):
+        sc = default_toy_scenarios()[0]
+        w = sc.within_sd
+
+        def alpha(s: float) -> float:
+            return float(_toy_tails(sc, np.array(s))[0])
+
+        assert alpha(0.0) == pytest.approx(1.0, rel=1e-12)
+        assert alpha(-1.959963984540054 * w) == pytest.approx(0.05, abs=2e-9)
+        # 0.5 * (1 + erf(z / sqrt 2)) is exactly 0 below z = -8.3
+        assert alpha(-9.0 * w) == pytest.approx(2 * 1.1285884059538408e-19, rel=1e-12)
+        assert alpha(-30.0 * w) > 0.0
+
+    def test_sds_checked(self):
+        with pytest.raises(DomainError):
+            ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=-0.5, source_mean=0.0)
+        with pytest.raises(DomainError):
+            ToyScenario(pop_mean=float("nan"), between_sd=1.0, within_sd=0.5, source_mean=0.0)
+        point_mass = ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.0, source_mean=0.0)
+        with pytest.raises(DomainError):
+            specific_source_lr(point_mass, 0.0)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+    def test_specific_source_lr_rejects_nonfinite_x(self, x):
+        sc = default_toy_scenarios()[0]
+        with pytest.raises(DomainError):
+            specific_source_lr(sc, x)
+        with pytest.raises(DomainError):
+            specific_source_lr(sc, np.array([0.0, x]))
+
+
 class TestThresholds:
     def test_hand_built_rates(self):
         ratios = [0.5, 10.0, 200.0]   # the tie at 10 counts toward identification
@@ -246,6 +304,13 @@ class TestThresholds:
     def test_bad_input_rejected(self, ratios, feature_counts):
         with pytest.raises(DomainError):
             threshold_study(ratios, feature_counts, thresholds=[1.0])
+
+    @pytest.mark.parametrize("bad", [7.5, float("nan")])
+    def test_feature_count_must_be_an_integer(self, bad):
+        with pytest.raises(DomainError):
+            threshold_study([2.0, 3.0], [7, bad], thresholds=[1.0])
+        excl, _ = threshold_study([2.0, 3.0], np.array([7.0, 7.0]), thresholds=[1.0])
+        assert excl.feature_counts == (7,)
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(DomainError):
