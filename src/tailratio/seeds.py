@@ -22,7 +22,15 @@ def as_generator(seed: SeedLike) -> np.random.Generator:
 
 
 def substream(*key: int) -> np.random.Generator:
-    """Independent generator for the substream identified by an integer key path."""
+    """Independent generator for the substream identified by an integer key path.
+
+    Key paths that differ only by trailing zeros are one stream: numpy's
+    SeedSequence pads a key with zero words, so substream(S), substream(S, 0),
+    substream(S, 0, 0) and default_rng(S) draw the same bits.  For one seed S,
+    `gen`'s mated draws, `fit --train-fraction`'s split and replicate 0's split
+    in `sim-pvalues` therefore share bits.  The keys are kept, because changing
+    one would change every seeded output.
+    """
     return np.random.default_rng(list(key))
 
 

@@ -266,16 +266,16 @@ def _three_feature_count_scores() -> str:
 OUTPUT_DIGESTS = {
     "gen": "12a9b23caf661b4078aa76ebd84ff9e3ad3d2632ab00b363a1b5834937ee46fc",
     "sim-toy": "20755f0dc5e7ba1ca971c9b7ae640b027aa9eb1202c3d17d68dc3d6d27960098",
-    "sim-pvalues asymptotic": "01648eb39879c7e20c6c52770ad2ca0b8b60c5a2e07c68c07ca8a6d7bd5aa8bf",
+    "sim-pvalues asymptotic": "e49f3150518015bc25a12de6fbe39b7e269438b919dd733042271d990a8a4b77",
     "sim-pvalues bootstrap": "2dcd805c89fb57f597461d57078c2ab8e8f3ad147d5608fe7e98f540b493663e",
     "thresholds --check": "665edc81cf202c8462c6e39c91495571bee02e32561ac5985de693b1ed52d573",
     "thresholds exclusion": "e14be58a61da1dac66ab2a0bb7d158ca8b983b83cac15b9a2e526199cdb7bf9d",
     "thresholds error": "4e48b323b21ea51c8256636c170cdcdde542b798ffe2b81c3bdba952f77eae35",
-    "fit stdout": "b3d7cec81731e221f6ed9eec8f15eaca33c95ad96a773f20d95d78a46049e95f",
-    "fit model": "094c965d7c33e4fafb7a3e604ebde4a0a3cad636d3bfda9af1696142361a6113",
+    "fit stdout": "7ba91458027d6c44f6eddaad67c2c03dc6c1f146ac33ce46ced0b50f194c3e50",
+    "fit model": "2b03ad67bdab6807a02e9fe4075e4a8fb8771fe8a326f8640b4bad1b8e0bd7b6",
     "eval": "0bb9fe85340e34146f0fc5f08d9841a29dd2eb6cf9685a3c240148f3b29d3f25",
     "eval saturated": "7039c1bf821b2d9a11301dc864681454eea0fb98f38cb7848812d52d85d9488a",
-    "gof bootstrap": "64157d61f0ad2b9c22ce2547fcc5aac1a403dd3d821b8ebf76043ff12ec0f882",
+    "gof bootstrap": "1744170219a63b71ec375fb63c7c0e5d3e5f33b94e3fbd60bbe9b558a5653803",
     "gof asymptotic": "3492e9e3ef11047eacfa76455d916156d47a07f2e84ddc4dc010cee37e77adea",
     "report": "580accc6f447c071f4e4ebe3d82b6ebe09633c179be4b3a77409a3ba43207690",
     "report smaller": "cfdf0447a779a9b31933d2767dbf001c069521466b33556d0a58ea59a215b6f1",

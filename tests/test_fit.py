@@ -134,6 +134,14 @@ class TestFit:
         assert a.model == b.model
         assert a.restart == b.restart
 
+    def test_zero_iqr_standardizes_by_range(self):
+        rng = np.random.default_rng(1)
+        data = np.concatenate([np.full(60, 3.0), rng.logistic(3.0, 2.0, size=40)])
+        assert np.subtract(*np.quantile(data, [0.75, 0.25])) == 0.0
+        result = fit_mixture(data, FitConfig(k=2, restarts=1, seed=0))
+        assert result.converged
+        assert result.log_likelihood == pytest.approx(log_likelihood(result.model, data), rel=1e-9)
+
     def test_single_component_fit(self):
         rng = np.random.default_rng(0)
         data = rng.logistic(10.0, 2.0, size=1200)
@@ -190,3 +198,57 @@ def test_multistart_reaches_simplex_optimum(rep):
     split = split_dataset(data, 0.75, substream(0, rep, 0))
     result = fit_mixture(split.train, replace(DEFAULT_STUDY_FIT_CONFIG, seed=rep))
     assert result.log_likelihood >= _SIMPLEX_LOGLIK[rep] - 1e-6
+
+
+# Affine equivariance: the fit runs on (x - median) / IQR, so it sees the same
+# standardized sample for x and a + b*x, up to the rounding of the map.  The
+# optimizer's last steps sit at the objective's noise floor, so that rounding
+# can still move where a start stops, within its stopping precision.  Over
+# 6,000 random cases from this strategy the largest parameter gap was 3.7e-7
+# of the IQR, and 98.6% of cases agreed within 1e-9.  Fitted in raw score
+# units, 38 of 300 cases had a gap above 1e-6, and 2 of them ended in another
+# mode.
+_AFFINE_TOL = 1e-6
+
+
+@given(case=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_fit_is_affine_equivariant(case):
+    # a drawn case seeds the sample and the map, so that no example is the
+    # identity map Hypothesis would otherwise try first
+    rng = np.random.default_rng(case)
+    n = int(rng.integers(200, 601))
+    a = rng.uniform(-1e3, 1e3)
+    b = 10.0 ** rng.uniform(-3.0, 3.0)
+    x = mixture_sample(REF, n, seed=rng)
+    y = a + b * x
+    fx = fit_mixture(x, DEFAULT_STUDY_FIT_CONFIG)
+    fy = fit_mixture(y, DEFAULT_STUDY_FIT_CONFIG)
+    tol = _AFFINE_TOL * float(np.subtract(*np.quantile(y, [0.75, 0.25])))
+    np.testing.assert_allclose(fy.model.weights, fx.model.weights, rtol=0.0, atol=_AFFINE_TOL)
+    np.testing.assert_allclose(fy.model.locations, a + b * fx.model.locations, rtol=0.0, atol=tol)
+    np.testing.assert_allclose(fy.model.scales, b * fx.model.scales, rtol=0.0, atol=tol)
+    expected = fx.log_likelihood - n * np.log(b)
+    assert fy.log_likelihood == pytest.approx(expected, rel=1e-9, abs=1e-9 * abs(fx.log_likelihood))
+
+
+# Log-likelihoods of the first 20 criterion-8 training splits as fitted in raw
+# score units, where these fits took 2,102 objective evaluations in all.
+_RAW_UNIT_LOGLIK = (
+    -6250.355139304734, -6230.3663178343095, -6261.62539721161, -6235.859541691118,
+    -6239.506372327751, -6274.022578877498, -6263.503517096141, -6197.961073248869,
+    -6235.883036375796, -6240.079829414054, -6207.792117430903, -6230.839962709418,
+    -6215.985083023945, -6234.652843281239, -6190.997652745833, -6211.891406372841,
+    -6268.883682128383, -6240.822079468291, -6280.901225092591, -6235.163080841404,
+)
+
+
+def test_standardized_fit_evaluation_budget():
+    data = generate_synthetic(SynthConfig(seed=0)).scores(origin="nonmated")
+    nfev = 0
+    for rep, raw_loglik in enumerate(_RAW_UNIT_LOGLIK):
+        split = split_dataset(data, 0.75, substream(0, rep, 0))
+        result = fit_mixture(split.train, replace(DEFAULT_STUDY_FIT_CONFIG, seed=rep))
+        assert result.log_likelihood >= raw_loglik - 1e-6
+        nfev += result.nfev
+    assert nfev <= 1700
