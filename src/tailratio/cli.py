@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 from typing import Any
 
 import click
@@ -184,8 +185,7 @@ def fit_cmd(scores_path, origin, feature_count, k, restarts, max_iter, tol, trai
     if train_fraction is not None:
         scores = split_dataset(scores, train_fraction, seed).train
     result = fit_mixture(scores, FitConfig(k=k, max_iter=max_iter, tol=tol, restarts=restarts, seed=seed))
-    model = MixtureModel(result.model.components, origin=origin,
-                         feature_count=feature_count if feature_count is not None else None)
+    model = replace(result.model, origin=origin, feature_count=feature_count)
     provenance = f"fitted by tailratio {__version__}; seed={seed}; config_digest={config_digest(config)}"
     save_model(model, out, provenance=provenance)
     _emit_json(
@@ -217,18 +217,7 @@ def eval_cmd(mated_path, nonmated_path, score, out):
     tp = tipping_score(mated, nonmated)
     config = dict(subcommand="eval", mated=str(mated_path), nonmated=str(nonmated_path), score=score)
     _emit_json(
-        {
-            "observed_score": rep.observed_score,
-            "alpha": rep.alpha,
-            "beta": rep.beta,
-            "ratio": rep.ratio,
-            "slr": rep.slr,
-            "saturated": rep.saturated,
-            "slr_saturated": rep.slr_saturated,
-            "tipping_score": tp.score,
-            "slr_at_tipping_score": tp.slr,
-            "meta": build_meta(0, config),
-        },
+        {**asdict(rep), "tipping_score": tp.score, "slr_at_tipping_score": tp.slr, "meta": build_meta(0, config)},
         out,
     )
 
@@ -266,19 +255,7 @@ def gof_cmd(scores_path, model_path, origin, feature_count, kind, p_method, boot
     config = dict(subcommand="gof", scores=str(scores_path), model=str(model_path), origin=origin,
                   feature_count=feature_count, kind=kind, p_method=p_method, bootstrap_b=bootstrap_b)
     _emit_json(
-        {
-            "outcomes": [
-                {
-                    "statistic_kind": o.statistic_kind,
-                    "statistic": o.statistic,
-                    "p_value": o.p_value,
-                    "p_method": o.p_method,
-                }
-                for o in outcomes
-            ],
-            "n": int(len(sample)),
-            "meta": build_meta(seed, config),
-        },
+        {"outcomes": [asdict(o) for o in outcomes], "n": int(len(sample)), "meta": build_meta(seed, config)},
         out,
     )
 
@@ -408,19 +385,7 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
                                    "erroneous_identification", percent=True)
         violations = table_fixture_check(excl, err)
         _emit_json(
-            {
-                "cells": len(excl.feature_counts) * len(excl.thresholds),
-                "violations": [
-                    {
-                        "feature_count": v.feature_count,
-                        "threshold": v.threshold,
-                        "exclusion_rate": v.exclusion_rate,
-                        "identification_rate": v.identification_rate,
-                        "deviation": v.deviation,
-                    }
-                    for v in violations
-                ],
-            },
+            {"cells": len(excl.feature_counts) * len(excl.thresholds), "violations": [asdict(v) for v in violations]},
             None,
         )
         if violations:

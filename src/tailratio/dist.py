@@ -3,13 +3,12 @@
 The logistic forms are computed through `expit` so that tail probabilities
 stay accurate far beyond |z| = 30; the smallest rates this package audits
 are near 1e-6 and naive `1 - cdf` subtraction would destroy them.  A single
-logistic is the one-component mixture `MixtureModel.from_parts((1.0,),
-(location,), (scale,))`.
+logistic is the one-component mixture `MixtureModel((1.0,), (location,),
+(scale,))`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -19,7 +18,6 @@ from .errors import DomainError, ModelError
 from .seeds import SeedLike, as_generator
 
 __all__ = [
-    "LogisticComponent",
     "MixtureModel",
     "mixture_pdf",
     "mixture_cdf",
@@ -47,98 +45,56 @@ def _check_finite_x(x) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class LogisticComponent:
-    """One weighted logistic component: weight in (0, 1], location, scale > 0."""
-
-    weight: float
-    location: float
-    scale: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.weight) and np.isfinite(self.location) and np.isfinite(self.scale)):
-            raise ModelError("component parameters must be finite")
-        if not 0.0 < self.weight <= 1.0:
-            raise ModelError(f"component weight must be in (0, 1], got {self.weight}")
-        if self.scale <= 0.0:
-            raise ModelError(f"component scale must be positive, got {self.scale}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureModel:
-    """Logistic mixture in canonical order (ascending location), weights summing to 1.
+    """Logistic mixture stored as three parallel read-only arrays, one entry per component.
 
     Parameters
     ----------
-    components : tuple of LogisticComponent
-        At least one component, sorted ascending by location.
+    weights, locations, scales : array-like of float
+        One-dimensional, nonempty and of equal length, every value finite;
+        weights in (0, 1] summing to 1 within 1e-9, scales positive.  The
+        components are stored sorted ascending by location (a stable sort,
+        so weights and scales move with their locations) in read-only arrays
+        that share no memory with the arguments.
     origin : str, optional
         Which score population the model describes, "mated" or "nonmated".
     feature_count : int, optional
         Number of corresponding features the model is conditioned on (5 to 15).
     """
 
-    components: tuple[LogisticComponent, ...]
+    weights: np.ndarray
+    locations: np.ndarray
+    scales: np.ndarray
     origin: str | None = None
     feature_count: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.components) == 0:
-            raise ModelError("mixture needs at least one component")
-        object.__setattr__(self, "components", tuple(self.components))
-        weights = np.array([c.weight for c in self.components], dtype=float)
-        locations = np.array([c.location for c in self.components], dtype=float)
-        scales = np.array([c.scale for c in self.components], dtype=float)
+        weights, locations, scales = (np.asarray(v, dtype=float) for v in (self.weights, self.locations, self.scales))
+        if weights.ndim != 1 or weights.size == 0 or not weights.shape == locations.shape == scales.shape:
+            raise ModelError("weights, locations and scales must be nonempty, one-dimensional and of equal length")
+        if not np.all(np.isfinite((weights, locations, scales))):
+            raise ModelError("component parameters must be finite")
+        if not np.all((weights > 0.0) & (weights <= 1.0)):
+            raise ModelError(f"component weights must be in (0, 1], got {weights.tolist()}")
         if abs(weights.sum() - 1.0) > 1e-9:
             raise ModelError(f"component weights must sum to 1, got {weights.sum()!r}")
-        if np.any(np.diff(locations) < 0):
-            raise ModelError("components must be sorted ascending by location")
+        if not np.all(scales > 0.0):
+            raise ModelError(f"component scales must be positive, got {scales.tolist()}")
         if self.origin is not None and self.origin not in ("mated", "nonmated"):
             raise ModelError(f"origin must be 'mated' or 'nonmated', got {self.origin!r}")
         if self.feature_count is not None and self.feature_count not in _FEATURE_COUNTS:
             raise ModelError(f"feature_count must be an integer in [5, 15], got {self.feature_count!r}")
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_locations", locations)
-        object.__setattr__(self, "_scales", scales)
-
-    @classmethod
-    def from_parts(
-        cls,
-        weights: Sequence[float],
-        locations: Sequence[float],
-        scales: Sequence[float],
-        origin: str | None = None,
-        feature_count: int | None = None,
-    ) -> "MixtureModel":
-        """Build a model from parallel parameter sequences, sorting into canonical order."""
-        if not len(weights) == len(locations) == len(scales):
-            raise ModelError("weights, locations, and scales must have equal length")
-        order = np.argsort(np.asarray(locations, dtype=float), kind="stable")
-        comps = tuple(
-            LogisticComponent(float(weights[i]), float(locations[i]), float(scales[i]))
-            for i in order
-        )
-        return cls(comps, origin=origin, feature_count=feature_count)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Component weights as an array (read-only view of the model)."""
-        return self._weights  # type: ignore[attr-defined]
-
-    @property
-    def locations(self) -> np.ndarray:
-        """Component locations as an array."""
-        return self._locations  # type: ignore[attr-defined]
-
-    @property
-    def scales(self) -> np.ndarray:
-        """Component scales as an array."""
-        return self._scales  # type: ignore[attr-defined]
+        order = np.argsort(locations, kind="stable")
+        for name, column in (("weights", weights), ("locations", locations), ("scales", scales)):
+            column = column[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @property
     def k(self) -> int:
         """Number of components."""
-        return len(self.components)
+        return self.weights.size
 
 
 def _component_sum(model: MixtureModel, x, term):

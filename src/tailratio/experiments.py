@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Published reference mixture for 15-feature non-mated comparisons.
-REFERENCE_NONMATED_MODEL = MixtureModel.from_parts(
+REFERENCE_NONMATED_MODEL = MixtureModel(
     weights=(0.8, 0.2),
     locations=(-83.75, -61.25),
     scales=(5.625, 10.9375),
@@ -56,7 +56,7 @@ REFERENCE_NONMATED_MODEL = MixtureModel.from_parts(
 
 #: Default synthetic truth for mated scores: one logistic well to the right
 #: of the non-mated bulk.
-DEFAULT_MATED_MODEL = MixtureModel.from_parts(
+DEFAULT_MATED_MODEL = MixtureModel(
     weights=(1.0,),
     locations=(15.0,),
     scales=(8.0,),
@@ -174,7 +174,7 @@ class SynthConfig:
         core = self.nonmated_core
         if w == 0.0:
             return core
-        return MixtureModel.from_parts(
+        return MixtureModel(
             weights=np.concatenate([core.weights * (1.0 - w), [w]]),
             locations=np.concatenate([core.locations, [self.contamination_location]]),
             scales=np.concatenate([core.scales, [self.contamination_scale]]),
@@ -365,16 +365,13 @@ class ToyScenario:
     """Gaussian toy-model scenario for the convergence study.
 
     A population of sources has means N(pop_mean, between_sd); repeated
-    observations of one source scatter N(source_mean, within_sd).  The
-    hypothesis tags which distribution the observation is drawn from:
-    H0 the named source, H1 a random population source.
+    observations of one source scatter N(source_mean, within_sd).
     """
 
     pop_mean: float
     between_sd: float
     within_sd: float
     source_mean: float
-    hypothesis: str = "H0"
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite((self.pop_mean, self.between_sd, self.within_sd, self.source_mean))):
@@ -383,8 +380,6 @@ class ToyScenario:
             raise DomainError("scenario sds must be nonnegative")
         if self.between_sd == 0.0 and self.within_sd == 0.0:
             raise DomainError("between_sd and within_sd must not both be 0")
-        if self.hypothesis not in ("H0", "H1"):
-            raise DomainError(f"hypothesis must be 'H0' or 'H1', got {self.hypothesis!r}")
 
     @property
     def total_sd(self) -> float:
@@ -486,10 +481,9 @@ def toy_study(
     if reps < 100:
         raise DomainError(f"need at least 100 replicates, got {reps}")
     cells: list[tuple[np.ndarray, ...]] = []
-    for si, base in enumerate(scenarios):
+    for si, sc in enumerate(scenarios):
         label = chr(ord("a") + si) if si < 26 else str(si)
         for hi, hyp in enumerate(("H0", "H1")):
-            sc = replace(base, hypothesis=hyp)
             rng = substream(seed, si, hi)
             if hyp == "H0":
                 x = rng.normal(sc.source_mean, sc.within_sd, size=reps)

@@ -103,13 +103,16 @@ def split_dataset(scores, fraction: float, seed: SeedLike) -> SplitResult:
 
 
 def _sorted_sample(train, k: int) -> np.ndarray:
-    """Sorted copy of a fit sample, checked for size and spread."""
+    """Sorted copy of a fit sample, checked for size, finiteness and spread."""
     arr = np.asarray(train, dtype=float)
     if k < 1:
         raise DomainError(f"component count must be at least 1, got {k}")
     if arr.size < 10 * k:
         raise DomainError(f"need at least {10 * k} points to initialize k={k}, got {arr.size}")
     xs = np.sort(arr)
+    # -inf sorts first, +inf and NaN last
+    if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
+        raise DomainError("fit sample must be finite")
     if xs[-1] - xs[0] <= 0.0:
         raise DomainError("sample is a single repeated value; no scale information")
     return xs
@@ -129,7 +132,7 @@ def _initializer(xs: np.ndarray, k: int) -> tuple[np.ndarray, float, float, floa
 def init_params(train, k: int) -> MixtureModel:
     """Initializer: components at the k mid-quantiles, IQR-derived scales, uniform weights."""
     locations, scale, _, _ = _initializer(_sorted_sample(train, k), k)
-    return MixtureModel.from_parts(weights=np.full(k, 1.0 / k), locations=locations, scales=np.full(k, scale))
+    return MixtureModel(np.full(k, 1.0 / k), locations, np.full(k, scale))
 
 
 def _unpack(theta: np.ndarray, k: int, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,7 +265,7 @@ def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
 
     def data_model(theta: np.ndarray) -> MixtureModel:
         weights, locs, scales = _unpack(theta, k, floor)
-        return MixtureModel.from_parts(weights, center + unit * locs, unit * scales)
+        return MixtureModel(weights, center + unit * locs, unit * scales)
 
     best = None
     for r, res, f in runs:

@@ -204,7 +204,8 @@ def _model_to_obj(model: MixtureModel, provenance: str) -> dict[str, Any]:
         "origin": model.origin,
         "feature_count": model.feature_count,
         "components": [
-            {"weight": c.weight, "location": c.location, "scale": c.scale} for c in model.components
+            {"weight": w, "location": loc, "scale": s}
+            for w, loc, s in zip(model.weights.tolist(), model.locations.tolist(), model.scales.tolist())
         ],
         "provenance": provenance,
     }
@@ -232,13 +233,11 @@ def load_model(path: str | Path) -> ModelFile:
     comps = obj["components"]
     if not isinstance(comps, list) or len(comps) == 0:
         raise DataFormatError("model file has no components")
-    model = MixtureModel.from_parts(
-        weights=[float(c["weight"]) for c in comps],
-        locations=[float(c["location"]) for c in comps],
-        scales=[float(c["scale"]) for c in comps],
-        origin=obj.get("origin"),
-        feature_count=obj.get("feature_count"),
-    )
+    try:
+        params = [[float(c[key]) for c in comps] for key in ("weight", "location", "scale")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"each component needs a numeric weight, location and scale: {exc!r}") from exc
+    model = MixtureModel(*params, origin=obj.get("origin"), feature_count=obj.get("feature_count"))
     return ModelFile(model=model, provenance=str(obj.get("provenance", "")), version=int(version))
 
 

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and a model comparison shared by the tests."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,10 +7,18 @@ from hypothesis import strategies as st
 from tailratio import MixtureModel
 
 
+def same_model(a: MixtureModel, b: MixtureModel) -> bool:
+    """Exact equality of two models: the three parameter arrays, origin and feature count."""
+    arrays = ("weights", "locations", "scales")
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in arrays) and (
+        (a.origin, a.feature_count) == (b.origin, b.feature_count)
+    )
+
+
 def random_mixture(k: int, params) -> MixtureModel:
     """A k-component mixture from nine numbers in [0, 1]."""
     u = np.asarray(params)
-    return MixtureModel.from_parts(
+    return MixtureModel(
         weights=(0.05 + u[:k]) / np.sum(0.05 + u[:k]),
         locations=-150.0 + 200.0 * u[3 : 3 + k],
         scales=0.5 + 30.0 * u[6 : 6 + k],

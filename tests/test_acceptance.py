@@ -223,7 +223,7 @@ def test_criterion_08_power_ordering():
 )
 def test_criterion_09_crossing_vs_density_ratio():
     t0 = time.time()
-    mated = MixtureModel.from_parts([1.0], [20.0], [8.0], origin="mated")
+    mated = MixtureModel([1.0], [20.0], [8.0], origin="mated")
     tp = tipping_score(mated, REF)
     elapsed = time.time() - t0
     factor = max(tp.slr, 1.0 / tp.slr)

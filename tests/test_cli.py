@@ -242,6 +242,13 @@ class TestErrorSurface:
         assert err["error"]["code"] == "domain_error"
         assert "100" in err["error"]["message"]
 
+    def test_malformed_model_component_reported_as_json(self, runner, workdir):
+        (workdir / "bad.json").write_text(json.dumps({"version": 1, "components": [{"weight": 1.0, "location": 0.0}]}))
+        result = runner.invoke(main, ["eval", "--mated", MATED_JSON, "--nonmated", "bad.json", "--score", "0"])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["code"] == "data_format_error"
+
 
 def _three_feature_count_scores() -> str:
     """A score CSV with non-mated rows at feature counts 5, 10 and 15.

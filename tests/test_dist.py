@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tailratio import (
     DomainError,
-    LogisticComponent,
     MixtureModel,
     ModelError,
     REFERENCE_NONMATED_MODEL,
@@ -28,7 +27,7 @@ REF = REFERENCE_NONMATED_MODEL
 
 def logistic(location: float, scale: float) -> MixtureModel:
     """A single logistic as a one-component mixture."""
-    return MixtureModel.from_parts((1.0,), (location,), (scale,))
+    return MixtureModel((1.0,), (location,), (scale,))
 
 
 class TestLogistic:
@@ -63,39 +62,54 @@ class TestLogistic:
 
 
 class TestModelValidation:
-    def test_component_rejects_bad_weight(self):
-        with pytest.raises((DomainError, ModelError)):
-            LogisticComponent(0.0, 0.0, 1.0)
-        with pytest.raises((DomainError, ModelError)):
-            LogisticComponent(1.5, 0.0, 1.0)
-
-    def test_component_rejects_bad_scale(self):
-        with pytest.raises((DomainError, ModelError)):
-            LogisticComponent(1.0, 0.0, 0.0)
+    @pytest.mark.parametrize(
+        "weights, locations, scales, message",
+        [
+            pytest.param([0.0, 1.0], [0.0, 1.0], [1.0, 1.0], r"in \(0, 1\]", id="weight 0"),
+            pytest.param([1.5], [0.0], [1.0], r"in \(0, 1\]", id="weight 1.5"),
+            pytest.param([1.0], [0.0], [0.0], "positive", id="scale 0"),
+            pytest.param([0.5, 0.5], [0.0, float("nan")], [1.0, 1.0], "finite", id="NaN location"),
+            pytest.param([0.5, 0.5], [0.0], [1.0, 1.0], "equal length", id="unequal lengths"),
+            pytest.param([], [], [], "nonempty", id="no components"),
+            pytest.param([[1.0]], [[0.0]], [[1.0]], "one-dimensional", id="2-D"),
+        ],
+    )
+    def test_rejects_bad_parameters(self, weights, locations, scales, message):
+        with pytest.raises(ModelError, match=message):
+            MixtureModel(weights, locations, scales)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ModelError):
-            MixtureModel.from_parts([0.5, 0.4], [-80.0, -60.0], [5.0, 10.0])
+            MixtureModel([0.5, 0.4], [-80.0, -60.0], [5.0, 10.0])
 
-    def test_from_parts_sorts_by_location(self):
-        model = MixtureModel.from_parts([0.2, 0.8], [-61.25, -83.75], [10.9375, 5.625])
-        assert model.locations.tolist() == [-83.75, -61.25]
+    def test_sorts_by_location_stably(self):
+        model = MixtureModel([0.1, 0.2, 0.3, 0.4], [5.0, -1.0, 5.0, -1.0], [1.0, 2.0, 3.0, 4.0])
+        assert model.locations.tolist() == [-1.0, -1.0, 5.0, 5.0]
+        assert model.weights.tolist() == [0.2, 0.4, 0.1, 0.3]
+        assert model.scales.tolist() == [2.0, 4.0, 1.0, 3.0]
+
+    def test_parameters_are_read_only_copies(self):
+        weights = np.array([0.8, 0.2])
+        model = MixtureModel(weights, [-80.0, -60.0], [5.0, 10.0])
+        with pytest.raises(ValueError):
+            model.weights[0] = 0.5
+        weights[0] = 0.5
         assert model.weights.tolist() == [0.8, 0.2]
 
     def test_origin_label_checked(self):
         with pytest.raises(ModelError):
-            MixtureModel.from_parts([1.0], [0.0], [1.0], origin="sideways")
+            MixtureModel([1.0], [0.0], [1.0], origin="sideways")
 
     def test_feature_count_range_checked(self):
         with pytest.raises(ModelError):
-            MixtureModel.from_parts([1.0], [0.0], [1.0], feature_count=4)
+            MixtureModel([1.0], [0.0], [1.0], feature_count=4)
 
     @pytest.mark.parametrize("feature_count", [7.5, float("nan"), "15"])
     def test_feature_count_must_be_an_integer(self, feature_count):
         with pytest.raises(ModelError):
-            MixtureModel.from_parts([1.0], [0.0], [1.0], feature_count=feature_count)
+            MixtureModel([1.0], [0.0], [1.0], feature_count=feature_count)
         for integral in (7, 7.0, np.int8(7), np.float32(7.0)):
-            assert MixtureModel.from_parts([1.0], [0.0], [1.0], feature_count=integral).feature_count == 7
+            assert MixtureModel([1.0], [0.0], [1.0], feature_count=integral).feature_count == 7
 
 
 class TestMixture:
@@ -149,9 +163,9 @@ class TestMixture:
             mixture_sample(REF, 0, seed=0)
 
     @pytest.mark.parametrize("model", [
-        MixtureModel.from_parts([1.0], [2.0], [3.0]),
+        MixtureModel([1.0], [2.0], [3.0]),
         REF,
-        MixtureModel.from_parts([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5]),
+        MixtureModel([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5]),
     ], ids=["k1", "k2", "k3"])
     def test_sampling_bits_match_numpy_choice_then_uniform(self, model):
         for seed in (0, 1, 12345, [7, 3]):

@@ -27,7 +27,7 @@ from tailratio import (
 from strategies import MIXTURES
 
 REF = REFERENCE_NONMATED_MODEL
-MATED_20_8 = MixtureModel.from_parts([1.0], [20.0], [8.0], origin="mated")
+MATED_20_8 = MixtureModel([1.0], [20.0], [8.0], origin="mated")
 
 ABO = BloodTypeTable.from_mapping({"O": 0.44, "A": 0.42, "B": 0.10, "AB": 0.04})
 
@@ -166,10 +166,6 @@ class TestToyScenario:
     def test_rejects_doubly_degenerate(self):
         with pytest.raises(DomainError):
             ToyScenario(pop_mean=0.0, between_sd=0.0, within_sd=0.0, source_mean=0.0)
-
-    def test_hypothesis_label_checked(self):
-        with pytest.raises(DomainError):
-            ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.5, source_mean=0.0, hypothesis="H2")
 
     def test_specific_source_lr_peaks_at_source(self):
         sc = ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.5, source_mean=0.0)

@@ -28,8 +28,8 @@ from tailratio import (
 from tailratio.gof import _cdf_statistics, _statistics
 
 REF = REFERENCE_NONMATED_MODEL
-SINGLE = MixtureModel.from_parts([1.0], [0.0], [1.0])
-TRIPLE = MixtureModel.from_parts([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5])
+SINGLE = MixtureModel([1.0], [0.0], [1.0])
+TRIPLE = MixtureModel([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5])
 
 
 def _loop_formula(kind, F):
@@ -103,7 +103,7 @@ class TestKS:
     def test_small_for_model_sample_large_for_shifted(self):
         draws = mixture_sample(REF, 3000, seed=11)
         d_true = ks_statistic(draws, REF)
-        shifted = MixtureModel.from_parts([0.8, 0.2], [-78.75, -56.25], [5.625, 10.9375])
+        shifted = MixtureModel([0.8, 0.2], [-78.75, -56.25], [5.625, 10.9375])
         assert d_true < 0.03
         assert ks_statistic(draws, shifted) > 3 * d_true
 
@@ -187,14 +187,14 @@ class TestBootstrap:
 
     def test_detects_wrong_model(self):
         draws = mixture_sample(REF, 1000, seed=29)
-        wrong = MixtureModel.from_parts([0.8, 0.2], [-80.0, -55.0], [5.625, 10.9375])
+        wrong = MixtureModel([0.8, 0.2], [-80.0, -55.0], [5.625, 10.9375])
         assert bootstrap_pvalue(draws, wrong, "AD", 199, seed=0).p_value < 0.02
         assert bootstrap_pvalue(draws, REF, "AD", 199, seed=0).p_value > 0.05
 
     def test_refit_variant_runs_and_differs(self):
         rng = np.random.default_rng(31)
         draws = rng.logistic(0.0, 1.0, size=200)
-        fitted = MixtureModel.from_parts([1.0], [float(np.median(draws))], [1.0])
+        fitted = MixtureModel([1.0], [float(np.median(draws))], [1.0])
         plain = bootstrap_pvalue(draws, fitted, "AD", 100, seed=0)
         refit = bootstrap_pvalue(
             draws, fitted, "AD", 100, seed=0,

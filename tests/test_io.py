@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from tailratio import (
     DataFormatError,
-    MixtureModel,
     ModelError,
     REFERENCE_NONMATED_MODEL,
     ScoreDataset,
@@ -33,7 +33,7 @@ from tailratio.io import (
     load_table4_summary,
 )
 
-from strategies import MIXTURES
+from strategies import MIXTURES, same_model
 
 REF = REFERENCE_NONMATED_MODEL
 
@@ -122,7 +122,7 @@ class TestModelRoundTrip:
         path = tmp_path / "m.json"
         save_model(REF, path, provenance="test")
         mf = load_model(path)
-        assert mf.model == REF
+        assert same_model(mf.model, REF)
         assert mf.provenance == "test"
         assert mf.version == 1
 
@@ -150,6 +150,20 @@ class TestModelRoundTrip:
         with pytest.raises(ModelError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "component",
+        [
+            pytest.param({"weight": 1.0, "location": 0.0}, id="missing scale"),
+            pytest.param({"weight": 1.0, "location": "abc", "scale": 1.0}, id="non-numeric location"),
+            pytest.param([1.0], id="not an object"),
+        ],
+    )
+    def test_malformed_component_rejected(self, tmp_path, component):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"version": 1, "components": [component]}))
+        with pytest.raises(DataFormatError, match="numeric weight, location and scale"):
+            load_model(path)
+
 
 @given(
     MIXTURES,
@@ -159,12 +173,12 @@ class TestModelRoundTrip:
 )
 @settings(max_examples=100, deadline=None)
 def test_model_save_load_round_trip_property(model, origin, feature_count, provenance):
-    model = MixtureModel(model.components, origin=origin, feature_count=feature_count)
+    model = replace(model, origin=origin, feature_count=feature_count)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.json"
         save_model(model, path, provenance=provenance)
         mf = load_model(path)
-    assert mf.model == model
+    assert same_model(mf.model, model)
     assert mf.provenance == provenance
 
 
@@ -200,7 +214,7 @@ class TestFixtureTables:
 class TestPackagedData:
     def test_packaged_reference_model_parameters(self):
         mf = load_model(packaged_data_path("nonmated_15.json"))
-        assert mf.model == REF
+        assert same_model(mf.model, REF)
         assert mf.model.origin == "nonmated"
         assert mf.model.feature_count == 15
 

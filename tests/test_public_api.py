@@ -11,7 +11,7 @@ MODULES = (dist, errors, evidence, experiments, fit, gof, io, seeds)
 PUBLIC_NAMES = [
     "BloodTypeTable", "DEFAULT_MATED_MODEL", "DEFAULT_STUDY_FIT_CONFIG", "DEFAULT_THRESHOLDS",
     "DataFormatError", "DiscreteWoe", "DomainError", "EvidenceReport", "FitConfig", "FitFailureError",
-    "FitResult", "GofOutcome", "LogisticComponent", "MixtureModel", "ModelError", "ModelFile",
+    "FitResult", "GofOutcome", "MixtureModel", "ModelError", "ModelFile",
     "NoTippingPointError", "PValueStudyResult", "REFERENCE_NONMATED_MODEL", "ScoreDataset", "SplitResult",
     "SynthConfig", "Table1Fixture", "TailAudit", "TailratioError", "ThresholdTable", "TippingPoint",
     "ToyScenario", "ToyStudy", "Violation", "__version__", "ad_statistic", "ad_weight",
