@@ -47,11 +47,11 @@ from .io import (
     save_scores,
     write_csv,
 )
-from .seeds import SEED_ENV_VAR
+from .seeds import SEED_ENV_VAR, SPLIT
 
 _SEED_OPTION = click.option(
     "--seed",
-    type=int,
+    type=click.IntRange(0, 2**32 - 1),
     default=0,
     envvar=SEED_ENV_VAR,
     show_default=True,
@@ -183,7 +183,7 @@ def fit_cmd(scores_path, origin, feature_count, k, restarts, max_iter, tol, trai
         train_fraction=train_fraction,
     )
     if train_fraction is not None:
-        scores = split_dataset(scores, train_fraction, seed).train
+        scores = split_dataset(scores, train_fraction, (seed, SPLIT)).train
     result = fit_mixture(scores, FitConfig(k=k, max_iter=max_iter, tol=tol, restarts=restarts, seed=seed))
     model = replace(result.model, origin=origin, feature_count=feature_count)
     provenance = f"fitted by tailratio {__version__}; seed={seed}; config_digest={config_digest(config)}"
@@ -245,7 +245,8 @@ def gof_cmd(scores_path, model_path, origin, feature_count, kind, p_method, boot
     outcomes = []
     for stat_kind in kinds:
         if p_method == "bootstrap":
-            outcomes.append(bootstrap_pvalue(sample, model, stat_kind, bootstrap_b, seed))
+            channel = ("KS", "AD").index(stat_kind)
+            outcomes.append(bootstrap_pvalue(sample, model, stat_kind, bootstrap_b, (seed, channel)))
         elif p_method == "asymptotic":
             d = ks_statistic(sample, model)
             outcomes.append(GofOutcome("KS", d, asymptotic_ks_pvalue(d, len(sample)), "asymptotic"))

@@ -78,9 +78,6 @@ class BloodTypeTable:
         """Build a table from a label-to-frequency mapping, preserving order."""
         return cls(tuple((str(k), float(v)) for k, v in mapping.items()))
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.frequencies)
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteWoe:
@@ -155,16 +152,13 @@ def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> TippingPoint:
     return TippingPoint(score=s_star, alpha=at.alpha, beta=at.beta, slr=at.slr, slr_saturated=at.slr_saturated)
 
 
-def discrete_woe(table: BloodTypeTable, observed_type: str | None = None) -> DiscreteWoe:
+def discrete_woe(table: BloodTypeTable) -> DiscreteWoe:
     """Discrete weight of evidence for a type table.
 
     The correspondence ratio 1 / sum(p_i^2) is the average weight of
     evidence when the specific observed type is ignored; the per-type
     likelihood ratio for type t is 1 / p_t.
     """
-    labels = table.labels()
-    if observed_type is not None and observed_type not in labels:
-        raise DomainError(f"unknown type label {observed_type!r}; known: {list(labels)}")
     sum_sq = sum(freq * freq for _, freq in table.frequencies)
     per_type = {label: 1.0 / freq for label, freq in table.frequencies}
     return DiscreteWoe(correspondence_ratio=1.0 / sum_sq, per_type_lr=per_type)

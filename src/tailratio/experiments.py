@@ -3,7 +3,7 @@ toy convergence studies, and threshold decision-rule tables.
 
 Every harness is deterministic under a fixed master seed and invariant to
 worker count: each replicate owns RNG substreams keyed by (seed, replicate
-index, channel) and results are aggregated by replicate index.
+index, ..., purpose) and results are aggregated by replicate index.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .errors import DomainError, FitFailureError
 from .evidence import _saturating_ratio
 from .fit import FitConfig, fit_mixture, split_dataset
 from .gof import asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
-from .seeds import derive_seed, substream
+from .seeds import GEN_MATED, GEN_NONMATED, RESAMPLE, SPLIT, TOY_CELL, Key, key_path, substream
 
 __all__ = [
     "REFERENCE_NONMATED_MODEL",
@@ -154,7 +154,7 @@ class SynthConfig:
     n_mated: int = 1996
     n_nonmated: int = 2000
     feature_count: int = 15
-    seed: int = 0
+    seed: Key = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.contamination_weight < 0.5:
@@ -190,14 +190,14 @@ _SCORES_PER_SOURCE = 10
 def generate_synthetic(cfg: SynthConfig) -> ScoreDataset:
     """Generate a labeled synthetic dataset from the configured truth models.
 
-    Mated and non-mated draws use independent substreams (seed, 0) and
-    (seed, 1).  Mated rows are assigned round-robin ids: each score is
-    one compared pair, and every block of 10 consecutive scores shares a
-    source.
+    Mated and non-mated draws use independent substreams (*seed, GEN_MATED)
+    and (*seed, GEN_NONMATED).  Mated rows are assigned round-robin ids:
+    each score is one compared pair, and every block of 10 consecutive
+    scores shares a source.
     """
-    n_m, n_n = cfg.n_mated, cfg.n_nonmated
-    mated = mixture_sample(cfg.mated_model, n_m, substream(cfg.seed, 0)) if n_m > 0 else np.empty(0)
-    nonmated = mixture_sample(cfg.nonmated_model(), n_n, substream(cfg.seed, 1)) if n_n > 0 else np.empty(0)
+    n_m, n_n, seed = cfg.n_mated, cfg.n_nonmated, key_path(cfg.seed)
+    mated = mixture_sample(cfg.mated_model, n_m, (*seed, GEN_MATED)) if n_m > 0 else np.empty(0)
+    nonmated = mixture_sample(cfg.nonmated_model(), n_n, (*seed, GEN_NONMATED)) if n_n > 0 else np.empty(0)
     return ScoreDataset(
         score=np.concatenate([mated, nonmated]),
         origin=np.repeat(_ORIGINS, [n_m, n_n]),
@@ -290,7 +290,7 @@ class PValueStudyResult:
 _P_METHODS = {"KS": ("asymptotic", "bootstrap"), "AD": ("bootstrap",)}
 
 
-def _pvalue(kind: str, method: str, sample: np.ndarray, model: MixtureModel, seed: int, B: int) -> float:
+def _pvalue(kind: str, method: str, sample: np.ndarray, model: MixtureModel, seed: Key, B: int) -> float:
     if method == "asymptotic":
         return asymptotic_ks_pvalue(ks_statistic(sample, model), len(sample))
     return bootstrap_pvalue(sample, model, kind, B, seed).p_value
@@ -304,7 +304,7 @@ def pvalue_study(
     fit_config: FitConfig = DEFAULT_STUDY_FIT_CONFIG,
     p_methods: tuple[str, str] = ("asymptotic", "bootstrap"),
     bootstrap_b: int = 199,
-    seed: int = 0,
+    seed: Key = 0,
     workers: int = 1,
 ) -> PValueStudyResult:
     """Run the split/fit/test/resample p-value study.
@@ -319,7 +319,9 @@ def pvalue_study(
     default pairs the asymptotic KS p-value with a parametric-bootstrap AD
     p-value of size `bootstrap_b`.
 
-    Replicate r uses substreams keyed (seed, r, channel), so results are
+    Replicate r keys its split (*seed, r, SPLIT), its fit restarts under
+    (*seed, r), its null draw (*seed, r, RESAMPLE), and the bootstrap of
+    panel c, in the order above, under (*seed, r, c), so results are
     identical for any `workers` count.
     """
     arr = np.asarray(data, dtype=float)
@@ -334,19 +336,20 @@ def pvalue_study(
     for kind, method in (("KS", ks_method), ("AD", ad_method)):
         if method not in _P_METHODS[kind]:
             raise DomainError(f"{kind} p-value method must be one of {_P_METHODS[kind]}, got {method!r}")
+    seed = key_path(seed)
 
     def one_rep(rep: int) -> tuple[float, float, float, float] | None:
-        split = split_dataset(arr, fraction, substream(seed, rep, 0))
+        split = split_dataset(arr, fraction, (*seed, rep, SPLIT))
         try:
-            model = fit_mixture(split.train, replace(fit_config, seed=rep)).model
+            model = fit_mixture(split.train, replace(fit_config, seed=(*seed, rep))).model
         except FitFailureError:
             return None
-        null_draw = mixture_sample(model, resample_n, substream(seed, rep, 4))
+        null_draw = mixture_sample(model, resample_n, (*seed, rep, RESAMPLE))
         return (
-            _pvalue("KS", ks_method, split.test, model, derive_seed(seed, rep, 5), bootstrap_b),
-            _pvalue("AD", ad_method, split.test, model, derive_seed(seed, rep, 2), bootstrap_b),
-            _pvalue("KS", ks_method, null_draw, model, derive_seed(seed, rep, 6), bootstrap_b),
-            _pvalue("AD", ad_method, null_draw, model, derive_seed(seed, rep, 3), bootstrap_b),
+            _pvalue("KS", ks_method, split.test, model, (*seed, rep, 0), bootstrap_b),
+            _pvalue("AD", ad_method, split.test, model, (*seed, rep, 1), bootstrap_b),
+            _pvalue("KS", ks_method, null_draw, model, (*seed, rep, 2), bootstrap_b),
+            _pvalue("AD", ad_method, null_draw, model, (*seed, rep, 3), bootstrap_b),
         )
 
     if workers == 1:
@@ -463,7 +466,7 @@ def _toy_tails(sc: ToyScenario, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def toy_study(
     scenarios: Sequence[ToyScenario],
     reps: int,
-    seed: int = 0,
+    seed: Key = 0,
 ) -> ToyStudy:
     """Paired true-LR and tail-ratio values over scenarios and hypotheses.
 
@@ -472,19 +475,20 @@ def toy_study(
     observations, scores each as s = -|x - source_mean|, and pairs the
     closed-form tail ratio with the closed-form specific-source LR.
     Saturated ratios (either value nonfinite) are carried as markers, not
-    dropped.  Cell (i, h) uses substream (seed, i, h), so the columns are
-    deterministic and independent of evaluation order; they list the cells
-    in scenario, then hypothesis order.
+    dropped.  Cell (i, h) uses substream (*seed, i, h, TOY_CELL), so the
+    columns are deterministic and independent of evaluation order; they list
+    the cells in scenario, then hypothesis order.
     """
     if len(scenarios) == 0:
         raise DomainError("need at least one scenario")
     if reps < 100:
         raise DomainError(f"need at least 100 replicates, got {reps}")
+    seed = key_path(seed)
     cells: list[tuple[np.ndarray, ...]] = []
     for si, sc in enumerate(scenarios):
         label = chr(ord("a") + si) if si < 26 else str(si)
         for hi, hyp in enumerate(("H0", "H1")):
-            rng = substream(seed, si, hi)
+            rng = substream(*seed, si, hi, TOY_CELL)
             if hyp == "H0":
                 x = rng.normal(sc.source_mean, sc.within_sd, size=reps)
             else:

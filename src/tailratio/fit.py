@@ -11,8 +11,8 @@ log-likelihood = z-log-likelihood - n log IQR).  The map makes the fit
 affine-equivariant up to rounding and takes about a third fewer objective
 evaluations than fitting raw scores.  Each fit runs a few deterministic
 starts from the quantile initializer plus one start per extra restart;
-restarts jitter the initializer with an independent substream per restart
-so results do not depend on scheduling.
+restarts jitter the initializer with an independent substream per restart,
+keyed (*seed, restart, RESTART), so results do not depend on scheduling.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from .dist import MixtureModel
 from .errors import DomainError, FitFailureError
-from .seeds import SeedLike, as_generator, substream
+from .seeds import RESTART, Key, SeedLike, as_generator, key_path, substream
 
 __all__ = ["FitConfig", "SplitResult", "FitResult", "split_dataset", "init_params", "fit_mixture"]
 
@@ -43,15 +43,19 @@ _TOP_START_QUANTILES = (0.90, 0.98)
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fitting settings: component count, iteration budget, tolerance, restarts, seed."""
+    """Fitting settings: component count, iteration budget, tolerance, restarts, seed.
+
+    `seed` is a key path (an int is the one-element path), stored as a tuple.
+    """
 
     k: int = 2
     max_iter: int = 2000
     tol: float = 1e-8
     restarts: int = 5
-    seed: int = 0
+    seed: Key = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", key_path(self.seed))
         if self.k < 1:
             raise DomainError(f"component count must be at least 1, got {self.k}")
         if self.tol <= 0.0:
@@ -240,7 +244,7 @@ def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
         starts.append((0, theta))
     for r in range(1, cfg.restarts):
         theta = theta0.copy()
-        jitter = substream(cfg.seed, r)
+        jitter = substream(*cfg.seed, r, RESTART)
         theta[: k - 1] += jitter.normal(0.0, 0.5, size=k - 1)
         theta[k - 1 : 2 * k - 1] += jitter.normal(0.0, 0.25 * max(iqr, floor), size=k)
         theta[2 * k - 1 :] += jitter.normal(0.0, 0.25, size=k)

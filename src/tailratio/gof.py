@@ -18,7 +18,7 @@ from .dist import MixtureModel, _scores_from_uniforms, mixture_cdf
 from .dist import mixture_sample  # noqa: F401  (perfbench's layer trace wraps the name here)
 from .errors import DomainError
 from .fit import FitConfig, fit_mixture
-from .seeds import derive_seed, substream
+from .seeds import BOOTSTRAP, RESAMPLE, Key, key_path, substream
 
 __all__ = [
     "GofOutcome",
@@ -131,31 +131,35 @@ def bootstrap_pvalue(
     model: MixtureModel,
     kind: str,
     B: int,
-    seed: int,
+    seed: Key,
     refit_within_bootstrap: bool = False,
     fit_config: FitConfig | None = None,
 ) -> GofOutcome:
     """Parametric-bootstrap p-value for either statistic.
 
     The add-one estimator (1 + #{stat_b >= stat_obs}) / (B + 1) never
-    reports 0, and the result is reproducible bit for bit from `seed`.
+    reports 0, and the result is reproducible bit for bit from the key path
+    `seed` (an int is the one-element path), which every stream here extends.
 
     Without a refit, the p-value is the Monte Carlo null of the statistic for
     a fully specified continuous model.  The model's cdf at its own draws is
     uniform, so that null is the same for every model and is drawn from
     uniforms: B rows of n doubles, in order from one substream keyed
-    (seed,), each row sorted and scored as cdf values.  This ignores the
-    error of estimating the model.  Fitting on a 75% split and testing on
-    the held-out 25% does not restore validity: on uncontaminated synthetic
-    non-mated scores, whose family the fit matches, `pvalue_study(reps=400,
-    seed=1)` rejects the held-out part at level 0.05 in 0.1025 of replicates
-    with KS and 0.090 with AD, about twice the nominal size.
+    (*seed, BOOTSTRAP), each row sorted and scored as cdf values.  This
+    ignores the error of estimating the model.  Fitting on a 75% split and
+    testing on the held-out 25% does not restore validity: on uncontaminated
+    synthetic non-mated scores, whose family the fit matches,
+    `pvalue_study(reps=400, seed=1)` rejects the held-out part at level 0.05
+    in 0.0675 of replicates with KS and 0.090 with AD, above the nominal
+    size (each rate has a standard error of about 0.011).
 
     With `refit_within_bootstrap` replicate b draws n scores from the model
-    on its own substream keyed (seed, b), refits the model to that draw, in
-    drawn order, and scores the draw against its refit: the strict variant
-    that accounts for fitted parameters.
+    on its own substream keyed (*seed, b, RESAMPLE), refits the model to that
+    draw, in drawn order, with restarts keyed under (*seed, b), and scores
+    the draw against its refit: the strict variant that accounts for fitted
+    parameters.
     """
+    path = key_path(seed)
     values = _sorted_sample(sample)
     n = values.size
     if B < _MIN_BOOTSTRAP_B:
@@ -165,11 +169,11 @@ def bootstrap_pvalue(
     if refit_within_bootstrap:
         cfg = fit_config if fit_config is not None else FitConfig(k=model.k, restarts=1)
         for b in range(B):
-            draw = _scores_from_uniforms(model, substream(seed, b).random(2 * n))
-            fitted = fit_mixture(draw, replace(cfg, seed=derive_seed(seed, b))).model
+            draw = _scores_from_uniforms(model, substream(*path, b, RESAMPLE).random(2 * n))
+            fitted = fit_mixture(draw, replace(cfg, seed=(*path, b))).model
             stats[b] = _statistics(kind, fitted, np.sort(draw))
     else:
-        rng = substream(seed)
+        rng = substream(*path, BOOTSTRAP)
         rows_per_block = max(1, _BLOCK_VALUES // n)
         for start in range(0, B, rows_per_block):
             u = rng.random((min(rows_per_block, B - start), n))
@@ -180,5 +184,5 @@ def bootstrap_pvalue(
         statistic_kind=kind,
         statistic=stat_obs,
         p_value=p,
-        p_method=f"bootstrap(B={B}, seed={seed})",
+        p_method=f"bootstrap(B={B}, seed={list(path)})",
     )

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -126,9 +127,19 @@ def _csv_rows(fh: IO[str], path: str | Path) -> tuple[list[str], Iterator[tuple[
     return first[1], rows
 
 
+@contextmanager
+def _open_text(path: str | Path) -> Iterator[IO[str]]:
+    """Open a data file as UTF-8 text; a byte sequence that does not decode is a format error."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_csv_body(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """Read a whole CSV, returning (header, [(line_number, row)])."""
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         header, rows = _csv_rows(fh, path)
         return header, list(rows)
 
@@ -147,7 +158,7 @@ def load_scores(path: str | Path) -> ScoreDataset:
     source_id: list[str | None] = []
     line_of_row: list[int] = []
     failure = None
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         header, rows = _csv_rows(fh, path)
         if header not in (_SCORE_HEADER, _SCORE_HEADER_FULL):
             raise DataFormatError(
@@ -219,8 +230,8 @@ def save_model(model: MixtureModel, path: str | Path, provenance: str = "") -> N
 
 
 def load_model(path: str | Path) -> ModelFile:
-    """Load and validate a model JSON file."""
-    with open(path) as fh:
+    """Load and validate a model JSON file; component fields must be JSON numbers."""
+    with _open_text(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -234,11 +245,18 @@ def load_model(path: str | Path) -> ModelFile:
     if not isinstance(comps, list) or len(comps) == 0:
         raise DataFormatError("model file has no components")
     try:
-        params = [[float(c[key]) for c in comps] for key in ("weight", "location", "scale")]
-    except (KeyError, TypeError, ValueError) as exc:
+        params = [[_json_number(c[key]) for c in comps] for key in ("weight", "location", "scale")]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise DataFormatError(f"each component needs a numeric weight, location and scale: {exc!r}") from exc
     model = MixtureModel(*params, origin=obj.get("origin"), feature_count=obj.get("feature_count"))
     return ModelFile(model=model, provenance=str(obj.get("provenance", "")), version=int(version))
+
+
+def _json_number(value: Any) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> ThresholdTable:

@@ -1,39 +1,55 @@
-"""Seed handling: generator coercion and deterministic substream derivation."""
+"""Seed handling: every random stream in the package is named by an integer key path.
+
+A seed argument is a key path: a sequence of integers in [0, 2**32), or one
+such integer, which is the one-element path.  `substream` is the only place
+a key path becomes a generator.  A stream drawn under a master seed S is
+keyed (S, ..., purpose): the elements between name the replicate, channel,
+restart or cell, and the last names what the stream is for, so two purposes
+never share a stream for one S.
+"""
 from __future__ import annotations
 
 from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = ["substream", "derive_seed"]
+from .errors import DomainError
 
-SeedLike = Union[int, Sequence[int], np.random.Generator]
+__all__ = ["substream"]
+
+Key = Union[int, Sequence[int]]
+SeedLike = Union[Key, np.random.Generator]
 
 SEED_ENV_VAR = "TAILRATIO_SEED"
 
+# The purpose of a stream: the last element of every key path built from a master seed.
+GEN_MATED, GEN_NONMATED, SPLIT, RESTART, RESAMPLE, BOOTSTRAP, TOY_CELL = range(7)
 
-def as_generator(seed: SeedLike) -> np.random.Generator:
-    """Coerce an int, int sequence, or Generator into a numpy Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(int(seed))
-    return np.random.default_rng(list(seed))
+
+def key_path(seed: Key) -> tuple[int, ...]:
+    """The key path a seed argument names, checked: an int is the one-element path."""
+    path = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    if not path:
+        raise DomainError("a key path needs at least one element")
+    for k in path:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < 2**32:
+            raise DomainError(f"key path elements must be integers in [0, 2**32), got {k!r}")
+    return tuple(int(k) for k in path)
 
 
 def substream(*key: int) -> np.random.Generator:
-    """Independent generator for the substream identified by an integer key path.
+    """Independent generator for the stream named by an integer key path.
 
-    Key paths that differ only by trailing zeros are one stream: numpy's
-    SeedSequence pads a key with zero words, so substream(S), substream(S, 0),
-    substream(S, 0, 0) and default_rng(S) draw the same bits.  For one seed S,
-    `gen`'s mated draws, `fit --train-fraction`'s split and replicate 0's split
-    in `sim-pvalues` therefore share bits.  The keys are kept, because changing
-    one would change every seeded output.
+    The stream is seeded from the words [len(key), *key], one word per
+    element, so no two key paths share an encoding: paths of different
+    lengths differ in the first word.
     """
-    return np.random.default_rng(list(key))
+    path = key_path(key)
+    return np.random.default_rng([len(path), *path])
 
 
-def derive_seed(*key: int) -> int:
-    """Deterministic integer seed derived from an integer key path."""
-    return int(substream(*key).integers(2**31))
+def as_generator(seed: SeedLike) -> np.random.Generator:
+    """A Generator passes through; an int or int sequence is a key path for `substream`."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return substream(*key_path(seed))

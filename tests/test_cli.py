@@ -48,6 +48,15 @@ class TestGen:
         invoke(runner, ["gen", "--out", "b.csv", "--n-mated", "40", "--n-nonmated", "40", "--seed", "3"])
         assert (workdir / "a.csv").read_bytes() == (workdir / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed,code", [("-1", 2), ("4294967296", 2), ("4294967295", 0)])
+    def test_seed_range_checked_at_parse_time(self, runner, workdir, seed, code):
+        result = runner.invoke(main, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "40",
+                                      "--seed", seed])
+        assert result.exit_code == code, result.output
+        assert (workdir / "s.csv").exists() == (code == 0)
+        if code:
+            assert "Invalid value for '--seed'" in result.output
+
     def test_env_seed_respected_and_flag_wins(self, runner, workdir):
         invoke(runner, ["gen", "--out", "env.csv", "--n-mated", "40", "--n-nonmated", "40"],
                env={"TAILRATIO_SEED": "3"})
@@ -249,6 +258,27 @@ class TestErrorSurface:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["code"] == "data_format_error"
 
+    def test_non_number_model_fields_reported_as_json(self, runner, workdir):
+        component = {"weight": True, "location": "-60", "scale": "1e1"}
+        (workdir / "bad.json").write_text(json.dumps({"version": 1, "components": [component]}))
+        result = runner.invoke(main, ["eval", "--mated", MATED_JSON, "--nonmated", "bad.json", "--score", "0"])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["code"] == "data_format_error"
+
+    @pytest.mark.parametrize("command", ["eval", "fit"])
+    def test_non_utf8_input_reported_as_json(self, runner, workdir, command):
+        if command == "eval":
+            (workdir / "bad.json").write_bytes(b'{"version": 1, "provenance": "\xff"}\n')
+            args = ["eval", "--mated", MATED_JSON, "--nonmated", "bad.json", "--score", "0"]
+        else:
+            (workdir / "bad.csv").write_bytes(b"score,origin,feature_count,pair_id\n-60.0,nonmated,15,p\xff\n")
+            args = ["fit", "--scores", "bad.csv", "--out", "f.json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["code"] == "data_format_error"
+
 
 def _three_feature_count_scores() -> str:
     """A score CSV with non-mated rows at feature counts 5, 10 and 15.
@@ -271,19 +301,19 @@ def _three_feature_count_scores() -> str:
 # the seeded streams and another scipy the special functions, and so the
 # digests.
 OUTPUT_DIGESTS = {
-    "gen": "12a9b23caf661b4078aa76ebd84ff9e3ad3d2632ab00b363a1b5834937ee46fc",
-    "sim-toy": "20755f0dc5e7ba1ca971c9b7ae640b027aa9eb1202c3d17d68dc3d6d27960098",
-    "sim-pvalues asymptotic": "e49f3150518015bc25a12de6fbe39b7e269438b919dd733042271d990a8a4b77",
-    "sim-pvalues bootstrap": "2dcd805c89fb57f597461d57078c2ab8e8f3ad147d5608fe7e98f540b493663e",
+    "gen": "2d8eb4ccc5c50c70cc6e6935f798d6ff33bd443af775602d4c5f952b8388ee29",
+    "sim-toy": "fe6ab3b3cf6f2c41a80376a1372c5118a1717bc57c40230a22fac5c598d3bcd5",
+    "sim-pvalues asymptotic": "0c285589de95cdb671a8b381fae824661e15c83e4f3b3d58ddd44ece81150cf3",
+    "sim-pvalues bootstrap": "08aab45062bfe28c5d57804d78fb7ddafc2c8fedc7fdbe3b8321fd8d77d8482c",
     "thresholds --check": "665edc81cf202c8462c6e39c91495571bee02e32561ac5985de693b1ed52d573",
     "thresholds exclusion": "e14be58a61da1dac66ab2a0bb7d158ca8b983b83cac15b9a2e526199cdb7bf9d",
     "thresholds error": "4e48b323b21ea51c8256636c170cdcdde542b798ffe2b81c3bdba952f77eae35",
-    "fit stdout": "7ba91458027d6c44f6eddaad67c2c03dc6c1f146ac33ce46ced0b50f194c3e50",
-    "fit model": "2b03ad67bdab6807a02e9fe4075e4a8fb8771fe8a326f8640b4bad1b8e0bd7b6",
+    "fit stdout": "6bb8c3c89abb8931cdd6be1e4ead3f62830a0f4205ee641c980b7ff778426cbb",
+    "fit model": "3ecd34b1e21412b9511a7cb062511c9a3695e768f972c2387dfae1640a392cee",
     "eval": "0bb9fe85340e34146f0fc5f08d9841a29dd2eb6cf9685a3c240148f3b29d3f25",
     "eval saturated": "7039c1bf821b2d9a11301dc864681454eea0fb98f38cb7848812d52d85d9488a",
-    "gof bootstrap": "1744170219a63b71ec375fb63c7c0e5d3e5f33b94e3fbd60bbe9b558a5653803",
-    "gof asymptotic": "3492e9e3ef11047eacfa76455d916156d47a07f2e84ddc4dc010cee37e77adea",
+    "gof bootstrap": "e66c0a83541af19fb07354900ab8ebe0960385f88be86b08809e72368067b969",
+    "gof asymptotic": "ec8722238433afc10a1fc838eae6d3b83af37c67e0ea2e592ee9d7087c3fa674",
     "report": "580accc6f447c071f4e4ebe3d82b6ebe09633c179be4b3a77409a3ba43207690",
     "report smaller": "cfdf0447a779a9b31933d2767dbf001c069521466b33556d0a58ea59a215b6f1",
 }

@@ -17,6 +17,7 @@ from tailratio import (
     mixture_quantile,
     mixture_sample,
     mixture_sf,
+    substream,
 )
 from tailratio.dist import quantile_bracket
 
@@ -168,9 +169,10 @@ class TestMixture:
         MixtureModel([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5]),
     ], ids=["k1", "k2", "k3"])
     def test_sampling_bits_match_numpy_choice_then_uniform(self, model):
-        for seed in (0, 1, 12345, [7, 3]):
+        # an int seed is the one-element key path
+        for seed, key in ((0, (0,)), (1, (1,)), (12345, (12345,)), ([7, 3], (7, 3))):
             for n in (1, 9, 1000):
-                rng = np.random.default_rng(seed)
+                rng = substream(*key)
                 idx = rng.choice(model.k, size=n, p=model.weights)
                 u = rng.uniform(size=n)
                 want = model.locations[idx] + model.scales[idx] * np.log(u / (1.0 - u))

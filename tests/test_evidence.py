@@ -145,10 +145,6 @@ class TestDiscreteWoe:
         assert woe.per_type_lr["B"] == pytest.approx(10.0, rel=1e-12)
         assert woe.per_type_lr["AB"] == pytest.approx(25.0, rel=1e-12)
 
-    def test_unknown_type_rejected(self):
-        with pytest.raises(DomainError):
-            discrete_woe(ABO, observed_type="C")
-
     def test_table_frequencies_must_sum_to_one(self):
         with pytest.raises(DomainError):
             BloodTypeTable.from_mapping({"X": 0.5, "Y": 0.4})

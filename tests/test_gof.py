@@ -17,7 +17,6 @@ from tailratio import (
     ad_weight,
     asymptotic_ks_pvalue,
     bootstrap_pvalue,
-    derive_seed,
     fit_mixture,
     ks_statistic,
     mixture_cdf,
@@ -26,6 +25,7 @@ from tailratio import (
     substream,
 )
 from tailratio.gof import _cdf_statistics, _statistics
+from tailratio.seeds import BOOTSTRAP, RESAMPLE
 
 REF = REFERENCE_NONMATED_MODEL
 SINGLE = MixtureModel([1.0], [0.0], [1.0])
@@ -51,19 +51,20 @@ def _loop_bootstrap(sample, model, kind, B, seed, fit_config=None):
     """(statistic, p-value) from one null row per replicate, as a plain loop.
 
     Without a refit, row b is the next n uniforms of the one substream keyed
-    (seed,), sorted; with one, replicate b draws from substream (seed, b)
-    and is scored against its own refit.
+    (seed, BOOTSTRAP), sorted; with one, replicate b draws from substream
+    (seed, b, RESAMPLE), refits with restarts keyed under (seed, b), and is
+    scored against its own refit.
     """
     observed = _loop_statistic(kind, sample, model)
     n = len(sample)
-    rng = substream(seed)
+    rng = substream(seed, BOOTSTRAP)
     count = 0
     for b in range(B):
         if fit_config is None:
             stat = _loop_formula(kind, np.sort(rng.random(n)))
         else:
-            draw = mixture_sample(model, n, substream(seed, b))
-            model_b = fit_mixture(draw, replace(fit_config, seed=derive_seed(seed, b))).model
+            draw = mixture_sample(model, n, substream(seed, b, RESAMPLE))
+            model_b = fit_mixture(draw, replace(fit_config, seed=(seed, b))).model
             stat = _loop_statistic(kind, draw, model_b)
         count += stat >= observed
     return observed, (1 + count) / (B + 1)
@@ -154,8 +155,8 @@ class TestAD:
         contaminated = np.concatenate([base, rng.logistic(45.0, 25.0, size=20)])
         ks_p = bootstrap_pvalue(contaminated, REF, "KS", 199, seed=0).p_value
         ad_p = bootstrap_pvalue(contaminated, REF, "AD", 199, seed=0).p_value
-        assert ks_p == pytest.approx(0.27)
-        assert ad_p == pytest.approx(0.025)
+        assert ks_p == pytest.approx(0.2)
+        assert ad_p == pytest.approx(0.015)
         assert ad_p < ks_p / 10
 
 
@@ -183,7 +184,7 @@ class TestBootstrap:
         b = bootstrap_pvalue(draws, REF, "AD", 199, seed=5)
         assert a.p_value == b.p_value
         assert a.p_value >= 1.0 / 200.0
-        assert a.p_method == "bootstrap(B=199, seed=5)"
+        assert a.p_method == "bootstrap(B=199, seed=[5])"
 
     def test_detects_wrong_model(self):
         draws = mixture_sample(REF, 1000, seed=29)
@@ -229,7 +230,7 @@ class TestBootstrap:
 
     def test_refit_matches_loop_reference(self):
         # against the fitted model the p-values sit in the body of the null
-        # (KS 0.455, AD 0.327), so they depend on how the refit draws are keyed
+        # (KS 0.406, AD 0.277), so they depend on how the refit draws are keyed
         draws = np.random.default_rng(31).logistic(0.0, 1.3, size=200)
         cfg = FitConfig(k=1, restarts=1)
         fitted = fit_mixture(draws, cfg).model

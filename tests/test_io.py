@@ -112,6 +112,13 @@ class TestScoresRoundTrip:
         with pytest.raises(DataFormatError):
             load_scores(path)
 
+    @pytest.mark.parametrize("loader", [load_scores, load_model], ids=["scores", "model"])
+    def test_non_utf8_file_is_format_error(self, tmp_path, loader):
+        path = tmp_path / "bad"
+        path.write_bytes(b"score,origin,feature_count,pair_id\n\xff\n")
+        with pytest.raises(DataFormatError, match="not UTF-8"):
+            loader(path)
+
     def test_missing_file_raises_package_error(self, tmp_path):
         with pytest.raises((DataFormatError, OSError)):
             load_scores(tmp_path / "absent.csv")
@@ -156,6 +163,10 @@ class TestModelRoundTrip:
             pytest.param({"weight": 1.0, "location": 0.0}, id="missing scale"),
             pytest.param({"weight": 1.0, "location": "abc", "scale": 1.0}, id="non-numeric location"),
             pytest.param([1.0], id="not an object"),
+            pytest.param({"weight": True, "location": 0.0, "scale": 1.0}, id="boolean weight"),
+            pytest.param({"weight": 1.0, "location": "-60", "scale": 1.0}, id="numeric-string location"),
+            pytest.param({"weight": 1.0, "location": 0.0, "scale": "1e1"}, id="numeric-string scale"),
+            pytest.param({"weight": 1, "location": 0, "scale": 10**400}, id="integer beyond double range"),
         ],
     )
     def test_malformed_component_rejected(self, tmp_path, component):
