@@ -173,6 +173,18 @@ def test_criterion_06_fit_recovery():
     assert passes >= 9
 
 
+# Criteria 7 and 8 read properties of the study's replicate population, so
+# the replicate count decides how much of a reading is a re-draw.  At 200
+# replicates the uniformity distance of exactly uniform p-values exceeds 0.1
+# with probability about 0.04, and the held-out AD-minus-KS rejection gap on
+# criterion 8's data (about 0.024, with about 8% of replicates rejected by
+# one test only) is about one standard error.  At 1,000 the same distance
+# exceeds 0.1 with probability below 1e-8 and the gap is about 2.6 standard
+# errors.  Replicate r draws the same streams at any count, so the first 200
+# replicates are the ones a 200-replicate study reads.
+_STUDY_REPS = 1000
+
+
 def _uniformity_distance(pvalues) -> float:
     p = np.sort(np.asarray(pvalues, dtype=float))
     n = p.size
@@ -183,7 +195,7 @@ def _uniformity_distance(pvalues) -> float:
 def test_criterion_07_null_pvalue_uniformity():
     t0 = time.time()
     data = generate_synthetic(SynthConfig(contamination_weight=0.0, seed=0)).scores(origin="nonmated")
-    study = pvalue_study(data, reps=200, seed=0)
+    study = pvalue_study(data, reps=_STUDY_REPS, seed=0)
     d_ks = _uniformity_distance(study.ks_null)
     d_ad = _uniformity_distance(study.ad_null)
     elapsed = time.time() - t0
@@ -201,7 +213,7 @@ def test_criterion_07_null_pvalue_uniformity():
 def test_criterion_08_power_ordering():
     t0 = time.time()
     data = generate_synthetic(SynthConfig(seed=0)).scores(origin="nonmated")
-    study = pvalue_study(data, reps=200, seed=0)
+    study = pvalue_study(data, reps=_STUDY_REPS, seed=0)
     ks_frac = float(np.mean(np.asarray(study.ks_observed) < 0.05))
     ad_frac = float(np.mean(np.asarray(study.ad_observed) < 0.05))
     elapsed = time.time() - t0
