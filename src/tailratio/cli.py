@@ -34,7 +34,7 @@ from .experiments import (
     toy_study,
 )
 from .fit import FitConfig, fit_mixture, split_dataset
-from .gof import GofOutcome, ad_statistic, asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
+from .gof import _P_METHODS, GofOutcome, ad_statistic, asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
 from .io import (
     build_meta,
     config_digest,
@@ -104,6 +104,13 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(f"bad {what}: {exc}")
+
+
+def _parse_count_list(text: str) -> list[int]:
+    counts = _parse_float_list(text, "counts")
+    if not all(c.is_integer() for c in counts):
+        raise click.BadParameter(f"counts must be whole numbers, got {text!r}")
+    return [int(c) for c in counts]
 
 
 def _load_model_arg(path: str | None, default_name: str) -> MixtureModel:
@@ -217,7 +224,8 @@ def eval_cmd(mated_path, nonmated_path, score, out):
     tp = tipping_score(mated, nonmated)
     config = dict(subcommand="eval", mated=str(mated_path), nonmated=str(nonmated_path), score=score)
     _emit_json(
-        {**asdict(rep), "tipping_score": tp.score, "slr_at_tipping_score": tp.slr, "meta": build_meta(0, config)},
+        {**asdict(rep), "tipping_score": tp.observed_score, "slr_at_tipping_score": tp.slr,
+         "meta": build_meta(0, config)},
         out,
     )
 
@@ -228,7 +236,7 @@ def eval_cmd(mated_path, nonmated_path, score, out):
 @click.option("--origin", type=click.Choice(["mated", "nonmated"]), default="nonmated", show_default=True)
 @click.option("--feature-count", type=int, default=None)
 @click.option("--kind", type=click.Choice(["KS", "AD", "both"]), default="both", show_default=True)
-@click.option("--p-method", type=click.Choice(["asymptotic", "bootstrap", "none"]),
+@click.option("--p-method", type=click.Choice([*sorted({m for ms in _P_METHODS.values() for m in ms}), "none"]),
               default="bootstrap", show_default=True)
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
@@ -240,8 +248,9 @@ def gof_cmd(scores_path, model_path, origin, feature_count, kind, p_method, boot
     sample = dataset.scores(origin=origin, feature_count=feature_count)
     model = load_model(model_path).model
     kinds = ["KS", "AD"] if kind == "both" else [kind]
-    if p_method == "asymptotic" and "AD" in kinds:
-        raise DomainError("asymptotic p-values are only available for KS")
+    if p_method != "none" and any(p_method not in _P_METHODS[k] for k in kinds):
+        supported = " and ".join(k for k, methods in _P_METHODS.items() if p_method in methods)
+        raise DomainError(f"{p_method} p-values are only available for {supported}")
     outcomes = []
     for stat_kind in kinds:
         if p_method == "bootstrap":
@@ -282,7 +291,7 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
     elif counts is not None:
         if total is None:
             raise click.BadParameter("--counts requires --total")
-        audit = TailAudit.from_counts(cuts, [int(c) for c in _parse_float_list(counts, "counts")], total, model=model)
+        audit = TailAudit.from_counts(cuts, _parse_count_list(counts), total, model=model)
     else:
         audit = TailAudit.from_model(model, cuts)
     config = dict(subcommand="tails", model=model_path or "builtin", cutpoints=cutpoints,
@@ -312,7 +321,7 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
 @click.option("--resample-n", type=int, default=1500, show_default=True)
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option("--restarts", type=int, default=1, show_default=True)
-@click.option("--ks-p", type=click.Choice(["asymptotic", "bootstrap"]), default="asymptotic", show_default=True)
+@click.option("--ks-p", type=click.Choice(_P_METHODS["KS"]), default="asymptotic", show_default=True)
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 from scipy.special import expit, logsumexp
 
 from .errors import DomainError, ModelError
-from .seeds import SeedLike, as_generator
+from .seeds import Key, key_path, substream
 
 __all__ = [
     "MixtureModel",
@@ -157,11 +157,11 @@ def _scores_from_uniforms(model: MixtureModel, u: np.ndarray) -> np.ndarray:
     return model.locations[idx] + model.scales[idx] * np.log(v / (1.0 - v))
 
 
-def mixture_sample(model: MixtureModel, n: int, seed: SeedLike) -> np.ndarray:
-    """Draw n scores: pick a component by weight, then invert that component's cdf."""
+def mixture_sample(model: MixtureModel, n: int, seed: Key) -> np.ndarray:
+    """Draw n scores from the stream keyed `seed`: pick a component by weight, then invert its cdf."""
     if n < 1:
         raise DomainError(f"sample size must be at least 1, got {n}")
-    return _scores_from_uniforms(model, as_generator(seed).random(2 * n))
+    return _scores_from_uniforms(model, substream(*key_path(seed)).random(2 * n))
 
 
 def log_likelihood(model: MixtureModel, data) -> float:

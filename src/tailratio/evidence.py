@@ -22,7 +22,6 @@ __all__ = [
     "EvidenceReport",
     "BloodTypeTable",
     "DiscreteWoe",
-    "TippingPoint",
     "evidence_numbers",
     "tipping_score",
     "discrete_woe",
@@ -87,17 +86,6 @@ class DiscreteWoe:
     per_type_lr: dict[str, float]
 
 
-@dataclass(frozen=True)
-class TippingPoint:
-    """Score where the two tail risks cross, with the values found there."""
-
-    score: float
-    alpha: float
-    beta: float
-    slr: float
-    slr_saturated: bool
-
-
 def _saturating_ratio(num, den):
     """num / den elementwise, with +inf and a set flag wherever den is 0."""
     den = np.asarray(den, dtype=float)
@@ -124,15 +112,15 @@ def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> Evidence
     return EvidenceReport(*fields)
 
 
-def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> TippingPoint:
-    """Find the score where the exclusion and identification risks are equal.
+def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> EvidenceReport:
+    """The evidence report at the score where the exclusion and identification risks are equal.
 
     The difference alpha(s) - beta(s) runs from -1 to +1, so a sign change
     exists on any bracket wide enough to cover both models; Brent's method
-    finds it, and |alpha - beta| must end below 1e-9.  The returned record
-    also carries the score-based likelihood ratio at the crossing, which in
-    general is not 1: a tail-probability ratio of exactly 1 does not mean
-    the densities agree.
+    finds it, and |alpha - beta| must end below 1e-9.  The crossing is the
+    report's `observed_score`; the report also carries the score-based
+    likelihood ratio there, which in general is not 1: a tail-probability
+    ratio of exactly 1 does not mean the densities agree.
     """
     lo_m, hi_m = quantile_bracket(mated)
     lo_n, hi_n = quantile_bracket(nonmated)
@@ -149,7 +137,7 @@ def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> TippingPoint:
         raise NoTippingPointError(
             f"root search did not close the gap: |alpha - beta| = {abs(at.alpha - at.beta):.3e}"
         )
-    return TippingPoint(score=s_star, alpha=at.alpha, beta=at.beta, slr=at.slr, slr_saturated=at.slr_saturated)
+    return at
 
 
 def discrete_woe(table: BloodTypeTable) -> DiscreteWoe:

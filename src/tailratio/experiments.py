@@ -19,7 +19,7 @@ from .dist import _FEATURE_COUNTS, MixtureModel, mixture_sample, mixture_sf
 from .errors import DomainError, FitFailureError
 from .evidence import _saturating_ratio
 from .fit import FitConfig, fit_mixture, split_dataset
-from .gof import asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
+from .gof import _P_METHODS, asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
 from .seeds import GEN_MATED, GEN_NONMATED, RESAMPLE, SPLIT, TOY_CELL, Key, key_path, substream
 
 __all__ = [
@@ -285,9 +285,6 @@ class PValueStudyResult:
             raise DomainError(f"p-values must be in [0, 1], got {stacked[bad][0]}")
         for name, panel in zip(_PANELS, panels):
             object.__setattr__(self, name, panel)
-
-
-_P_METHODS = {"KS": ("asymptotic", "bootstrap"), "AD": ("bootstrap",)}
 
 
 def _pvalue(kind: str, method: str, sample: np.ndarray, model: MixtureModel, seed: Key, B: int) -> float:

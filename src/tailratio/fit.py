@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from .dist import MixtureModel
 from .errors import DomainError, FitFailureError
-from .seeds import RESTART, Key, SeedLike, as_generator, key_path, substream
+from .seeds import RESTART, Key, key_path, substream
 
 __all__ = ["FitConfig", "SplitResult", "FitResult", "split_dataset", "init_params", "fit_mixture"]
 
@@ -58,8 +58,8 @@ class FitConfig:
         object.__setattr__(self, "seed", key_path(self.seed))
         if self.k < 1:
             raise DomainError(f"component count must be at least 1, got {self.k}")
-        if self.tol <= 0.0:
-            raise DomainError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
         if self.restarts < 1:
             raise DomainError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iter < 1:
@@ -91,7 +91,7 @@ class FitResult:
     nfev: int
 
 
-def split_dataset(scores, fraction: float, seed: SeedLike) -> SplitResult:
+def split_dataset(scores, fraction: float, seed: Key) -> SplitResult:
     """Randomly partition scores into train and test, train size = round(fraction * n)."""
     arr = np.asarray(scores, dtype=float)
     if arr.ndim != 1 or arr.size < 4:
@@ -102,7 +102,7 @@ def split_dataset(scores, fraction: float, seed: SeedLike) -> SplitResult:
     n_train = round(fraction * n)
     if n_train == 0 or n_train == n:
         raise DomainError(f"degenerate split: {n_train} train of {n} total")
-    idx = as_generator(seed).permutation(n)
+    idx = substream(*key_path(seed)).permutation(n)
     return SplitResult(train=arr[idx[:n_train]], test=arr[idx[n_train:]])
 
 

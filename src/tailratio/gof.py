@@ -9,13 +9,12 @@ for either.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import kolmogorov
 
-from .dist import MixtureModel, _scores_from_uniforms, mixture_cdf
-from .dist import mixture_sample  # noqa: F401  (perfbench's layer trace wraps the name here)
+from .dist import MixtureModel, mixture_cdf, mixture_sample
 from .errors import DomainError
 from .fit import FitConfig, fit_mixture
 from .seeds import BOOTSTRAP, RESAMPLE, Key, key_path, substream
@@ -33,6 +32,8 @@ __all__ = [
 # the statistic finite when sample mass sits beyond the model's support for
 # double precision, which is exactly where this package operates.
 _CDF_CLAMP = 1e-12
+# The p-value methods each statistic supports.
+_P_METHODS = {"KS": ("asymptotic", "bootstrap"), "AD": ("bootstrap",)}
 _MIN_BOOTSTRAP_B = 100
 # The no-refit bootstrap fills and sorts its null uniforms in blocks of about
 # this many values (at least one row): enough rows share one fill, sort and
@@ -133,7 +134,6 @@ def bootstrap_pvalue(
     B: int,
     seed: Key,
     refit_within_bootstrap: bool = False,
-    fit_config: FitConfig | None = None,
 ) -> GofOutcome:
     """Parametric-bootstrap p-value for either statistic.
 
@@ -154,10 +154,11 @@ def bootstrap_pvalue(
     size (each rate has a standard error of about 0.011).
 
     With `refit_within_bootstrap` replicate b draws n scores from the model
-    on its own substream keyed (*seed, b, RESAMPLE), refits the model to that
-    draw, in drawn order, with restarts keyed under (*seed, b), and scores
-    the draw against its refit: the strict variant that accounts for fitted
-    parameters.
+    on its own substream keyed (*seed, b, RESAMPLE), refits the model's
+    component count to that draw, in drawn order, with restarts keyed under
+    (*seed, b), and scores the draw against its refit: the strict variant
+    that accounts for fitted parameters.  Its `p_method` reads
+    `refit-bootstrap(...)` where the no-refit null reads `bootstrap(...)`.
     """
     path = key_path(seed)
     values = _sorted_sample(sample)
@@ -167,10 +168,9 @@ def bootstrap_pvalue(
     stat_obs = float(_statistics(kind, model, values))
     stats = np.empty(B)
     if refit_within_bootstrap:
-        cfg = fit_config if fit_config is not None else FitConfig(k=model.k, restarts=1)
         for b in range(B):
-            draw = _scores_from_uniforms(model, substream(*path, b, RESAMPLE).random(2 * n))
-            fitted = fit_mixture(draw, replace(cfg, seed=(*path, b))).model
+            draw = mixture_sample(model, n, (*path, b, RESAMPLE))
+            fitted = fit_mixture(draw, FitConfig(k=model.k, restarts=1, seed=(*path, b))).model
             stats[b] = _statistics(kind, fitted, np.sort(draw))
     else:
         rng = substream(*path, BOOTSTRAP)
@@ -184,5 +184,5 @@ def bootstrap_pvalue(
         statistic_kind=kind,
         statistic=stat_obs,
         p_value=p,
-        p_method=f"bootstrap(B={B}, seed={list(path)})",
+        p_method=f"{'refit-' if refit_within_bootstrap else ''}bootstrap(B={B}, seed={list(path)})",
     )

@@ -23,11 +23,10 @@ import numpy as np
 from ._version import __version__
 from .dist import MixtureModel
 from .errors import DataFormatError, DomainError
-from .experiments import ScoreDataset, ThresholdTable
+from .experiments import ScoreDataset, TailAudit, ThresholdTable
 
 __all__ = [
     "ModelFile",
-    "Table1Fixture",
     "format_value",
     "config_digest",
     "build_meta",
@@ -206,7 +205,6 @@ class ModelFile:
 
     model: MixtureModel
     provenance: str
-    version: int
 
 
 def _model_to_obj(model: MixtureModel, provenance: str) -> dict[str, Any]:
@@ -249,7 +247,7 @@ def load_model(path: str | Path) -> ModelFile:
     except (KeyError, TypeError, OverflowError) as exc:
         raise DataFormatError(f"each component needs a numeric weight, location and scale: {exc!r}") from exc
     model = MixtureModel(*params, origin=obj.get("origin"), feature_count=obj.get("feature_count"))
-    return ModelFile(model=model, provenance=str(obj.get("provenance", "")), version=int(version))
+    return ModelFile(model=model, provenance=str(obj.get("provenance", "")))
 
 
 def _json_number(value: Any) -> float:
@@ -294,19 +292,8 @@ def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> 
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Table1Fixture:
-    """Published tail-rate comparison: printed expected rates and observed counts."""
-
-    cutpoints: tuple[float, ...]
-    printed_expected_per_100k: tuple[float, ...]
-    observed_counts: tuple[int, ...]
-    observed_total: int
-    printed_observed_per_100k: tuple[float, ...]
-
-
-def load_table1_fixture(path: str | Path) -> Table1Fixture:
-    """Load the tail-rate fixture CSV."""
+def load_table1_fixture(path: str | Path) -> TailAudit:
+    """Load the published tail table as a TailAudit of its printed rates, counts and total."""
     header, rows = _read_csv_body(path)
     want = ["cutpoint", "printed_expected_per_100k", "observed_count", "observed_total", "printed_observed_per_100k"]
     if header != want:
@@ -323,13 +310,7 @@ def load_table1_fixture(path: str | Path) -> Table1Fixture:
             raise DataFormatError(f"bad fixture row: {exc}", line=lineno) from exc
     if len(set(totals)) != 1:
         raise DataFormatError(f"inconsistent observed totals {totals} in {path}")
-    return Table1Fixture(
-        cutpoints=tuple(cuts),
-        printed_expected_per_100k=tuple(expected),
-        observed_counts=tuple(counts),
-        observed_total=totals[0],
-        printed_observed_per_100k=tuple(printed),
-    )
+    return TailAudit(tuple(cuts), tuple(expected), tuple(counts), totals[0], tuple(printed))
 
 
 def load_table4_summary(path: str | Path) -> dict[str, float]:

@@ -18,7 +18,6 @@ from .errors import DomainError
 __all__ = ["substream"]
 
 Key = Union[int, Sequence[int]]
-SeedLike = Union[Key, np.random.Generator]
 
 SEED_ENV_VAR = "TAILRATIO_SEED"
 
@@ -28,7 +27,10 @@ GEN_MATED, GEN_NONMATED, SPLIT, RESTART, RESAMPLE, BOOTSTRAP, TOY_CELL = range(7
 
 def key_path(seed: Key) -> tuple[int, ...]:
     """The key path a seed argument names, checked: an int is the one-element path."""
-    path = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    try:
+        path = (seed,) if isinstance(seed, (int, np.integer)) else tuple(seed)
+    except TypeError:
+        raise DomainError(f"a seed is an integer or a sequence of integers, got {seed!r}") from None
     if not path:
         raise DomainError("a key path needs at least one element")
     for k in path:
@@ -46,10 +48,3 @@ def substream(*key: int) -> np.random.Generator:
     """
     path = key_path(key)
     return np.random.default_rng([len(path), *path])
-
-
-def as_generator(seed: SeedLike) -> np.random.Generator:
-    """A Generator passes through; an int or int sequence is a key path for `substream`."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return substream(*key_path(seed))

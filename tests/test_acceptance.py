@@ -77,14 +77,14 @@ def test_criterion_01_expected_tail_rates():
 def test_criterion_02_observed_tail_rates():
     t0 = time.time()
     fx = load_table1_fixture(packaged_data_path("table1.csv"))
-    audit = TailAudit.from_counts(fx.cutpoints, fx.observed_counts, fx.observed_total, model=REF)
+    audit = TailAudit.from_counts(fx.cutpoints, fx.observed_count, fx.observed_total, model=REF)
     elapsed = time.time() - t0
-    diffs = [abs(c - p) for c, p in zip(audit.observed_per_100k, fx.printed_observed_per_100k)]
+    diffs = [abs(c - p) for c, p in zip(audit.observed_per_100k, fx.observed_per_100k)]
     ok = all(d <= 1.0 for d in diffs) and elapsed < 1.0
     record_criterion(
         2, ok,
         f"observed per-100k {[round(v, 2) for v in audit.observed_per_100k]} vs printed "
-        f"{list(fx.printed_observed_per_100k)}, max diff {max(diffs):.2f} (<= 1 per 100k), {elapsed:.2f}s",
+        f"{list(fx.observed_per_100k)}, max diff {max(diffs):.2f} (<= 1 per 100k), {elapsed:.2f}s",
     )
     assert elapsed < 1.0
     assert all(d <= 1.0 for d in diffs)
@@ -243,7 +243,7 @@ def test_criterion_09_crossing_vs_density_ratio():
     ok = gap_ok and factor > 2.0 and elapsed < 1.0
     record_criterion(
         9, ok,
-        f"crossing score {tp.score:.4f}, |alpha - beta| = {abs(tp.alpha - tp.beta):.1e} (< 1e-9), "
+        f"crossing score {tp.observed_score:.4f}, |alpha - beta| = {abs(tp.alpha - tp.beta):.1e} (< 1e-9), "
         f"density ratio there {tp.slr:.4f}, factor from 1 = {factor:.2f} (need > 2), {elapsed:.2f}s",
     )
     assert elapsed < 1.0

@@ -133,6 +133,14 @@ class TestTails:
                                       "--out", "x.csv"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("counts", ["35.7,14,3", "nan,1,1", "inf,1,1"])
+    def test_counts_must_be_whole_numbers(self, runner, workdir, counts):
+        result = runner.invoke(main, ["tails", "--model", REF_JSON, "--counts", counts,
+                                      "--total", "2694", "--out", "x.csv"])
+        assert result.exit_code == 2, result.output
+        assert "counts must be whole numbers" in result.output
+        assert not (workdir / "x.csv").exists()
+
 
 class TestSimToy:
     def test_byte_identical_reruns(self, runner, workdir):
@@ -180,6 +188,15 @@ class TestFitAndGof:
         assert payload["n_points"] == 600
         assert payload["converged"] is True
         assert payload["nfev"] >= payload["nit"] >= 1
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_fit_rejects_nonfinite_tolerance(self, runner, workdir, tol):
+        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "600", "--seed", "0"])
+        result = runner.invoke(main, ["fit", "--scores", "s.csv", "--tol", tol, "--out", "f.json"])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["code"] == "domain_error"
+        assert not (workdir / "f.json").exists()
 
     def test_gof_reports_both_statistics(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])

@@ -105,7 +105,7 @@ def test_tipping_gap_sign_on_each_side(mated, nonmated, offset):
     # the gap may be flat, both tails on plateaus of the mixtures, so the
     # signs are not strict
     tp = tipping_score(mated, nonmated)
-    rep = evidence_numbers(mated, nonmated, np.array([tp.score - offset, tp.score + offset]))
+    rep = evidence_numbers(mated, nonmated, np.array([tp.observed_score - offset, tp.observed_score + offset]))
     gap = rep.alpha - rep.beta
     assert gap[0] <= 0.0 <= gap[1]
 
@@ -113,13 +113,13 @@ def test_tipping_gap_sign_on_each_side(mated, nonmated, offset):
 class TestTippingPoint:
     def test_crossing_found_with_tight_gap(self):
         tp = tipping_score(MATED_20_8, REF)
-        assert tp.score == pytest.approx(-21.847819474212805, abs=1e-6)
+        assert tp.observed_score == pytest.approx(-21.847819474212805, abs=1e-6)
         assert abs(tp.alpha - tp.beta) < 1e-9
 
     def test_crossing_matches_exhaustive_bisection(self):
         # the value 200 bisection steps on the same bracket settled on
         tp = tipping_score(MATED_20_8, REF)
-        assert tp.score == pytest.approx(-21.847819474212805, abs=1e-9)
+        assert tp.observed_score == pytest.approx(-21.847819474212805, abs=1e-9)
 
     def test_slr_at_crossing_is_not_one(self):
         # equal tail risks do not imply equal densities
@@ -129,7 +129,7 @@ class TestTippingPoint:
 
     def test_identical_models_cross_at_median_with_slr_one(self):
         tp = tipping_score(REF, REF)
-        assert evidence_numbers(REF, REF, tp.score).alpha == pytest.approx(0.5, abs=1e-9)
+        assert tp.alpha == pytest.approx(0.5, abs=1e-9)
         assert tp.slr == pytest.approx(1.0, rel=1e-9)
 
 

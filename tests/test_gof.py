@@ -1,8 +1,6 @@
 """Goodness-of-fit layer: KS and AD statistics and their p-values."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstwo
@@ -24,6 +22,7 @@ from tailratio import (
     mixture_sample,
     substream,
 )
+from tailratio.dist import _scores_from_uniforms
 from tailratio.gof import _cdf_statistics, _statistics
 from tailratio.seeds import BOOTSTRAP, RESAMPLE
 
@@ -47,24 +46,25 @@ def _loop_statistic(kind, sample, model):
     return _loop_formula(kind, mixture_cdf(model, np.sort(np.asarray(sample, dtype=float))))
 
 
-def _loop_bootstrap(sample, model, kind, B, seed, fit_config=None):
+def _loop_bootstrap(sample, model, kind, B, seed, refit=False):
     """(statistic, p-value) from one null row per replicate, as a plain loop.
 
     Without a refit, row b is the next n uniforms of the one substream keyed
-    (seed, BOOTSTRAP), sorted; with one, replicate b draws from substream
-    (seed, b, RESAMPLE), refits with restarts keyed under (seed, b), and is
-    scored against its own refit.
+    (seed, BOOTSTRAP), sorted; with one, replicate b maps 2n uniforms of
+    substream (seed, b, RESAMPLE) to scores, refits a model of the same
+    component count with restarts keyed under (seed, b), and is scored
+    against its own refit.
     """
     observed = _loop_statistic(kind, sample, model)
     n = len(sample)
     rng = substream(seed, BOOTSTRAP)
     count = 0
     for b in range(B):
-        if fit_config is None:
+        if not refit:
             stat = _loop_formula(kind, np.sort(rng.random(n)))
         else:
-            draw = mixture_sample(model, n, substream(seed, b, RESAMPLE))
-            model_b = fit_mixture(draw, replace(fit_config, seed=(seed, b))).model
+            draw = _scores_from_uniforms(model, substream(seed, b, RESAMPLE).random(2 * n))
+            model_b = fit_mixture(draw, FitConfig(k=model.k, restarts=1, seed=(seed, b))).model
             stat = _loop_statistic(kind, draw, model_b)
         count += stat >= observed
     return observed, (1 + count) / (B + 1)
@@ -151,7 +151,7 @@ class TestAD:
         # mild right-tail contamination (20 of 1500 points) that KS shrugs
         # off is decisively flagged by the tail-weighted statistic
         rng = substream(41, 20)
-        base = mixture_sample(REF, 1480, rng)
+        base = _scores_from_uniforms(REF, rng.random(2 * 1480))
         contaminated = np.concatenate([base, rng.logistic(45.0, 25.0, size=20)])
         ks_p = bootstrap_pvalue(contaminated, REF, "KS", 199, seed=0).p_value
         ad_p = bootstrap_pvalue(contaminated, REF, "AD", 199, seed=0).p_value
@@ -197,12 +197,12 @@ class TestBootstrap:
         draws = rng.logistic(0.0, 1.0, size=200)
         fitted = MixtureModel([1.0], [float(np.median(draws))], [1.0])
         plain = bootstrap_pvalue(draws, fitted, "AD", 100, seed=0)
-        refit = bootstrap_pvalue(
-            draws, fitted, "AD", 100, seed=0,
-            refit_within_bootstrap=True, fit_config=FitConfig(k=1, restarts=1),
-        )
+        refit = bootstrap_pvalue(draws, fitted, "AD", 100, seed=0, refit_within_bootstrap=True)
         assert 0.0 <= refit.p_value <= 1.0
         assert refit.p_value != plain.p_value
+        # the outcome names the null it was drawn from
+        assert plain.p_method == "bootstrap(B=100, seed=[0])"
+        assert refit.p_method == "refit-bootstrap(B=100, seed=[0])"
 
     # n=1500 packs 10 rows per block, so B=101 leaves a one-row block; past
     # 2**14 values every block holds a single row
@@ -232,11 +232,10 @@ class TestBootstrap:
         # against the fitted model the p-values sit in the body of the null
         # (KS 0.406, AD 0.277), so they depend on how the refit draws are keyed
         draws = np.random.default_rng(31).logistic(0.0, 1.3, size=200)
-        cfg = FitConfig(k=1, restarts=1)
-        fitted = fit_mixture(draws, cfg).model
+        fitted = fit_mixture(draws, FitConfig(k=1, restarts=1)).model
         for kind in ("KS", "AD"):
-            out = bootstrap_pvalue(draws, fitted, kind, 100, seed=4, refit_within_bootstrap=True, fit_config=cfg)
-            assert (out.statistic, out.p_value) == _loop_bootstrap(draws, fitted, kind, 100, 4, cfg), kind
+            out = bootstrap_pvalue(draws, fitted, kind, 100, seed=4, refit_within_bootstrap=True)
+            assert (out.statistic, out.p_value) == _loop_bootstrap(draws, fitted, kind, 100, 4, refit=True), kind
 
     def test_null_rejection_rate_near_level(self):
         # drawn-from-model samples should be rejected at about the nominal level

@@ -131,7 +131,6 @@ class TestModelRoundTrip:
         mf = load_model(path)
         assert same_model(mf.model, REF)
         assert mf.provenance == "test"
-        assert mf.version == 1
 
     def test_json_key_order_fixed(self, tmp_path):
         path = tmp_path / "m.json"
@@ -208,12 +207,13 @@ class TestFixtureTables:
         assert err.get(5, 1.0) == pytest.approx(0.434)
 
     def test_tail_fixture_rows(self):
+        # the published table as a tail audit of its printed rates
         fx = load_table1_fixture(packaged_data_path("table1.csv"))
         assert fx.cutpoints == (0.0, 25.0, 50.0)
-        assert fx.printed_expected_per_100k == (73.0, 7.0, 0.7)
-        assert fx.observed_counts == (35, 14, 3)
+        assert fx.expected_per_100k == (73.0, 7.0, 0.7)
+        assert fx.observed_count == (35, 14, 3)
         assert fx.observed_total == 2694
-        assert fx.printed_observed_per_100k == (1300.0, 519.0, 111.0)
+        assert fx.observed_per_100k == (1300.0, 519.0, 111.0)
 
     def test_summary_fixture(self):
         row = load_table4_summary(packaged_data_path("table4_summary.csv"))

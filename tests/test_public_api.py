@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "DataFormatError", "DiscreteWoe", "DomainError", "EvidenceReport", "FitConfig", "FitFailureError",
     "FitResult", "GofOutcome", "MixtureModel", "ModelError", "ModelFile",
     "NoTippingPointError", "PValueStudyResult", "REFERENCE_NONMATED_MODEL", "ScoreDataset", "SplitResult",
-    "SynthConfig", "Table1Fixture", "TailAudit", "TailratioError", "ThresholdTable", "TippingPoint",
+    "SynthConfig", "TailAudit", "TailratioError", "ThresholdTable",
     "ToyScenario", "ToyStudy", "Violation", "__version__", "ad_statistic", "ad_weight",
     "asymptotic_ks_pvalue", "bootstrap_pvalue", "build_meta", "config_digest", "default_toy_scenarios",
     "discrete_woe", "evidence_numbers", "fit_mixture", "format_value", "generate_synthetic",

@@ -5,13 +5,22 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailratio
-from tailratio import DomainError, substream
+from tailratio import (
+    REFERENCE_NONMATED_MODEL,
+    DomainError,
+    FitConfig,
+    mixture_sample,
+    pvalue_study,
+    split_dataset,
+    substream,
+)
 from tailratio import seeds
 from tailratio.cli import main
 
@@ -52,6 +61,21 @@ def test_out_of_range_elements_raise(path, data):
 def test_non_integer_keys_raise(key):
     with pytest.raises(DomainError):
         substream(*key)
+
+
+# A seed argument is a key path and nothing else: a float, None or a numpy
+# Generator is rejected as a domain error wherever a seed is taken.
+@pytest.mark.parametrize("seed", [1.5, None, np.random.default_rng(0)], ids=["float", "none", "generator"])
+def test_non_key_seeds_raise(seed):
+    calls = (
+        lambda: FitConfig(seed=seed),
+        lambda: split_dataset(np.arange(8.0), 0.5, seed),
+        lambda: mixture_sample(REFERENCE_NONMATED_MODEL, 5, seed),
+        lambda: pvalue_study(np.arange(100.0), 10, seed=seed),
+    )
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_only_seeds_module_makes_generators():
