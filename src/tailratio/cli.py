@@ -19,7 +19,7 @@ import click
 
 from ._version import __version__
 from .dist import MixtureModel
-from .errors import DomainError, TailratioError
+from .errors import TailratioError
 from .evidence import evidence_numbers, tipping_score
 from .experiments import (
     DEFAULT_MATED_MODEL,
@@ -34,7 +34,15 @@ from .experiments import (
     toy_study,
 )
 from .fit import FitConfig, fit_mixture, split_dataset
-from .gof import _P_METHODS, GofOutcome, ad_statistic, asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
+from .gof import (
+    _P_METHODS,
+    GofOutcome,
+    ad_statistic,
+    asymptotic_ad_pvalue,
+    asymptotic_ks_pvalue,
+    bootstrap_pvalue,
+    ks_statistic,
+)
 from .io import (
     build_meta,
     config_digest,
@@ -230,14 +238,17 @@ def eval_cmd(mated_path, nonmated_path, score, out):
     )
 
 
+# Each statistic with its closed-form p-value.
+_CLOSED_FORMS = {"KS": (ks_statistic, asymptotic_ks_pvalue), "AD": (ad_statistic, asymptotic_ad_pvalue)}
+
+
 @main.command("gof")
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--origin", type=click.Choice(["mated", "nonmated"]), default="nonmated", show_default=True)
 @click.option("--feature-count", type=int, default=None)
 @click.option("--kind", type=click.Choice(["KS", "AD", "both"]), default="both", show_default=True)
-@click.option("--p-method", type=click.Choice([*sorted({m for ms in _P_METHODS.values() for m in ms}), "none"]),
-              default="bootstrap", show_default=True)
+@click.option("--p-method", type=click.Choice([*_P_METHODS, "none"]), default="bootstrap", show_default=True)
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_SEED_OPTION
@@ -248,20 +259,16 @@ def gof_cmd(scores_path, model_path, origin, feature_count, kind, p_method, boot
     sample = dataset.scores(origin=origin, feature_count=feature_count)
     model = load_model(model_path).model
     kinds = ["KS", "AD"] if kind == "both" else [kind]
-    if p_method != "none" and any(p_method not in _P_METHODS[k] for k in kinds):
-        supported = " and ".join(k for k, methods in _P_METHODS.items() if p_method in methods)
-        raise DomainError(f"{p_method} p-values are only available for {supported}")
     outcomes = []
     for stat_kind in kinds:
         if p_method == "bootstrap":
             channel = ("KS", "AD").index(stat_kind)
             outcomes.append(bootstrap_pvalue(sample, model, stat_kind, bootstrap_b, (seed, channel)))
-        elif p_method == "asymptotic":
-            d = ks_statistic(sample, model)
-            outcomes.append(GofOutcome("KS", d, asymptotic_ks_pvalue(d, len(sample)), "asymptotic"))
-        else:
-            stat_fn = ks_statistic if stat_kind == "KS" else ad_statistic
-            outcomes.append(GofOutcome(stat_kind, stat_fn(sample, model), None, "none"))
+            continue
+        stat_fn, p_fn = _CLOSED_FORMS[stat_kind]
+        stat = stat_fn(sample, model)
+        p = p_fn(stat, len(sample)) if p_method == "asymptotic" else None
+        outcomes.append(GofOutcome(stat_kind, stat, p, p_method))
     config = dict(subcommand="gof", scores=str(scores_path), model=str(model_path), origin=origin,
                   feature_count=feature_count, kind=kind, p_method=p_method, bootstrap_b=bootstrap_b)
     _emit_json(
@@ -321,14 +328,15 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
 @click.option("--resample-n", type=int, default=1500, show_default=True)
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option("--restarts", type=int, default=1, show_default=True)
-@click.option("--ks-p", type=click.Choice(_P_METHODS["KS"]), default="asymptotic", show_default=True)
+@click.option("--p-method", type=click.Choice(_P_METHODS), default="asymptotic", show_default=True,
+              help="p-value method for both statistics.")
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_SEED_OPTION
 @_wrap_errors
 def sim_pvalues(scores_path, origin, feature_count, reps, fraction, resample_n, k, restarts,
-                ks_p, bootstrap_b, workers, out, seed):
+                p_method, bootstrap_b, workers, out, seed):
     """Run the split/fit/test/resample p-value study; one CSV row per replicate."""
     dataset = load_scores(scores_path)
     data = dataset.scores(origin=origin, feature_count=feature_count)
@@ -338,14 +346,14 @@ def sim_pvalues(scores_path, origin, feature_count, reps, fraction, resample_n, 
         fraction=fraction,
         resample_n=resample_n,
         fit_config=FitConfig(k=k, restarts=restarts),
-        p_methods=(ks_p, "bootstrap"),
+        p_methods=(p_method, p_method),
         bootstrap_b=bootstrap_b,
         seed=seed,
         workers=workers,
     )
     config = dict(subcommand="sim-pvalues", scores=str(scores_path), origin=origin,
                   feature_count=feature_count, reps=reps, fraction=fraction, resample_n=resample_n,
-                  k=k, restarts=restarts, ks_p=ks_p, bootstrap_b=bootstrap_b)
+                  k=k, restarts=restarts, p_method=p_method, bootstrap_b=bootstrap_b)
     panels = (result.ks_observed, result.ad_observed, result.ks_null, result.ad_null)
     kept = zip(*(p.tolist() for p in panels))
     missing = set(result.missing)

@@ -19,7 +19,14 @@ from .dist import _FEATURE_COUNTS, MixtureModel, mixture_sample, mixture_sf
 from .errors import DomainError, FitFailureError
 from .evidence import _saturating_ratio
 from .fit import FitConfig, fit_mixture, split_dataset
-from .gof import _P_METHODS, asymptotic_ks_pvalue, bootstrap_pvalue, ks_statistic
+from .gof import (
+    _P_METHODS,
+    ad_statistic,
+    asymptotic_ad_pvalue,
+    asymptotic_ks_pvalue,
+    bootstrap_pvalue,
+    ks_statistic,
+)
 from .seeds import GEN_MATED, GEN_NONMATED, RESAMPLE, SPLIT, TOY_CELL, Key, key_path, substream
 
 __all__ = [
@@ -236,6 +243,8 @@ class TailAudit:
     ) -> "TailAudit":
         """Observed rates from pre-binned exceedance counts, plus expected if a model is given."""
         cuts = tuple(float(c) for c in cutpoints)
+        if not all(float(c).is_integer() for c in counts):
+            raise DomainError(f"counts must be finite whole numbers, got {list(counts)}")
         cnts = tuple(int(c) for c in counts)
         if len(cuts) == 0 or len(cuts) != len(cnts):
             raise DomainError("cutpoints and counts must align and be nonempty")
@@ -288,9 +297,11 @@ class PValueStudyResult:
 
 
 def _pvalue(kind: str, method: str, sample: np.ndarray, model: MixtureModel, seed: Key, B: int) -> float:
-    if method == "asymptotic":
+    if method == "bootstrap":
+        return bootstrap_pvalue(sample, model, kind, B, seed).p_value
+    if kind == "KS":
         return asymptotic_ks_pvalue(ks_statistic(sample, model), len(sample))
-    return bootstrap_pvalue(sample, model, kind, B, seed).p_value
+    return asymptotic_ad_pvalue(ad_statistic(sample, model), len(sample))
 
 
 def pvalue_study(
@@ -299,7 +310,7 @@ def pvalue_study(
     fraction: float = 0.75,
     resample_n: int = 1500,
     fit_config: FitConfig = DEFAULT_STUDY_FIT_CONFIG,
-    p_methods: tuple[str, str] = ("asymptotic", "bootstrap"),
+    p_methods: tuple[str, str] = ("asymptotic", "asymptotic"),
     bootstrap_b: int = 199,
     seed: Key = 0,
     workers: int = 1,
@@ -312,9 +323,9 @@ def pvalue_study(
     model and compute both p-values again on that null sample.  The four
     panels are returned in replicate order.
 
-    `p_methods` selects the p-value method per statistic as (KS, AD); the
-    default pairs the asymptotic KS p-value with a parametric-bootstrap AD
-    p-value of size `bootstrap_b`.
+    `p_methods` selects the p-value method per statistic as (KS, AD), each
+    "asymptotic" (the closed-form null law, the default) or "bootstrap" (a
+    parametric bootstrap of size `bootstrap_b`).
 
     Replicate r keys its split (*seed, r, SPLIT), its fit restarts under
     (*seed, r), its null draw (*seed, r, RESAMPLE), and the bootstrap of
@@ -329,10 +340,9 @@ def pvalue_study(
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
 
+    if len(p_methods) != 2 or not set(p_methods) <= set(_P_METHODS):
+        raise DomainError(f"p_methods must be a (KS, AD) pair from {_P_METHODS}, got {p_methods!r}")
     ks_method, ad_method = p_methods
-    for kind, method in (("KS", ks_method), ("AD", ad_method)):
-        if method not in _P_METHODS[kind]:
-            raise DomainError(f"{kind} p-value method must be one of {_P_METHODS[kind]}, got {method!r}")
     seed = key_path(seed)
 
     def one_rep(rep: int) -> tuple[float, float, float, float] | None:

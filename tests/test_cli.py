@@ -8,7 +8,16 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from tailratio import DEFAULT_MATED_MODEL, REFERENCE_NONMATED_MODEL, save_model
+from tailratio import (
+    DEFAULT_MATED_MODEL,
+    REFERENCE_NONMATED_MODEL,
+    ad_statistic,
+    asymptotic_ad_pvalue,
+    asymptotic_ks_pvalue,
+    ks_statistic,
+    load_scores,
+    save_model,
+)
 from tailratio.cli import main
 
 REF_JSON = "nonmated.json"
@@ -208,13 +217,17 @@ class TestFitAndGof:
         for o in obj["outcomes"]:
             assert 0.0 <= o["p_value"] <= 1.0
 
-    def test_gof_asymptotic_ad_is_domain_error(self, runner, workdir):
+    def test_gof_asymptotic_reports_closed_form_for_both(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
-        result = runner.invoke(main, ["gof", "--scores", "s.csv", "--model", REF_JSON,
-                                      "--kind", "AD", "--p-method", "asymptotic"])
-        assert result.exit_code == 2
-        err = json.loads(result.output.strip().splitlines()[-1])
-        assert err["error"]["code"] == "domain_error"
+        result = invoke(runner, ["gof", "--scores", "s.csv", "--model", REF_JSON,
+                                 "--kind", "both", "--p-method", "asymptotic"])
+        assert result.exit_code == 0
+        ks, ad = json.loads(result.output)["outcomes"]
+        sample = load_scores("s.csv").scores(origin="nonmated")
+        assert ks["p_value"] == asymptotic_ks_pvalue(ks_statistic(sample, REFERENCE_NONMATED_MODEL), 400)
+        assert ad["statistic"] == ad_statistic(sample, REFERENCE_NONMATED_MODEL)
+        assert ad["p_value"] == asymptotic_ad_pvalue(ad["statistic"], 400)
+        assert (ad["statistic_kind"], ad["p_method"]) == ("AD", "asymptotic")
 
 
 class TestThresholds:
@@ -320,8 +333,8 @@ def _three_feature_count_scores() -> str:
 OUTPUT_DIGESTS = {
     "gen": "2d8eb4ccc5c50c70cc6e6935f798d6ff33bd443af775602d4c5f952b8388ee29",
     "sim-toy": "fe6ab3b3cf6f2c41a80376a1372c5118a1717bc57c40230a22fac5c598d3bcd5",
-    "sim-pvalues asymptotic": "0c285589de95cdb671a8b381fae824661e15c83e4f3b3d58ddd44ece81150cf3",
-    "sim-pvalues bootstrap": "08aab45062bfe28c5d57804d78fb7ddafc2c8fedc7fdbe3b8321fd8d77d8482c",
+    "sim-pvalues asymptotic": "521f8527166e2012d455d3b36e0ff016044e0e806012d98895f31f963823f1c3",
+    "sim-pvalues bootstrap": "8e3e04b296e6f3659318fd653ca4dc074a1d20e7ae1a78b504e8d3074494032f",
     "thresholds --check": "665edc81cf202c8462c6e39c91495571bee02e32561ac5985de693b1ed52d573",
     "thresholds exclusion": "e14be58a61da1dac66ab2a0bb7d158ca8b983b83cac15b9a2e526199cdb7bf9d",
     "thresholds error": "4e48b323b21ea51c8256636c170cdcdde542b798ffe2b81c3bdba952f77eae35",
@@ -361,8 +374,8 @@ def cli_outputs(tmp_path_factory):
         run(["sim-toy", "--reps", "100", "--seed", "2", "--out", "toy.csv"])
         pv = ["sim-pvalues", "--scores", "s.csv", "--reps", "10", "--resample-n", "200",
               "--bootstrap-b", "100", "--seed", "1"]
-        run([*pv, "--ks-p", "asymptotic", "--out", "pv_asym.csv"])
-        run([*pv, "--ks-p", "bootstrap", "--out", "pv_boot.csv"])
+        run([*pv, "--p-method", "asymptotic", "--out", "pv_asym.csv"])
+        run([*pv, "--p-method", "bootstrap", "--out", "pv_boot.csv"])
         run(["thresholds", "--scores", "fc.csv", "--out-prefix", "audit"])
         fit_out = run(["fit", "--scores", "s.csv", "--restarts", "2", "--seed", "5", "--out", "f.json"])
         pair = ["--mated", MATED_JSON, "--nonmated", REF_JSON]

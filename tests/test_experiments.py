@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from tailratio import (
     DEFAULT_MATED_MODEL,
+    DEFAULT_STUDY_FIT_CONFIG,
     DomainError,
     PValueStudyResult,
     REFERENCE_NONMATED_MODEL,
@@ -18,16 +20,25 @@ from tailratio import (
     TailAudit,
     ThresholdTable,
     ToyScenario,
+    ad_statistic,
+    asymptotic_ad_pvalue,
+    asymptotic_ks_pvalue,
+    bootstrap_pvalue,
     default_toy_scenarios,
+    fit_mixture,
     generate_synthetic,
+    ks_statistic,
+    mixture_sample,
     pvalue_study,
     specific_source_lr,
+    split_dataset,
     table_fixture_check,
     tail_audit,
     threshold_study,
     toy_study,
 )
-from tailratio.experiments import _toy_tails
+from tailratio.experiments import _PANELS, _toy_tails
+from tailratio.seeds import RESAMPLE, SPLIT
 
 REF = REFERENCE_NONMATED_MODEL
 
@@ -129,6 +140,12 @@ class TestTailAudit:
         with pytest.raises(DomainError):
             tail_audit(REF, [], [0.0])
 
+    @pytest.mark.parametrize("count", [35.7, math.nan, math.inf])
+    def test_counts_must_be_finite_whole_numbers(self, count):
+        with pytest.raises(DomainError, match="whole numbers"):
+            TailAudit.from_counts([0.0, 25.0], [count, 14], 2694)
+        assert TailAudit.from_counts([0.0], [35.0], 2694).observed_count == (35,)
+
 
 class TestPValueStudy:
     def test_worker_invariance_and_determinism(self):
@@ -149,10 +166,30 @@ class TestPValueStudy:
             pvalue_study(data, reps=9)
         with pytest.raises(DomainError):
             pvalue_study(data, reps=10, workers=0)
-        with pytest.raises(DomainError):
-            pvalue_study(data, reps=10, p_methods=("asymptotic", "asymptotic"))
-        with pytest.raises(DomainError):
-            pvalue_study(data, reps=10, p_methods=("exact", "bootstrap"))
+        for methods in (("asymptotic", "exact"), ("exact", "bootstrap"), ("asymptotic",), "asymptotic"):
+            with pytest.raises(DomainError):
+                pvalue_study(data, reps=10, p_methods=methods)
+
+    # None is the default, which is the closed form for both statistics
+    @pytest.mark.parametrize("methods", [None, ("bootstrap", "asymptotic"), ("asymptotic", "bootstrap")])
+    def test_panels_use_the_chosen_methods(self, methods):
+        # replicate 0 rebuilt by hand: its split, its fit, its null draw, and
+        # the bootstrap of panel c keyed (seed, 0, c)
+        data = generate_synthetic(SynthConfig(seed=0)).scores(origin="nonmated")
+        chosen = {} if methods is None else {"p_methods": methods}
+        study = pvalue_study(data, reps=10, seed=0, bootstrap_b=100, **chosen)
+        split = split_dataset(data, 0.75, (0, 0, SPLIT))
+        model = fit_mixture(split.train, replace(DEFAULT_STUDY_FIT_CONFIG, seed=(0, 0))).model
+        null_draw = mixture_sample(model, 1500, (0, 0, RESAMPLE))
+        for c, (panel, sample) in enumerate(zip(_PANELS, (split.test, split.test, null_draw, null_draw))):
+            kind = ("KS", "AD")[c % 2]
+            if (methods or ("asymptotic", "asymptotic"))[c % 2] == "bootstrap":
+                expected = bootstrap_pvalue(sample, model, kind, 100, (0, 0, c)).p_value
+            elif kind == "KS":
+                expected = asymptotic_ks_pvalue(ks_statistic(sample, model), sample.size)
+            else:
+                expected = asymptotic_ad_pvalue(ad_statistic(sample, model), sample.size)
+            assert getattr(study, panel)[0] == expected, panel
 
     def test_result_panels_checked(self):
         ok = PValueStudyResult((0.5, 1.0), [0.0, 0.25], np.ones(2), np.zeros(2), reps=3, missing=(1,))

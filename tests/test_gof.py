@@ -1,8 +1,12 @@
 """Goodness-of-fit layer: KS and AD statistics and their p-values."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp, kstwo
 
 from tailratio import (
@@ -13,6 +17,7 @@ from tailratio import (
     REFERENCE_NONMATED_MODEL,
     ad_statistic,
     ad_weight,
+    asymptotic_ad_pvalue,
     asymptotic_ks_pvalue,
     bootstrap_pvalue,
     fit_mixture,
@@ -158,6 +163,92 @@ class TestAD:
         assert ks_p == pytest.approx(0.2)
         assert ad_p == pytest.approx(0.015)
         assert ad_p < ks_p / 10
+
+
+def _published_ad_cdf(n, z):
+    """Marsaglia & Marsaglia's AD(n, z) as published: ADinf(z) + errfix(n, ADinf(z))."""
+    if z < 2.0:
+        x = math.exp(-1.2337141 / z) / math.sqrt(z) * (
+            2.00012 + (.247105 - (.0649821 - (.0347962 - (.011672 - .00168691 * z) * z) * z) * z) * z)
+    else:
+        x = math.exp(-math.exp(1.0776 - (2.30695 - (.43424 - (.082433 - (.008056 - .0003146 * z) * z) * z) * z) * z))
+    if x > 0.8:
+        return x + (-130.2137 + (745.2337 - (1705.091 - (1950.646 - (1116.360 - 255.7844 * x) * x) * x) * x) * x) / n
+    c = .01265 + .1757 / n
+    if x < c:
+        t = x / c
+        t = math.sqrt(t) * (1. - t) * (49 * t - 102)
+        return x + t * (.0037 / (n * n) + .00078 / n + .00006) / n
+    t = (x - c) / (.8 - c)
+    t = -.00022633 + (6.54034 - (14.6538 - (14.458 - (8.259 - 1.91864 * t) * t) * t) * t) * t
+    return x + t * (.04213 + .01365 / n) / n
+
+
+# Where the published pieces join, the p-value can step up by at most this much.
+def _ad_step(n):
+    return 8e-5 / n + 1e-8
+
+
+class TestADClosedForm:
+    @pytest.mark.parametrize("n", [1, 2, 10, 500, 1500])
+    def test_matches_published_form(self, n):
+        # the cdf > 0.8 branch is evaluated about 1 in the code; the published
+        # quintic's coefficients sum to about 5,900 in absolute value, so the
+        # two orders of rounding may differ by about 1e-12
+        for z in np.linspace(0.01, 8.0, 800):
+            published = min(max(1.0 - _published_ad_cdf(n, z), 0.0), 1.0)
+            assert asymptotic_ad_pvalue(float(z), n) == pytest.approx(published, rel=0, abs=1e-11), z
+
+    @pytest.mark.parametrize("n", [500, 1500])
+    def test_matches_uniform_monte_carlo_null(self, n):
+        # 40,000 null statistics of n sorted uniforms; at their (1 - p)
+        # quantile the closed form reads 0.4989 / 0.0993 / 0.0499 / 0.0100 at
+        # n = 500 and 0.4961 / 0.0998 / 0.0506 / 0.0108 at n = 1,500
+        rows = 40_000
+        rng = substream(2004, n)
+        block = 2**20 // n
+        stats = np.concatenate([
+            _cdf_statistics("AD", np.sort(rng.random((min(block, rows - start), n)), axis=-1))
+            for start in range(0, rows, block)
+        ])
+        for p in (0.5, 0.1, 0.05, 0.01):
+            closed = asymptotic_ad_pvalue(float(np.quantile(stats, 1.0 - p)), n)
+            assert abs(closed - p) < 3.0 * math.sqrt(p * (1.0 - p) / rows), (p, closed)
+
+    @given(st.integers(1, 10**6), st.floats(0.0, 60.0), st.floats(0.0, 60.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_and_nonincreasing(self, n, a, b):
+        lo, hi = sorted((a, b))
+        p_lo, p_hi = asymptotic_ad_pvalue(lo, n), asymptotic_ad_pvalue(hi, n)
+        assert 0.0 <= p_hi <= p_lo + _ad_step(n)
+        assert p_lo <= 1.0
+
+    @given(st.integers(1, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_continuous_across_the_upper_tail_branch(self, n):
+        below = asymptotic_ad_pvalue(math.nextafter(2.0, 0.0), n)
+        assert abs(asymptotic_ad_pvalue(2.0, n) - below) < 1e-8
+
+    def test_step_bound_holds_on_a_fine_grid(self):
+        for n in (1, 2, 500):
+            ps = np.array([asymptotic_ad_pvalue(z, n) for z in np.linspace(0.0, 20.0, 40_001)])
+            assert np.max(np.diff(ps)) <= _ad_step(n), n
+
+    @pytest.mark.parametrize("n", [1, 500, 1500])
+    def test_clamped_statistic_reaches_the_floor(self, n):
+        # every point at the cdf clamp: a statistic of about 27 n, far out in the tail
+        clamped = float(_cdf_statistics("AD", np.ones(n)))
+        p = asymptotic_ad_pvalue(clamped, n)
+        assert math.isfinite(p) and p >= 0.0
+        assert p == pytest.approx(6e-4 / n, rel=1e-9)
+        assert asymptotic_ad_pvalue(0.0, n) == 1.0
+
+    def test_domain(self):
+        for a in (-1e-9, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                asymptotic_ad_pvalue(a, 100)
+        with pytest.raises(DomainError):
+            asymptotic_ad_pvalue(1.0, 0)
 
 
 class TestGofOutcome:

@@ -15,8 +15,8 @@ PUBLIC_NAMES = [
     "NoTippingPointError", "PValueStudyResult", "REFERENCE_NONMATED_MODEL", "ScoreDataset", "SplitResult",
     "SynthConfig", "TailAudit", "TailratioError", "ThresholdTable",
     "ToyScenario", "ToyStudy", "Violation", "__version__", "ad_statistic", "ad_weight",
-    "asymptotic_ks_pvalue", "bootstrap_pvalue", "build_meta", "config_digest", "default_toy_scenarios",
-    "discrete_woe", "evidence_numbers", "fit_mixture", "format_value", "generate_synthetic",
+    "asymptotic_ad_pvalue", "asymptotic_ks_pvalue", "bootstrap_pvalue", "build_meta", "config_digest",
+    "default_toy_scenarios", "discrete_woe", "evidence_numbers", "fit_mixture", "format_value", "generate_synthetic",
     "init_params", "ks_statistic", "load_model", "load_scores", "load_table1_fixture", "load_table4_summary",
     "load_threshold_table", "log_likelihood", "mixture_cdf", "mixture_pdf", "mixture_quantile",
     "mixture_sample", "mixture_sf", "packaged_data_path", "pvalue_study", "save_model", "save_scores",

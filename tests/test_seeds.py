@@ -110,7 +110,7 @@ def test_one_seed_keys_every_stream_once(monkeypatch, tmp_path):
         ["fit", "--scores", "s.csv", "--train-fraction", "0.75", "--restarts", "3", "--out", "f.json"],
         ["gof", "--scores", "s.csv", "--model", "f.json", "--bootstrap-b", "100"],
         ["sim-pvalues", "--scores", "s.csv", "--reps", "10", "--resample-n", "200", "--bootstrap-b", "100",
-         "--restarts", "2", "--ks-p", "bootstrap", "--out", "pv.csv"],
+         "--restarts", "2", "--p-method", "bootstrap", "--out", "pv.csv"],
         ["sim-toy", "--reps", "100", "--out", "toy.csv"],
     ]
     for args in commands:
