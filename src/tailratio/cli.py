@@ -175,14 +175,12 @@ def gen(out, n_mated, n_nonmated, feature_count, contamination_weight,
 @click.option("--feature-count", type=int, default=None, help="Filter scores to one feature count.")
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option("--restarts", type=int, default=5, show_default=True)
-@click.option("--max-iter", type=int, default=2000, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True)
 @click.option("--train-fraction", type=float, default=None,
               help="Fit on a random train split of this fraction instead of all scores.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Output model JSON.")
 @_SEED_OPTION
 @_wrap_errors
-def fit_cmd(scores_path, origin, feature_count, k, restarts, max_iter, tol, train_fraction, out, seed):
+def fit_cmd(scores_path, origin, feature_count, k, restarts, train_fraction, out, seed):
     """Fit a logistic mixture to scores by maximum likelihood."""
     dataset = load_scores(scores_path)
     scores = dataset.scores(origin=origin, feature_count=feature_count)
@@ -193,13 +191,11 @@ def fit_cmd(scores_path, origin, feature_count, k, restarts, max_iter, tol, trai
         feature_count=feature_count,
         k=k,
         restarts=restarts,
-        max_iter=max_iter,
-        tol=tol,
         train_fraction=train_fraction,
     )
     if train_fraction is not None:
         scores = split_dataset(scores, train_fraction, (seed, SPLIT)).train
-    result = fit_mixture(scores, FitConfig(k=k, max_iter=max_iter, tol=tol, restarts=restarts, seed=seed))
+    result = fit_mixture(scores, FitConfig(k=k, restarts=restarts, seed=seed))
     model = replace(result.model, origin=origin, feature_count=feature_count)
     provenance = f"fitted by tailratio {__version__}; seed={seed}; config_digest={config_digest(config)}"
     save_model(model, out, provenance=provenance)
@@ -238,7 +234,7 @@ def eval_cmd(mated_path, nonmated_path, score, out):
     )
 
 
-# Each statistic with its closed-form p-value.
+# Each statistic with its closed-form p-value, in bootstrap channel order.
 _CLOSED_FORMS = {"KS": (ks_statistic, asymptotic_ks_pvalue), "AD": (ad_statistic, asymptotic_ad_pvalue)}
 
 
@@ -247,30 +243,25 @@ _CLOSED_FORMS = {"KS": (ks_statistic, asymptotic_ks_pvalue), "AD": (ad_statistic
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--origin", type=click.Choice(["mated", "nonmated"]), default="nonmated", show_default=True)
 @click.option("--feature-count", type=int, default=None)
-@click.option("--kind", type=click.Choice(["KS", "AD", "both"]), default="both", show_default=True)
-@click.option("--p-method", type=click.Choice([*_P_METHODS, "none"]), default="bootstrap", show_default=True)
+@click.option("--p-method", type=click.Choice(_P_METHODS), default="bootstrap", show_default=True)
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_SEED_OPTION
 @_wrap_errors
-def gof_cmd(scores_path, model_path, origin, feature_count, kind, p_method, bootstrap_b, out, seed):
+def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_b, out, seed):
     """Test scores against a model with the KS and AD statistics."""
     dataset = load_scores(scores_path)
     sample = dataset.scores(origin=origin, feature_count=feature_count)
     model = load_model(model_path).model
-    kinds = ["KS", "AD"] if kind == "both" else [kind]
     outcomes = []
-    for stat_kind in kinds:
+    for channel, (kind, (stat_fn, p_fn)) in enumerate(_CLOSED_FORMS.items()):
         if p_method == "bootstrap":
-            channel = ("KS", "AD").index(stat_kind)
-            outcomes.append(bootstrap_pvalue(sample, model, stat_kind, bootstrap_b, (seed, channel)))
-            continue
-        stat_fn, p_fn = _CLOSED_FORMS[stat_kind]
-        stat = stat_fn(sample, model)
-        p = p_fn(stat, len(sample)) if p_method == "asymptotic" else None
-        outcomes.append(GofOutcome(stat_kind, stat, p, p_method))
+            outcomes.append(bootstrap_pvalue(sample, model, kind, bootstrap_b, (seed, channel)))
+        else:
+            stat = stat_fn(sample, model)
+            outcomes.append(GofOutcome(kind, stat, p_fn(stat, len(sample)), p_method))
     config = dict(subcommand="gof", scores=str(scores_path), model=str(model_path), origin=origin,
-                  feature_count=feature_count, kind=kind, p_method=p_method, bootstrap_b=bootstrap_b)
+                  feature_count=feature_count, p_method=p_method, bootstrap_b=bootstrap_b)
     _emit_json(
         {"outcomes": [asdict(o) for o in outcomes], "n": int(len(sample)), "meta": build_meta(seed, config)},
         out,
@@ -346,7 +337,7 @@ def sim_pvalues(scores_path, origin, feature_count, reps, fraction, resample_n, 
         fraction=fraction,
         resample_n=resample_n,
         fit_config=FitConfig(k=k, restarts=restarts),
-        p_methods=(p_method, p_method),
+        p_method=p_method,
         bootstrap_b=bootstrap_b,
         seed=seed,
         workers=workers,
@@ -365,15 +356,13 @@ def sim_pvalues(scores_path, origin, feature_count, reps, fraction, resample_n, 
 
 @main.command("sim-toy")
 @click.option("--reps", type=int, default=1000, show_default=True)
-@click.option("--pop-mean", type=float, default=0.0, show_default=True)
-@click.option("--between-sd", type=float, default=1.0, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_SEED_OPTION
 @_wrap_errors
-def sim_toy(reps, pop_mean, between_sd, out, seed):
+def sim_toy(reps, out, seed):
     """Run the toy convergence study; one CSV row per draw."""
-    study = toy_study(default_toy_scenarios(pop_mean=pop_mean, between_sd=between_sd), reps, seed=seed)
-    config = dict(subcommand="sim-toy", reps=reps, pop_mean=pop_mean, between_sd=between_sd)
+    study = toy_study(default_toy_scenarios(), reps, seed=seed)
+    config = dict(subcommand="sim-toy", reps=reps)
     header = ["scenario", "hypothesis", "rep", "true_lr", "frstat_like", "saturated"]
     rows = zip(*(getattr(study, name).tolist() for name in header))
     write_csv(out, header, rows, meta=build_meta(seed, config))

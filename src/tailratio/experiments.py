@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erf, erfc, ndtr
 
 from .dist import _FEATURE_COUNTS, MixtureModel, mixture_sample, mixture_sf
 from .errors import DomainError, FitFailureError
@@ -73,7 +73,7 @@ DEFAULT_MATED_MODEL = MixtureModel(
 
 #: Study-scale fitting default.  On the 400 criterion-7/8 training splits
 #: (1,500 scores each) four jittered restarts on top of restart 0 never
-#: improved the log-likelihood by more than tol * |f|, so restart 0 won every
+#: improved the log-likelihood by more than 1e-8 * |f|, so restart 0 won every
 #: time with an identical model; the studies trade the restarts for runtime.
 DEFAULT_STUDY_FIT_CONFIG = FitConfig(k=2, restarts=1)
 
@@ -310,7 +310,7 @@ def pvalue_study(
     fraction: float = 0.75,
     resample_n: int = 1500,
     fit_config: FitConfig = DEFAULT_STUDY_FIT_CONFIG,
-    p_methods: tuple[str, str] = ("asymptotic", "asymptotic"),
+    p_method: str = "asymptotic",
     bootstrap_b: int = 199,
     seed: Key = 0,
     workers: int = 1,
@@ -323,9 +323,9 @@ def pvalue_study(
     model and compute both p-values again on that null sample.  The four
     panels are returned in replicate order.
 
-    `p_methods` selects the p-value method per statistic as (KS, AD), each
-    "asymptotic" (the closed-form null law, the default) or "bootstrap" (a
-    parametric bootstrap of size `bootstrap_b`).
+    `p_method` selects the p-value method for both statistics: "asymptotic"
+    (the closed-form null law, the default) or "bootstrap" (a parametric
+    bootstrap of size `bootstrap_b`).
 
     Replicate r keys its split (*seed, r, SPLIT), its fit restarts under
     (*seed, r), its null draw (*seed, r, RESAMPLE), and the bootstrap of
@@ -339,10 +339,8 @@ def pvalue_study(
         raise DomainError(f"need at least 10 replicates, got {reps}")
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
-
-    if len(p_methods) != 2 or not set(p_methods) <= set(_P_METHODS):
-        raise DomainError(f"p_methods must be a (KS, AD) pair from {_P_METHODS}, got {p_methods!r}")
-    ks_method, ad_method = p_methods
+    if p_method not in _P_METHODS:
+        raise DomainError(f"p_method must be one of {_P_METHODS}, got {p_method!r}")
     seed = key_path(seed)
 
     def one_rep(rep: int) -> tuple[float, float, float, float] | None:
@@ -353,10 +351,10 @@ def pvalue_study(
             return None
         null_draw = mixture_sample(model, resample_n, (*seed, rep, RESAMPLE))
         return (
-            _pvalue("KS", ks_method, split.test, model, (*seed, rep, 0), bootstrap_b),
-            _pvalue("AD", ad_method, split.test, model, (*seed, rep, 1), bootstrap_b),
-            _pvalue("KS", ks_method, null_draw, model, (*seed, rep, 2), bootstrap_b),
-            _pvalue("AD", ad_method, null_draw, model, (*seed, rep, 3), bootstrap_b),
+            _pvalue("KS", p_method, split.test, model, (*seed, rep, 0), bootstrap_b),
+            _pvalue("AD", p_method, split.test, model, (*seed, rep, 1), bootstrap_b),
+            _pvalue("KS", p_method, null_draw, model, (*seed, rep, 2), bootstrap_b),
+            _pvalue("AD", p_method, null_draw, model, (*seed, rep, 3), bootstrap_b),
         )
 
     if workers == 1:
@@ -412,21 +410,17 @@ class ToyStudy:
         return self.rep.size
 
 
-def default_toy_scenarios(pop_mean: float = 0.0, between_sd: float = 1.0) -> tuple[ToyScenario, ...]:
-    """The three standard scenario rows.
+def default_toy_scenarios() -> tuple[ToyScenario, ...]:
+    """The three standard scenario rows, at population mean 0 and between-source sd 1.
 
     (a) common source with some variance, (b) rare source 2.5 between-sds
     from the population mean, (c) common source with virtually no variance.
+    The toy study is location-scale invariant, so other units change only last digits.
     """
     return (
-        ToyScenario(pop_mean=pop_mean, between_sd=between_sd, within_sd=0.5 * between_sd, source_mean=pop_mean),
-        ToyScenario(
-            pop_mean=pop_mean,
-            between_sd=between_sd,
-            within_sd=0.5 * between_sd,
-            source_mean=pop_mean + 2.5 * between_sd,
-        ),
-        ToyScenario(pop_mean=pop_mean, between_sd=between_sd, within_sd=0.01 * between_sd, source_mean=pop_mean),
+        ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.5, source_mean=0.0),
+        ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.5, source_mean=2.5),
+        ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.01, source_mean=0.0),
     )
 
 
@@ -457,16 +451,19 @@ def _toy_tails(sc: ToyScenario, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The mated tail folds the within-source normal: P(S <= s) = 2 Phi(s / within).
     The non-mated tail is the probability a random-source observation lands
-    within |s| of the source mean.
+    within |s| of the source mean: an erf difference where that interval
+    straddles the population mean, an erfc difference where it lies on one side.
     """
     total = sc.total_sd
     if sc.within_sd > 0.0:
         alpha = 2.0 * ndtr(s / sc.within_sd)
     else:
         alpha = np.where(s == 0.0, 1.0, 0.0)
-    upper = (sc.source_mean - s - sc.pop_mean) / total
-    lower = (sc.source_mean + s - sc.pop_mean) / total
-    beta = ndtr(upper) - ndtr(lower)
+    upper = (sc.source_mean - s - sc.pop_mean) / (total * math.sqrt(2.0))
+    lower = (sc.source_mean + s - sc.pop_mean) / (total * math.sqrt(2.0))
+    near, far = np.sort(np.abs([lower, upper]), axis=0)
+    straddles = (lower < 0.0) & (upper > 0.0)
+    beta = 0.5 * np.where(straddles, erf(upper) - erf(lower), erfc(near) - erfc(far))
     return np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
 
 

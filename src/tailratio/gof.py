@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kolmogorov
 
-from .dist import MixtureModel, mixture_cdf, mixture_sample
+from .dist import MixtureModel, mixture_cdf, mixture_sample, mixture_sf
 from .errors import DomainError
 from .fit import FitConfig, fit_mixture
 from .seeds import BOOTSTRAP, RESAMPLE, Key, key_path, substream
@@ -60,20 +60,23 @@ class GofOutcome:
 
     statistic_kind: str
     statistic: float
-    p_value: float | None
+    p_value: float
     p_method: str
 
     def __post_init__(self) -> None:
         if self.statistic_kind not in ("KS", "AD"):
             raise DomainError(f"statistic_kind must be 'KS' or 'AD', got {self.statistic_kind!r}")
-        if (self.p_value is None) != (self.p_method == "none"):
-            raise DomainError("p_value must be present exactly when p_method is not 'none'")
+        if self.p_value is None or not 0.0 <= self.p_value <= 1.0:
+            raise DomainError(f"p_value must be in [0, 1], got {self.p_value}")
         if self.statistic < 0.0:
             raise DomainError(f"statistic must be nonnegative, got {self.statistic}")
 
 
-def _cdf_statistics(kind: str, F: np.ndarray) -> np.ndarray:
-    """KS or AD statistic of each row of sorted cdf values, reduced over the last axis."""
+def _cdf_statistics(kind: str, F: np.ndarray, S: np.ndarray | None = None) -> np.ndarray:
+    """KS or AD statistic of each row of sorted cdf values, reduced over the last axis.
+
+    AD also reads S = 1 - F: a model's own right tail keeps its digits where F is near 1.
+    """
     if kind not in ("KS", "AD"):
         raise DomainError(f"kind must be 'KS' or 'AD', got {kind!r}")
     n = F.shape[-1]
@@ -81,12 +84,13 @@ def _cdf_statistics(kind: str, F: np.ndarray) -> np.ndarray:
     if kind == "KS":
         return np.max(np.maximum(i / n - F, F - (i - 1) / n), axis=-1)
     F = np.clip(F, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-    return -n - np.mean((2 * i - 1) * (np.log(F) + np.log(1.0 - F[..., ::-1])), axis=-1)
+    S = 1.0 - F if S is None else np.clip(S, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
+    return -n - np.mean((2 * i - 1) * (np.log(F) + np.log(S[..., ::-1])), axis=-1)
 
 
 def _statistics(kind: str, model: MixtureModel, rows: np.ndarray) -> np.ndarray:
     """KS or AD statistic of each row of sorted points against the model."""
-    return _cdf_statistics(kind, mixture_cdf(model, rows))
+    return _cdf_statistics(kind, mixture_cdf(model, rows), mixture_sf(model, rows) if kind == "AD" else None)
 
 
 def ks_statistic(sample, model: MixtureModel) -> float:
@@ -100,8 +104,9 @@ def ks_statistic(sample, model: MixtureModel) -> float:
 def ad_statistic(sample, model: MixtureModel) -> float:
     """Tail-weighted quadratic distance between empirical and model cdfs.
 
-    Order-statistic estimator -n - mean((2i - 1) (ln F(x_(i)) + ln(1 - F(x_(n+1-i))))),
-    with F clamped away from 0 and 1 so extreme-tail samples stay finite.
+    Order-statistic estimator -n - mean((2i - 1) (ln F(x_(i)) + ln S(x_(n+1-i)))),
+    with S = 1 - F the model's right tail, and F and S clamped away from 0
+    and 1 so extreme-tail samples stay finite.
     """
     return float(_statistics("AD", model, _sorted_sample(sample)))
 

@@ -1,10 +1,10 @@
-"""Hypothesis strategies and a model comparison shared by the tests."""
+"""Hypothesis strategies, a model comparison and a failing fit shared by the tests."""
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
 
-from tailratio import MixtureModel
+from tailratio import FitFailureError, MixtureModel, fit_mixture
 
 
 def same_model(a: MixtureModel, b: MixtureModel) -> bool:
@@ -23,6 +23,16 @@ def random_mixture(k: int, params) -> MixtureModel:
         locations=-150.0 + 200.0 * u[3 : 3 + k],
         scales=0.5 + 30.0 * u[6 : 6 + k],
     )
+
+
+def fit_failing_on(*reps):
+    """`fit_mixture` that fails on the study replicates `reps` (the last element of the fit's key path)."""
+    def fit(train, cfg):
+        if cfg.seed[-1] in reps:
+            raise FitFailureError("stubbed failure")
+        return fit_mixture(train, cfg)
+
+    return fit
 
 
 # k in {1, 2, 3}; locations in [-150, 50], scales in [0.5, 30.5]

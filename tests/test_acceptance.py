@@ -10,6 +10,7 @@ in the project notes.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def test_criterion_01_expected_tail_rates():
             catch_exceptions=False,
         )
         assert result.exit_code == 0
-        rows = [ln.split(",") for ln in open("t.csv").read().splitlines() if not ln.startswith("#")]
+        rows = [ln.split(",") for ln in Path("t.csv").read_text().splitlines() if not ln.startswith("#")]
     computed = [float(r[1]) for r in rows[1:]]
     elapsed = time.time() - t0
     published = [73.0, 7.0, 0.7]
@@ -292,7 +293,7 @@ def test_criterion_11_byte_identical_reruns():
         toy = ["sim-toy", "--reps", "200", "--seed", "2"]
         run([*toy, "--out", "toy1.csv"])
         run([*toy, "--out", "toy2.csv"])
-        blobs = {name: open(name, "rb").read() for name in
+        blobs = {name: Path(name).read_bytes() for name in
                  ("pv1.csv", "pv2.csv", "pv3.csv", "toy1.csv", "toy2.csv")}
     elapsed = time.time() - t0
     pv_same = blobs["pv1.csv"] == blobs["pv2.csv"] == blobs["pv3.csv"]

@@ -16,9 +16,13 @@ from tailratio import (
     asymptotic_ks_pvalue,
     ks_statistic,
     load_scores,
+    packaged_data_path,
     save_model,
+    tail_audit,
 )
 from tailratio.cli import main
+
+from strategies import fit_failing_on
 
 REF_JSON = "nonmated.json"
 MATED_JSON = "mated.json"
@@ -75,6 +79,18 @@ class TestGen:
                env={"TAILRATIO_SEED": "3"})
         assert (workdir / "win.csv").read_bytes() != (workdir / "flag.csv").read_bytes()
 
+    def test_packaged_core_writes_the_default_rows(self, runner, workdir):
+        args = ["gen", "--n-mated", "40", "--n-nonmated", "40", "--seed", "3"]
+        invoke(runner, [*args, "--out", "builtin.csv"])
+        core = str(packaged_data_path("nonmated_15.json"))
+        result = invoke(runner, [*args, "--nonmated-core", core, "--out", "packaged.csv"])
+        assert result.exit_code == 0
+
+        def data_rows(name):
+            return [ln for ln in (workdir / name).read_text().splitlines() if not ln.startswith("#")]
+
+        assert data_rows("packaged.csv") == data_rows("builtin.csv")
+
 
 class TestEvalAndReport:
     def test_eval_emits_all_four_numbers(self, runner, workdir):
@@ -91,6 +107,13 @@ class TestEvalAndReport:
         obj = json.loads(result.output)
         assert obj["saturated"] is True
         assert obj["ratio"] is None  # inf is never serialized as a plain number
+
+    def test_eval_out_writes_the_stdout_bytes(self, runner, workdir):
+        args = ["eval", "--mated", MATED_JSON, "--nonmated", REF_JSON, "--score", "-30"]
+        stdout = invoke(runner, args).output
+        result = invoke(runner, [*args, "--out", "e.json"])
+        assert result.exit_code == 0 and result.output == ""
+        assert (workdir / "e.json").read_text() == stdout
 
     def test_report_sentence_shape(self, runner, workdir):
         result = invoke(runner, ["report", "--mated", MATED_JSON, "--nonmated", REF_JSON, "--score", "0"])
@@ -136,6 +159,20 @@ class TestTails:
         assert result.exit_code == 0
         rows = [ln for ln in (workdir / "m.csv").read_text().splitlines() if not ln.startswith("#")]
         assert rows[1].split(",")[2] == ""  # no observed column without data
+
+    def test_scores_mode_equals_tail_audit(self, runner, workdir):
+        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "400", "--seed", "0"])
+        result = invoke(runner, ["tails", "--model", REF_JSON, "--scores", "s.csv", "--cutpoints", "-70,-60,0",
+                                 "--out", "t.csv"])
+        assert result.exit_code == 0
+        rows = [ln.split(",") for ln in (workdir / "t.csv").read_text().splitlines() if not ln.startswith("#")]
+        audit = tail_audit(REFERENCE_NONMATED_MODEL, load_scores("s.csv").scores(origin="nonmated"), [-70, -60, 0])
+        assert [[float(c) for c in row] for row in rows[1:]] == [
+            [c, e, n, audit.observed_total, o]
+            for c, e, n, o in zip(audit.cutpoints, audit.expected_per_100k, audit.observed_count,
+                                  audit.observed_per_100k)
+        ]
+        assert audit.observed_count[0] > audit.observed_count[1] > 0
 
     def test_counts_require_total(self, runner, workdir):
         result = runner.invoke(main, ["tails", "--model", REF_JSON, "--counts", "1,2,3",
@@ -183,6 +220,22 @@ class TestSimPvalues:
         invoke(runner, [*base, "--workers", "2", "--out", "w2.csv"])
         assert (workdir / "w1.csv").read_bytes() == (workdir / "w2.csv").read_bytes()
 
+    def test_failed_fits_leave_empty_rows(self, runner, workdir, monkeypatch):
+        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
+        args = ["sim-pvalues", "--scores", "s.csv", "--reps", "10", "--resample-n", "200", "--seed", "1"]
+        invoke(runner, [*args, "--out", "full.csv"])
+        monkeypatch.setattr("tailratio.experiments.fit_mixture", fit_failing_on(2, 5))
+        result = invoke(runner, [*args, "--out", "holes.csv"])
+        assert "(2 missing)" in result.output
+        lines = (workdir / "holes.csv").read_text().splitlines()
+        assert "# missing=2" in lines
+        full = [ln for ln in (workdir / "full.csv").read_text().splitlines() if not ln.startswith("#")]
+        rows = [ln for ln in lines if not ln.startswith("#")]
+        assert rows[3] == "2,,,," and rows[6] == "5,,,,"
+        assert [row for r, row in enumerate(rows) if r not in (3, 6)] == [
+            row for r, row in enumerate(full) if r not in (3, 6)
+        ]
+
 
 class TestFitAndGof:
     def test_fit_writes_loadable_model(self, runner, workdir):
@@ -198,14 +251,21 @@ class TestFitAndGof:
         assert payload["converged"] is True
         assert payload["nfev"] >= payload["nit"] >= 1
 
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
-    def test_fit_rejects_nonfinite_tolerance(self, runner, workdir, tol):
-        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "600", "--seed", "0"])
-        result = runner.invoke(main, ["fit", "--scores", "s.csv", "--tol", tol, "--out", "f.json"])
+    @pytest.mark.parametrize("args", [
+        ["gof", "--scores", "s.csv", "--model", REF_JSON, "--kind", "KS", "--out", "o.json"],
+        ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", "none", "--out", "o.json"],
+        ["sim-toy", "--pop-mean", "1", "--out", "o.csv"],
+        ["sim-toy", "--between-sd", "2", "--out", "o.csv"],
+        ["fit", "--scores", "s.csv", "--max-iter", "10", "--out", "o.json"],
+        ["fit", "--scores", "s.csv", "--tol", "1e-6", "--out", "o.json"],
+    ], ids=["gof --kind", "gof --p-method none", "sim-toy --pop-mean", "sim-toy --between-sd",
+            "fit --max-iter", "fit --tol"])
+    def test_removed_settings_are_usage_errors(self, runner, workdir, args):
+        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "40", "--seed", "0"])
+        result = runner.invoke(main, args)
         assert result.exit_code == 2
-        err = json.loads(result.output.strip().splitlines()[-1])
-        assert err["error"]["code"] == "domain_error"
-        assert not (workdir / "f.json").exists()
+        assert "Usage:" in result.output
+        assert not any(workdir.glob("o.*"))
 
     def test_gof_reports_both_statistics(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
@@ -219,8 +279,7 @@ class TestFitAndGof:
 
     def test_gof_asymptotic_reports_closed_form_for_both(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
-        result = invoke(runner, ["gof", "--scores", "s.csv", "--model", REF_JSON,
-                                 "--kind", "both", "--p-method", "asymptotic"])
+        result = invoke(runner, ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", "asymptotic"])
         assert result.exit_code == 0
         ks, ad = json.loads(result.output)["outcomes"]
         sample = load_scores("s.csv").scores(origin="nonmated")
@@ -228,6 +287,15 @@ class TestFitAndGof:
         assert ad["statistic"] == ad_statistic(sample, REFERENCE_NONMATED_MODEL)
         assert ad["p_value"] == asymptotic_ad_pvalue(ad["statistic"], 400)
         assert (ad["statistic_kind"], ad["p_method"]) == ("AD", "asymptotic")
+
+    @pytest.mark.parametrize("p_method", ["asymptotic", "bootstrap"])
+    def test_gof_out_writes_the_stdout_bytes(self, runner, workdir, p_method):
+        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
+        args = ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", p_method, "--seed", "2"]
+        stdout = invoke(runner, args).output
+        result = invoke(runner, [*args, "--out", "g.json"])
+        assert result.exit_code == 0 and result.output == ""
+        assert (workdir / "g.json").read_text() == stdout
 
 
 class TestThresholds:
@@ -332,18 +400,18 @@ def _three_feature_count_scores() -> str:
 # digests.
 OUTPUT_DIGESTS = {
     "gen": "2d8eb4ccc5c50c70cc6e6935f798d6ff33bd443af775602d4c5f952b8388ee29",
-    "sim-toy": "fe6ab3b3cf6f2c41a80376a1372c5118a1717bc57c40230a22fac5c598d3bcd5",
-    "sim-pvalues asymptotic": "521f8527166e2012d455d3b36e0ff016044e0e806012d98895f31f963823f1c3",
+    "sim-toy": "dd8be46546f76be49f4882d3c71c63118340e20981c82eeb9b7b08a86a956084",
+    "sim-pvalues asymptotic": "b2317de1da349715b261f7832e0d4791786122671ee16dbd74237b78027cc1cb",
     "sim-pvalues bootstrap": "8e3e04b296e6f3659318fd653ca4dc074a1d20e7ae1a78b504e8d3074494032f",
     "thresholds --check": "665edc81cf202c8462c6e39c91495571bee02e32561ac5985de693b1ed52d573",
     "thresholds exclusion": "e14be58a61da1dac66ab2a0bb7d158ca8b983b83cac15b9a2e526199cdb7bf9d",
     "thresholds error": "4e48b323b21ea51c8256636c170cdcdde542b798ffe2b81c3bdba952f77eae35",
-    "fit stdout": "6bb8c3c89abb8931cdd6be1e4ead3f62830a0f4205ee641c980b7ff778426cbb",
-    "fit model": "3ecd34b1e21412b9511a7cb062511c9a3695e768f972c2387dfae1640a392cee",
+    "fit stdout": "f08aa4375d331e3adcbe865d06d865d68d8beff0b214a04ceecff3c15f4c5b4c",
+    "fit model": "c77d1e941ec33062ad26a91904ca2a6dba7267463966541b4dc92f1c5bbef6ca",
     "eval": "0bb9fe85340e34146f0fc5f08d9841a29dd2eb6cf9685a3c240148f3b29d3f25",
     "eval saturated": "7039c1bf821b2d9a11301dc864681454eea0fb98f38cb7848812d52d85d9488a",
-    "gof bootstrap": "e66c0a83541af19fb07354900ab8ebe0960385f88be86b08809e72368067b969",
-    "gof asymptotic": "ec8722238433afc10a1fc838eae6d3b83af37c67e0ea2e592ee9d7087c3fa674",
+    "gof bootstrap": "d40f069413ddac77e6e13fe4dacff2aaf28169a49d34d5ccd19e4169e6a2eba5",
+    "gof asymptotic": "06cc5e5e614266735d18d3c10c9fb6d010c9f8be70e189eeafa0bef5e1dae86e",
     "report": "580accc6f447c071f4e4ebe3d82b6ebe09633c179be4b3a77409a3ba43207690",
     "report smaller": "cfdf0447a779a9b31933d2767dbf001c069521466b33556d0a58ea59a215b6f1",
 }
@@ -392,8 +460,7 @@ def cli_outputs(tmp_path_factory):
             "eval": run(["eval", *pair, "--score", "-30"]),
             "eval saturated": run(["eval", *pair, "--score", "50000"]),
             "gof bootstrap": run(["gof", "--scores", "s.csv", "--model", "f.json", "--seed", "4"]),
-            "gof asymptotic": run(["gof", "--scores", "s.csv", "--model", REF_JSON, "--kind", "KS",
-                                   "--p-method", "asymptotic"]),
+            "gof asymptotic": run(["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", "asymptotic"]),
             "report": run(["report", *pair, "--score", "0"]),
             "report smaller": run(["report", "--mated", REF_JSON, "--nonmated", MATED_JSON,
                                    "--score", "-100"]),

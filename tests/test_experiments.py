@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from tailratio import (
     DEFAULT_MATED_MODEL,
@@ -39,6 +40,8 @@ from tailratio import (
 )
 from tailratio.experiments import _PANELS, _toy_tails
 from tailratio.seeds import RESAMPLE, SPLIT
+
+from strategies import fit_failing_on
 
 REF = REFERENCE_NONMATED_MODEL
 
@@ -166,30 +169,40 @@ class TestPValueStudy:
             pvalue_study(data, reps=9)
         with pytest.raises(DomainError):
             pvalue_study(data, reps=10, workers=0)
-        for methods in (("asymptotic", "exact"), ("exact", "bootstrap"), ("asymptotic",), "asymptotic"):
+        for method in ("exact", "none", ("asymptotic", "asymptotic")):
             with pytest.raises(DomainError):
-                pvalue_study(data, reps=10, p_methods=methods)
+                pvalue_study(data, reps=10, p_method=method)
 
-    # None is the default, which is the closed form for both statistics
-    @pytest.mark.parametrize("methods", [None, ("bootstrap", "asymptotic"), ("asymptotic", "bootstrap")])
-    def test_panels_use_the_chosen_methods(self, methods):
+    # None is the default, which is the closed form
+    @pytest.mark.parametrize("method", [None, "asymptotic", "bootstrap"])
+    def test_panels_use_the_chosen_methods(self, method):
         # replicate 0 rebuilt by hand: its split, its fit, its null draw, and
         # the bootstrap of panel c keyed (seed, 0, c)
         data = generate_synthetic(SynthConfig(seed=0)).scores(origin="nonmated")
-        chosen = {} if methods is None else {"p_methods": methods}
+        chosen = {} if method is None else {"p_method": method}
         study = pvalue_study(data, reps=10, seed=0, bootstrap_b=100, **chosen)
         split = split_dataset(data, 0.75, (0, 0, SPLIT))
         model = fit_mixture(split.train, replace(DEFAULT_STUDY_FIT_CONFIG, seed=(0, 0))).model
         null_draw = mixture_sample(model, 1500, (0, 0, RESAMPLE))
         for c, (panel, sample) in enumerate(zip(_PANELS, (split.test, split.test, null_draw, null_draw))):
             kind = ("KS", "AD")[c % 2]
-            if (methods or ("asymptotic", "asymptotic"))[c % 2] == "bootstrap":
+            if method == "bootstrap":
                 expected = bootstrap_pvalue(sample, model, kind, 100, (0, 0, c)).p_value
             elif kind == "KS":
                 expected = asymptotic_ks_pvalue(ks_statistic(sample, model), sample.size)
             else:
                 expected = asymptotic_ad_pvalue(ad_statistic(sample, model), sample.size)
             assert getattr(study, panel)[0] == expected, panel
+
+    def test_failed_fits_are_missing_and_leave_the_rest(self, monkeypatch):
+        data = generate_synthetic(SynthConfig(seed=0)).scores(origin="nonmated")
+        full = pvalue_study(data, reps=10, seed=0)
+        monkeypatch.setattr("tailratio.experiments.fit_mixture", fit_failing_on(2, 5))
+        study = pvalue_study(data, reps=10, seed=0)
+        assert study.missing == (2, 5)
+        kept = [r for r in range(10) if r not in (2, 5)]
+        for panel in _PANELS:
+            assert np.array_equal(getattr(study, panel), getattr(full, panel)[kept]), panel
 
     def test_result_panels_checked(self):
         ok = PValueStudyResult((0.5, 1.0), [0.0, 0.25], np.ones(2), np.zeros(2), reps=3, missing=(1,))
@@ -247,6 +260,33 @@ class TestToyStudy:
         assert 1.0 < 1.1499977012670493       # H0 side overstates
         assert 0.2807734417822395 < 1.0       # H1 side understates
 
+    # Shifting and scaling every scenario row draws the same standard normals,
+    # so only rounding moves the columns.  The shift itself rounds x minus the
+    # source mean by about |pop_mean| * 2e-16 / within_sd relative: at
+    # (-100, 0.25) that reaches 1.05e-9 in scenario (c).  Values below the
+    # smallest normal double (true LRs of H1 draws in (c)) keep fewer digits,
+    # so they are compared in absolute terms.
+    @pytest.mark.parametrize("pop_mean,between_sd", [(5.0, 3.0), (1000.0, 1000.0), (0.0, 0.001)])
+    def test_location_scale_invariant(self, pop_mean, between_sd):
+        base = toy_study(default_toy_scenarios(), 1000, seed=0)
+        moved = [
+            ToyScenario(pop_mean=pop_mean + between_sd * sc.pop_mean, between_sd=between_sd * sc.between_sd,
+                        within_sd=between_sd * sc.within_sd, source_mean=pop_mean + between_sd * sc.source_mean)
+            for sc in default_toy_scenarios()
+        ]
+        study = toy_study(moved, 1000, seed=0)
+        assert np.array_equal(study.saturated, base.saturated)
+        kept = ~base.saturated
+        for column in ("true_lr", "frstat_like"):
+            np.testing.assert_allclose(getattr(study, column)[kept], getattr(base, column)[kept],
+                                       rtol=1e-9, atol=np.finfo(float).tiny, err_msg=column)
+
+        def h1_median(s):
+            keep = (s.scenario == "a") & (s.hypothesis == "H1") & ~s.saturated & (s.true_lr > 0.0)
+            return float(np.median(s.frstat_like[keep] / s.true_lr[keep]))
+
+        assert h1_median(study) == pytest.approx(h1_median(base), rel=1e-12)
+
     def test_tight_source_scenario_collapses_h1(self):
         # with within_sd at 1% of between_sd, a random-source draw almost
         # never lands near the source: both numbers underflow toward 0
@@ -283,6 +323,19 @@ class TestToyGaussian:
         # 0.5 * (1 + erf(z / sqrt 2)) is exactly 0 below z = -8.3
         assert alpha(-9.0 * w) == pytest.approx(2 * 1.1285884059538408e-19, rel=1e-12)
         assert alpha(-30.0 * w) > 0.0
+
+    def test_one_sided_beta_keeps_its_digits(self):
+        # A source 9 total sds above the population mean: the non-mated tails
+        # here are 3.0e-20, 9.7e-18, 4.14e-16 and 4.1709e-13, and the
+        # difference of two normal cdfs near 1, ndtr(upper) - ndtr(lower),
+        # reads 0, 0, 4.4e-16 and 4.1711e-13.  Mirrored into the left tail,
+        # where each cdf keeps its digits, the same probability is
+        # ndtr(-lower) - ndtr(-upper).
+        sc = ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.5, source_mean=10.0)
+        s = -np.array([0.01, 0.5, 1.0, 2.0])
+        upper = (sc.source_mean - s - sc.pop_mean) / sc.total_sd
+        lower = (sc.source_mean + s - sc.pop_mean) / sc.total_sd
+        np.testing.assert_allclose(_toy_tails(sc, s)[1], ndtr(-lower) - ndtr(-upper), rtol=1e-12)
 
     def test_sds_checked(self):
         with pytest.raises(DomainError):

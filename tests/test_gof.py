@@ -25,6 +25,7 @@ from tailratio import (
     mixture_cdf,
     mixture_pdf,
     mixture_sample,
+    mixture_sf,
     substream,
 )
 from tailratio.dist import _scores_from_uniforms
@@ -36,19 +37,22 @@ SINGLE = MixtureModel([1.0], [0.0], [1.0])
 TRIPLE = MixtureModel([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5])
 
 
-def _loop_formula(kind, F):
-    """The one-sample KS or AD formula, written out on sorted 1-D cdf values."""
+def _loop_formula(kind, F, S=None):
+    """The one-sample KS or AD formula, written out on sorted 1-D cdf values
+    and, for AD, their survival values (1 - F where none are given)."""
     n = F.size
     i = np.arange(1, n + 1)
     if kind == "KS":
         return float(np.max(np.maximum(i / n - F, F - (i - 1) / n)))
     F = np.clip(F, 1e-12, 1.0 - 1e-12)
-    return float(-n - np.mean((2 * i - 1) * (np.log(F) + np.log(1.0 - F[::-1]))))
+    S = 1.0 - F if S is None else np.clip(S, 1e-12, 1.0 - 1e-12)
+    return float(-n - np.mean((2 * i - 1) * (np.log(F) + np.log(S[::-1]))))
 
 
 def _loop_statistic(kind, sample, model):
-    """The formula on the model cdf at a sorted copy of the sample."""
-    return _loop_formula(kind, mixture_cdf(model, np.sort(np.asarray(sample, dtype=float))))
+    """The formula on the model cdf and right tail at a sorted copy of the sample."""
+    xs = np.sort(np.asarray(sample, dtype=float))
+    return _loop_formula(kind, mixture_cdf(model, xs), mixture_sf(model, xs))
 
 
 def _loop_bootstrap(sample, model, kind, B, seed, refit=False):
@@ -152,6 +156,18 @@ class TestAD:
         quad = draws.size * np.trapezoid(integrand, xs)
         assert ad_statistic(draws, REF) == pytest.approx(quad, rel=0.01)
 
+    def test_right_tail_keeps_its_digits(self):
+        # For one standard logistic, ln F(x) = -log1p(e^-x) and
+        # ln S(x) = -x - log1p(e^-x) hold to the last digit.  At x = 20,
+        # 1 - F keeps only about 8 digits of S = 2.1e-9, which moved the
+        # statistic by 2e-9 relative; the model's own right tail keeps them.
+        xs = np.array([-1.0, 0.0, 20.0])
+        n, i = xs.size, np.arange(1, xs.size + 1)
+        log_F = -np.log1p(np.exp(-xs))
+        log_S = -xs + log_F
+        exact = -n - np.mean((2 * i - 1) * (log_F + log_S[::-1]))
+        assert ad_statistic(xs, SINGLE) == pytest.approx(exact, rel=1e-14)
+
     def test_more_sensitive_than_ks_to_tail_contamination(self):
         # mild right-tail contamination (20 of 1500 points) that KS shrugs
         # off is decisively flagged by the tail-weighted statistic
@@ -253,10 +269,9 @@ class TestADClosedForm:
 
 class TestGofOutcome:
     def test_p_value_presence_tied_to_method(self):
+        # every method produces a p-value
         with pytest.raises(DomainError):
             GofOutcome("KS", 0.1, None, "asymptotic")
-        with pytest.raises(DomainError):
-            GofOutcome("KS", 0.1, 0.5, "none")
 
     def test_kind_checked(self):
         with pytest.raises(DomainError):

@@ -102,6 +102,26 @@ class TestScoresRoundTrip:
                 load_scores(path)
             assert exc_info.value.line == 3, bad
 
+    def test_wrong_cell_count_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# seed=0\nscore,origin,feature_count,pair_id\n1.0,mated,15,p0\n2.0,mated,15\n")
+        with pytest.raises(DataFormatError, match="expected 4 cells, got 3") as exc_info:
+            load_scores(path)
+        assert exc_info.value.line == 4
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("\n# seed=0\n\nscore,origin,feature_count,pair_id\n\n1.0,mated,15,p0\n\n\n2.0,nonmated,15,p1\n")
+        ds = load_scores(path)
+        assert ds.score.tolist() == [1.0, 2.0]
+        assert ds.pair_id.tolist() == ["p0", "p1"]
+
+    def test_metadata_only_file_has_no_header(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("# seed=0\n# config_digest=abc\n\n")
+        with pytest.raises(DataFormatError, match="no header"):
+            load_scores(path)
+
     def test_meta_lines_must_precede_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -145,6 +165,20 @@ class TestModelRoundTrip:
         obj["version"] = 2
         path.write_text(json.dumps(obj))
         with pytest.raises(DataFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param('{"version": 1, "components": [', "invalid JSON", id="invalid JSON"),
+            pytest.param('[{"weight": 1.0, "location": 0.0, "scale": 1.0}]', "not a model file", id="not an object"),
+            pytest.param('{"version": 1, "components": []}', "no components", id="no components"),
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=message):
             load_model(path)
 
     def test_bad_weights_rejected_on_load(self, tmp_path):
