@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, count, filterfalse
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +46,8 @@ MODEL_FORMAT_VERSION = 1
 
 _SCORE_HEADER = ["score", "origin", "feature_count", "pair_id"]
 _SCORE_HEADER_FULL = _SCORE_HEADER + ["source_id"]
+# Strings are read as objects: a fixed-width dtype would cut long cells short.
+_SCORE_FORMATS = {"score": "f8", "origin": object, "feature_count": "i8", "pair_id": object, "source_id": object}
 
 
 def format_value(value: Any) -> str:
@@ -93,37 +96,9 @@ def write_csv(
             writer.writerow([format_value(v) for v in row])
 
 
-def _csv_rows(fh: IO[str], path: str | Path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The header of an open CSV and a lazy iterator of (line number, cells) rows.
-
-    Blank lines are skipped, and so are the leading `# key=value` metadata
-    lines, which must precede the header.  One reader parses all other
-    lines, and every record must end on its own line: a record that asks
-    for a second line (an unbalanced quote) fails with the line it starts on.
-    """
-    pending: deque[int] = deque()  # line numbers handed to the reader, not yet in a row
-
-    def lines() -> Iterator[str]:
-        seen_header = False
-        for lineno, line in enumerate(fh, start=1):
-            if pending:
-                raise DataFormatError("unbalanced quote: record runs past the end of its line", line=pending[0])
-            stripped = line.rstrip("\n")
-            if stripped.startswith("#"):
-                if seen_header:
-                    raise DataFormatError("metadata lines must precede the header", line=lineno)
-                continue
-            if stripped == "":
-                continue
-            seen_header = True
-            pending.append(lineno)
-            yield stripped
-
-    rows = ((pending.popleft(), cells) for cells in csv.reader(lines()))
-    first = next(rows, None)
-    if first is None:
-        raise DataFormatError(f"no header found in {path}")
-    return first[1], rows
+# What iterating a file opened with newline="" yields for an empty line.
+_BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
+_CSV = dict(delimiter=",", quotechar='"', comments=None)
 
 
 @contextmanager
@@ -136,11 +111,122 @@ def _open_text(path: str | Path) -> Iterator[IO[str]]:
         raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _read_csv_body(path: str | Path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Read a whole CSV, returning (header, [(line_number, row)])."""
+def _cells(line: str) -> list[str]:
+    """The cells of one CSV line."""
+    return np.loadtxt([line], dtype=object, ndmin=2, **_CSV)[0].tolist()
+
+
+def _parse(lines: Iterable[str], dtype: np.dtype) -> np.ndarray:
+    """Parse nonblank CSV lines into a structured array of `dtype`, one row per line.
+
+    numpy's tokenizer lets a quoted cell run on into the next line; here a
+    record must end on its own line.  A line of zeros and empty cells is
+    parsed after the others: a quote left open swallows it, so a record that
+    spans lines shows as fewer rows than lines.  Raises ValueError if a line
+    does not parse or a record spans lines.
+    """
+    end = ",".join("" if dtype[j] == object else "0" for j in range(len(dtype))) + "\n"
+    tally = count()  # advanced once per line that numpy takes
+    rows = np.loadtxt(chain(map(itemgetter(0), zip(lines, tally)), (end,)), dtype=dtype, ndmin=1, **_CSV)
+    if rows.size != next(tally) + 1:
+        raise ValueError("a quoted cell runs past the end of its line")
+    return rows[:-1]
+
+
+def _body_lines(fh: IO[str], header_line: int) -> list[tuple[int, str]]:
+    """(line number, text) of every nonblank line after the header, read again from the start."""
+    fh.seek(0)
+    return [(n, line) for n, line in enumerate(fh, start=1) if n > header_line and line not in _BLANK_LINES]
+
+
+def _first_bad_line(lines: list[str], dtype: np.dtype) -> int:
+    """Index of the first line that does not parse, given that the whole list does not.
+
+    Bisection over prefixes.  A prefix that parses ends on a record
+    boundary, so the lines after it parse or fail on their own.
+    """
+    good, bad = 0, len(lines)  # lines[:good] parse, lines[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse(lines[good:mid], dtype)
+            good = mid
+        except ValueError:
+            bad = mid
+    return good
+
+
+def _line_error(line: str, lineno: int, header: list[str], dtype: np.dtype) -> DataFormatError:
+    """Why one line does not parse on its own, by the first rule it breaks."""
+    if line.startswith("#"):
+        return DataFormatError("metadata lines must precede the header", line=lineno)
+    if np.loadtxt([line, "x"], dtype=object, usecols=0, **_CSV).size == 1:
+        return DataFormatError("unbalanced quote: record runs past the end of its line", line=lineno)
+    cells = _cells(line)
+    if len(cells) != len(header):
+        return DataFormatError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
+    for j in range(len(header)):
+        try:
+            np.loadtxt([line], dtype=dtype[j], usecols=j, **_CSV)
+        except ValueError:
+            number = "decimal integer" if dtype[j].kind == "i" else "decimal float"
+            return DataFormatError(f"bad record: {header[j]} {cells[j]!r} is not a {number}", line=lineno)
+    raise AssertionError(f"line {lineno} parses on its own")
+
+
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """The rows of a CSV file up to its first line that does not parse."""
+
+    path: str | Path
+    header: list[str]
+    header_line: int
+    rows: np.ndarray  # structured, one field per header cell
+    failure: DataFormatError | None  # names the first line that does not parse
+
+    def line(self, row: int) -> int:
+        """Line number of a parsed row."""
+        with _open_text(self.path) as fh:
+            return _body_lines(fh, self.header_line)[row][0]
+
+
+def _read_csv(path: str | Path, columns: Callable[[list[str]], np.dtype]) -> _Table:
+    """Read a CSV in one numpy pass: `columns(header)` checks the header and gives the row dtype.
+
+    Blank lines are skipped, and so are leading `# key=value` metadata lines,
+    which must precede the header.  Every table read here has a numeric first
+    column, so a `#` line after the header fails to parse and is reported as
+    such.  When some line does not parse, the rows before it are returned
+    with a `failure` naming it, so a caller can report an earlier bad value
+    first.
+    """
     with _open_text(path) as fh:
-        header, rows = _csv_rows(fh, path)
-        return header, list(rows)
+        for header_line, line in enumerate(fh, start=1):
+            if line not in _BLANK_LINES and not line.startswith("#"):
+                header = _cells(line)
+                break
+        else:
+            raise DataFormatError(f"no header found in {path}")
+        dtype = columns(header)
+        try:
+            rows = _parse(filterfalse(_BLANK_LINES.__contains__, fh), dtype)
+        except ValueError:
+            # also a UnicodeDecodeError, which reading the file again raises again
+            numbered = _body_lines(fh, header_line)
+        else:
+            return _Table(path, header, header_line, rows, None)
+        lines = [line for _, line in numbered]
+        good = _first_bad_line(lines, dtype)
+        failure = _line_error(lines[good], numbered[good][0], header, dtype)
+        return _Table(path, header, header_line, _parse(lines[:good], dtype), failure)
+
+
+def _score_columns(header: list[str]) -> np.dtype:
+    if header not in (_SCORE_HEADER, _SCORE_HEADER_FULL):
+        raise DataFormatError(
+            f"unexpected header {header!r}; want {','.join(_SCORE_HEADER)}[,source_id]", line=1
+        )
+    return np.dtype([(name, _SCORE_FORMATS[name]) for name in header])
 
 
 def load_scores(path: str | Path) -> ScoreDataset:
@@ -148,48 +234,25 @@ def load_scores(path: str | Path) -> ScoreDataset:
 
     Header must be `score,origin,feature_count,pair_id` with an optional
     trailing `source_id` column; the first malformed row fails with its line
-    number.
+    number.  Scores are decimal floats as `repr` writes them and feature
+    counts decimal integers; an empty source_id loads as None.
     """
-    score: list[float] = []
-    origin: list[str] = []
-    feature_count: list[int] = []
-    pair_id: list[str] = []
-    source_id: list[str | None] = []
-    line_of_row: list[int] = []
-    failure = None
-    with _open_text(path) as fh:
-        header, rows = _csv_rows(fh, path)
-        if header not in (_SCORE_HEADER, _SCORE_HEADER_FULL):
-            raise DataFormatError(
-                f"unexpected header {header!r}; want {','.join(_SCORE_HEADER)}[,source_id]", line=1
-            )
-        has_source = header == _SCORE_HEADER_FULL
-        try:
-            for lineno, cells in rows:
-                if len(cells) != len(header):
-                    failure = DataFormatError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
-                    break
-                try:
-                    value, count = float(cells[0]), int(cells[2])
-                except ValueError as exc:
-                    failure = DataFormatError(f"bad record: {exc}", line=lineno)
-                    break
-                score.append(value)
-                origin.append(cells[1])
-                feature_count.append(count)
-                pair_id.append(cells[3])
-                source_id.append((cells[4] or None) if has_source else None)
-                line_of_row.append(lineno)
-        except DataFormatError as exc:
-            failure = exc
+    table = _read_csv(path, _score_columns)
+    rows = table.rows
+    if "source_id" in rows.dtype.names:
+        source_id = rows["source_id"].copy()
+        source_id[source_id == ""] = None
+    else:
+        source_id = np.full(rows.size, None, dtype=object)
+    columns = (np.ascontiguousarray(rows[name]) for name in _SCORE_HEADER)
     # The rows before an unparsable one are validated first, so the error
     # always names the first bad line.
     try:
-        dataset = ScoreDataset(score, origin, feature_count, pair_id, source_id)
+        dataset = ScoreDataset(*columns, source_id)
     except DomainError as exc:
-        raise DataFormatError(f"bad record: {exc}", line=line_of_row[exc.payload["row"]]) from exc
-    if failure is not None:
-        raise failure
+        raise DataFormatError(f"bad record: {exc}", line=table.line(exc.payload["row"])) from exc
+    if table.failure is not None:
+        raise table.failure
     return dataset
 
 
@@ -263,65 +326,63 @@ def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> 
     With `percent` the file stores percentages (the printed convention for
     identification-rate tables) and cells are divided by 100 on load.
     """
-    header, rows = _read_csv_body(path)
-    if len(header) < 3 or header[0] != "feature_count" or header[1] != "pairs":
-        raise DataFormatError(f"unexpected header {header!r} in {path}", line=1)
+    def columns(header: list[str]) -> np.dtype:
+        if len(header) < 3 or header[:2] != ["feature_count", "pairs"]:
+            raise DataFormatError(f"unexpected header {header!r} in {path}", line=1)
+        rates = [(f"rate{j}", "f8") for j in range(2, len(header))]
+        return np.dtype([("feature_count", "i8"), ("pairs", "i8"), *rates])
+
+    table = _read_csv(path, columns)
+    if table.failure is not None:
+        raise table.failure
     try:
-        thresholds = tuple(float(h) for h in header[2:])
+        thresholds = tuple(float(h) for h in table.header[2:])
     except ValueError as exc:
         raise DataFormatError(f"non-numeric threshold column in {path}: {exc}", line=1) from exc
-    fcs: list[int] = []
-    counts: list[int] = []
-    rates: list[tuple[float, ...]] = []
+    rows = table.rows
     scale = 0.01 if percent else 1.0
-    for lineno, cells in rows:
-        if len(cells) != len(header):
-            raise DataFormatError(f"expected {len(header)} cells, got {len(cells)}", line=lineno)
-        try:
-            fcs.append(int(cells[0]))
-            counts.append(int(cells[1]))
-            rates.append(tuple(float(c) * scale for c in cells[2:]))
-        except ValueError as exc:
-            raise DataFormatError(f"bad rate row: {exc}", line=lineno) from exc
     return ThresholdTable(
         kind=kind,
-        feature_counts=tuple(fcs),
+        feature_counts=tuple(rows["feature_count"].tolist()),
         thresholds=thresholds,
-        rates=np.reshape(rates, (len(fcs), len(thresholds))),
-        pair_counts=tuple(counts),
+        rates=np.column_stack([rows[name] * scale for name in rows.dtype.names[2:]]),
+        pair_counts=tuple(rows["pairs"].tolist()),
     )
+
+
+def _fixed_columns(header: list[str], formats: Mapping[str, Any], path: str | Path) -> np.dtype:
+    """The dtype of a table whose header is exactly `formats`' keys, in order."""
+    if header != list(formats):
+        raise DataFormatError(f"unexpected header {header!r} in {path}", line=1)
+    return np.dtype(list(formats.items()))
+
+
+_TABLE1_FORMATS = {
+    "cutpoint": "f8", "printed_expected_per_100k": "f8", "observed_count": "i8", "observed_total": "i8",
+    "printed_observed_per_100k": "f8",
+}
+_TABLE4_FORMATS = {"feature_count": "i8", "cross_comparisons": "i8", "rate_below_100": "f8"}
 
 
 def load_table1_fixture(path: str | Path) -> TailAudit:
     """Load the published tail table as a TailAudit of its printed rates, counts and total."""
-    header, rows = _read_csv_body(path)
-    want = ["cutpoint", "printed_expected_per_100k", "observed_count", "observed_total", "printed_observed_per_100k"]
-    if header != want:
-        raise DataFormatError(f"unexpected header {header!r} in {path}", line=1)
-    cuts, expected, counts, totals, printed = [], [], [], [], []
-    for lineno, cells in rows:
-        try:
-            cuts.append(float(cells[0]))
-            expected.append(float(cells[1]))
-            counts.append(int(cells[2]))
-            totals.append(int(cells[3]))
-            printed.append(float(cells[4]))
-        except (ValueError, IndexError) as exc:
-            raise DataFormatError(f"bad fixture row: {exc}", line=lineno) from exc
+    table = _read_csv(path, lambda header: _fixed_columns(header, _TABLE1_FORMATS, path))
+    if table.failure is not None:
+        raise table.failure
+    cuts, expected, counts, totals, printed = (table.rows[name].tolist() for name in _TABLE1_FORMATS)
     if len(set(totals)) != 1:
         raise DataFormatError(f"inconsistent observed totals {totals} in {path}")
     return TailAudit(tuple(cuts), tuple(expected), tuple(counts), totals[0], tuple(printed))
 
 
-def load_table4_summary(path: str | Path) -> dict[str, float]:
-    """Load the single-row cross-comparison summary fixture."""
-    header, rows = _read_csv_body(path)
-    if len(rows) != 1:
+def load_table4_summary(path: str | Path) -> dict[str, int | float]:
+    """Load the single-row cross-comparison summary fixture; its counts are integers."""
+    table = _read_csv(path, lambda header: _fixed_columns(header, _TABLE4_FORMATS, path))
+    if table.failure is not None:
+        raise table.failure
+    if table.rows.size != 1:
         raise DataFormatError(f"expected exactly one data row in {path}")
-    _, cells = rows[0]
-    if len(cells) != len(header):
-        raise DataFormatError(f"row does not match header in {path}")
-    return {key: float(value) for key, value in zip(header, cells)}
+    return dict(zip(table.header, table.rows[0].tolist()))
 
 
 def packaged_data_path(name: str) -> Path:

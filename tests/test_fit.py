@@ -1,6 +1,7 @@
 """Fitting layer: splits, initializers, and the mixture MLE."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from tailratio import (
 )
 from tailratio.dist import _scores_from_uniforms
 from tailratio.experiments import DEFAULT_STUDY_FIT_CONFIG
-from tailratio.fit import _SCALE_FLOOR_FRAC, _TOL, _neg_loglik
+from tailratio.fit import _SCALE_FLOOR_FRAC, _TOL, _neg_loglik, _Workspace
 from tailratio.seeds import SPLIT
 
 from strategies import same_model
@@ -192,17 +193,37 @@ def test_gradient_matches_central_differences(k, unit, at_floor):
     ])
     if at_floor:
         theta[2 * k - 1] = np.log(_GRAD_FLOOR) - 1.0
-    f, grad = _neg_loglik(theta, _GRAD_XS, k, _GRAD_FLOOR)
+    work = _Workspace(k, _GRAD_XS.size)
+    f, grad = _neg_loglik(theta, _GRAD_XS, k, _GRAD_FLOOR, work)
     # a small fixed step: a location next to a floored scale has curvature ~1/floor^2
     h = 1e-6
     central = np.array([
-        (_neg_loglik(theta + h * e, _GRAD_XS, k, _GRAD_FLOOR)[0]
-         - _neg_loglik(theta - h * e, _GRAD_XS, k, _GRAD_FLOOR)[0]) / (2.0 * h)
+        (_neg_loglik(theta + h * e, _GRAD_XS, k, _GRAD_FLOOR, work)[0]
+         - _neg_loglik(theta - h * e, _GRAD_XS, k, _GRAD_FLOOR, work)[0]) / (2.0 * h)
         for e in np.eye(theta.size)
     ])
     np.testing.assert_allclose(grad, central, rtol=1e-5, atol=1e-8 * abs(f))
     if at_floor:
         assert grad[2 * k - 1] == 0.0
+
+
+def test_warm_objective_call_allocates_less_than_one_row():
+    # The objective's k-by-n and n-sized intermediates live in the workspace,
+    # so a warm call allocates only O(k) parameter arrays.
+    n, k = 20_000, 2
+    xs = np.sort(mixture_sample(REF, n, seed=7))
+    floor = _SCALE_FLOOR_FRAC * float(xs[-1] - xs[0])
+    theta = np.array([0.5, -85.0, -60.0, np.log(6.0), np.log(11.0)])
+    work = _Workspace(k, n)
+    expected = _neg_loglik(theta, xs, k, floor, work)
+    tracemalloc.start()
+    try:
+        f, grad = _neg_loglik(theta, xs, k, floor, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
+    assert f == expected[0] and np.array_equal(grad, expected[1])
 
 
 # Log-likelihoods that the derivative-free simplex search (two Nelder-Mead

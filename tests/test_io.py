@@ -129,8 +129,58 @@ class TestScoresRoundTrip:
             "# seed=0\n"
             "1.0,mated,15,p0\n"
         )
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="metadata lines must precede the header") as exc_info:
             load_scores(path)
+        assert exc_info.value.line == 2
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(
+            b"# seed=0\r\n\r\nscore,origin,feature_count,pair_id\r\n1.5,mated,15,p0\r\n\r\n-2.0,nonmated,5,p1\r\n"
+        )
+        ds = load_scores(path)
+        assert ds.score.tolist() == [1.5, -2.0]
+        assert ds.feature_count.tolist() == [15, 5]
+        assert ds.pair_id.tolist() == ["p0", "p1"]
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "no newline"])
+    def test_quote_left_open_on_the_last_line(self, tmp_path, end):
+        path = tmp_path / "bad.csv"
+        path.write_text(f'score,origin,feature_count,pair_id\n1.0,mated,15,p0\n2.0,mated,15,"p1{end}')
+        with pytest.raises(DataFormatError, match="unbalanced quote") as exc_info:
+            load_scores(path)
+        assert exc_info.value.line == 3
+
+    def test_whitespace_only_line_is_a_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("score,origin,feature_count,pair_id\n1.0,mated,15,p0\n \n2.0,mated,15,p1\n")
+        with pytest.raises(DataFormatError, match="expected 4 cells, got 1") as exc_info:
+            load_scores(path)
+        assert exc_info.value.line == 3
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param("1_0,mated,15,p1", id="underscore in score"),
+            pytest.param("\u0661\u0660,mated,15,p1", id="Arabic-Indic score"),
+            pytest.param("1.0,mated,1_5,p1", id="underscore in feature count"),
+        ],
+    )
+    def test_numbers_are_plain_decimals(self, tmp_path, row):
+        # float() and int() accept these; the score format does not
+        path = tmp_path / "bad.csv"
+        path.write_text(f"score,origin,feature_count,pair_id\n1.0,mated,15,p0\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="is not a decimal") as exc_info:
+            load_scores(path)
+        assert exc_info.value.line == 3
+
+    def test_hard_decimal_strings_parse_as_float_does(self, tmp_path):
+        path = tmp_path / "s.csv"
+        body = "".join(f"{text},nonmated,15,p{i}\n" for i, text in enumerate(_HARD_DECIMALS))
+        path.write_text("score,origin,feature_count,pair_id\n" + body)
+        got = load_scores(path).score
+        want = np.array([float(text) for text in _HARD_DECIMALS])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("loader", [load_scores, load_model], ids=["scores", "model"])
     def test_non_utf8_file_is_format_error(self, tmp_path, loader):
@@ -142,6 +192,25 @@ class TestScoresRoundTrip:
     def test_missing_file_raises_package_error(self, tmp_path):
         with pytest.raises((DataFormatError, OSError)):
             load_scores(tmp_path / "absent.csv")
+
+
+# Decimal strings whose nearest double is easy to get wrong: halfway cases
+# between neighbouring doubles (1 + 2**-53, 2**53 + 1), the subnormal range and
+# its edges, underflow to zero, the largest finite double, long mantissas, and
+# the shortest repr of awkward values.
+_HARD_DECIMALS = (
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "1.0000000000000002220446049250313080847263336181640625",
+    "9007199254740993", "9007199254740995", "-9007199254740993.0000000000000000000001",
+    "2.2250738585072011e-308", "2.2250738585072012e-308", "2.225073858507201e-308",
+    "4.9406564584124654e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+    "1e-320", "-5e-324", "1e-400", "-1e-400", "-0.0", "0e999",
+    "1.7976931348623157e308", "1.7976931348623158e308", "-1.797693134862315807e308",
+    "1234567890123456789012345", "0.1234567890123456789012345", "1234567890123456.789012345e-5",
+    "0.3000000000000000444089209850062616169452667236328125", "0.1", "1e23", "8.589973e9",
+    "5e-1", ".5", "5.", "+7.25", "1E5", repr(0.1 + 0.2), repr(-83.75 / 3.0), repr(2.0**-1074 * 3),
+)
 
 
 class TestModelRoundTrip:
@@ -226,6 +295,50 @@ def test_model_save_load_round_trip_property(model, origin, feature_count, prove
     assert mf.provenance == provenance
 
 
+# Cell text that a CSV writer must quote or that a reader could mangle:
+# commas, quotes, leading and trailing spaces, non-ASCII.  Line breaks are
+# left out: a record must end on its own line.
+_CELL_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(',"\' \t#;é\u4e2d\U0001f600\u00a0\u2028\x0b'),
+        st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(("mated", "nonmated")),
+            st.integers(5, 15),
+            _CELL_TEXT,
+            st.one_of(st.none(), _CELL_TEXT),
+        ),
+        max_size=20,
+    ),
+    meta=st.dictionaries(st.sampled_from(("seed", "config_digest", "note")), st.integers(0, 10**6), max_size=3),
+    blank_after=st.lists(st.integers(0, 25), max_size=4),
+    crlf=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_scores_save_load_round_trip_property(rows, meta, blank_after, crlf):
+    ds = ScoreDataset(*(list(column) for column in zip(*rows)) if rows else ([],) * 5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        save_scores(ds, path, meta=meta)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for at in sorted(blank_after, reverse=True):
+            lines.insert(min(at, len(lines) - 1), "")
+        path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("utf-8"))
+        back = load_scores(path)
+    assert back.score.view(np.uint64).tolist() == ds.score.view(np.uint64).tolist()
+    for column in ("origin", "feature_count", "pair_id", "source_id"):
+        assert getattr(back, column).tolist() == getattr(ds, column).tolist(), column
+
+
 class TestFixtureTables:
     def test_threshold_tables_load_with_expected_shape(self):
         excl = load_threshold_table(packaged_data_path("table5a_exclusion.csv"), "correct_exclusion")
@@ -253,6 +366,7 @@ class TestFixtureTables:
         row = load_table4_summary(packaged_data_path("table4_summary.csv"))
         assert row["feature_count"] == 14
         assert row["cross_comparisons"] == 500
+        assert type(row["feature_count"]) is int and type(row["cross_comparisons"]) is int
         assert row["rate_below_100"] == pytest.approx(0.994)
 
 
