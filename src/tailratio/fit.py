@@ -1,25 +1,27 @@
 """Maximum-likelihood fitting of logistic mixtures with a 75/25 split protocol.
 
-The optimizer is L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) with a closed-form
-gradient over an unconstrained reparameterization: k-1 weight logits
-(softmax, last logit pinned to 0), locations, and log scales.  It runs in
-standardized coordinates: the sorted sample is mapped once to
+The optimizer is a damped Newton method with the exact Hessian (Nocedal &
+Wright 2006, *Numerical Optimization*, ch. 3) over an unconstrained
+reparameterization: k-1 weight logits (softmax, last logit pinned to 0),
+locations, and log scales.  All starts of one fit step together as one
+(starts, k, n) problem, and each start is the same bits alone or in a batch.
+It runs in standardized coordinates: the sorted sample is mapped once to
 z = (x - median) / IQR (the range when the IQR is 0), so locations are O(1)
 and log scales near 0 whatever the score units, and the winner is mapped
 back (location = median + IQR * z-location, scale = IQR * z-scale,
 log-likelihood = z-log-likelihood - n log IQR).  The map makes the fit
-affine-equivariant up to rounding and takes about a third fewer objective
-evaluations than fitting raw scores.  Each fit runs a few deterministic
-starts from the quantile initializer plus one start per extra restart;
-restarts jitter the initializer with an independent substream per restart,
-keyed (*seed, restart, RESTART), so results do not depend on scheduling.
+affine-equivariant up to rounding and makes a step of fixed size mean the
+same for any scores.  Each fit runs a few deterministic starts from the
+quantile initializer plus one start per extra restart; restarts jitter the
+initializer with an independent substream per restart, keyed
+(*seed, restart, RESTART), so results do not depend on scheduling.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dist import MixtureModel
 from .errors import DomainError, FitFailureError
@@ -39,13 +41,30 @@ _SCALE_FLOOR_FRAC = 1e-4
 # mode on all of them.  A start at 0.97 in place of 0.98 misses it on one
 # split, by 0.011.
 _TOP_START_QUANTILES = (0.90, 0.98)
-# L-BFGS-B iteration cap per start.  It never binds: the longest start took
-# 28 iterations over ten 20,000-point fits at restarts 5, and 258 over 300
+# Newton iteration cap per start.  It never binds: the longest start took
+# 13 iterations over ten 20,000-point fits at restarts 5, and 51 over 300
 # fits of 1,500-point study splits (k = 1-3, restarts 5).
 _MAX_ITER = 2000
-# Stopping and restart-winner tolerance; the gtol, ftol and winner rules in
-# `fit_mixture` are tuned at this value.
+# Stopping and restart-winner tolerance; the gradient test and the winner
+# rule in `fit_mixture` are tuned at this value.
 _TOL = 1e-8
+# Newton step: Hessian eigenvalues floored at this fraction of the largest,
+# the step capped at this size in every coordinate, the Armijo constant, and
+# the halvings a start may take in one line search.  With a cap of 2.0 the
+# search ended in a worse mode than L-BFGS-B on 9 of 2,800 criterion-7/8
+# training splits (data seeds 0-2), by 0.035-0.93 in log-likelihood; at 0.5 it
+# matched on all of them.
+_EIG_FLOOR = 1e-8
+_MAX_STEP = 0.5
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 30
+# The sufficient-decrease test allows this much of eps (n + |f|) above f: the
+# objective's rounding.  Its spread under perturbations of 1e-13 near an
+# optimum was 2.0e-14 at n = 40 (|f| = 7) and 1.4e-12 at n = 1,500 (|f| = 2,057),
+# 1.6-2.4 eps (n + |f|); without the allowance, a start whose last Newton step
+# gained less than that spread kept halving it, and 2 of 300 stress fits ran
+# to the iteration cap.
+_ROUNDING = 16.0
 
 
 @dataclass(frozen=True)
@@ -79,9 +98,9 @@ class SplitResult:
 class FitResult:
     """Fitted model, its log-likelihood, the winning restart, and a convergence record.
 
-    `converged` is true when every start stopped on the optimizer's own
-    convergence test; `nit` and `nfev` are iterations and objective
-    evaluations summed over all starts.
+    `converged` is true when every start stopped on the gradient test; `nit`
+    and `nfev` are Newton steps and objective evaluations (each with its
+    gradient and Hessian) summed over all starts.
     """
 
     model: MixtureModel
@@ -141,83 +160,246 @@ def init_params(train, k: int) -> MixtureModel:
 
 
 def _unpack(theta: np.ndarray, k: int, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    logits = np.concatenate([theta[: k - 1], [0.0]])
-    logits = np.clip(logits, -_LOGIT_CLIP, _LOGIT_CLIP)
-    weights = np.exp(logits - logits.max())
-    weights /= weights.sum()
-    locations = theta[k - 1 : 2 * k - 1]
-    scales = np.maximum(np.exp(np.clip(theta[2 * k - 1 :], -_LOG_SCALE_CLIP, _LOG_SCALE_CLIP)), floor)
+    """Weights, locations and scales of one parameter vector or of each row of a stack."""
+    logits = np.zeros((*theta.shape[:-1], k))
+    np.minimum(theta[..., : k - 1], _LOGIT_CLIP, out=logits[..., : k - 1])
+    np.maximum(logits, -_LOGIT_CLIP, out=logits)
+    logits -= logits.max(axis=-1, keepdims=True)
+    weights = np.exp(logits)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    locations = theta[..., k - 1 : 2 * k - 1]
+    # below -_LOG_SCALE_CLIP the scale is at the floor anyway
+    scales = np.exp(np.minimum(theta[..., 2 * k - 1 :], _LOG_SCALE_CLIP))
+    np.maximum(scales, floor, out=scales)
     return weights, locations, scales
 
 
 class _Workspace:
-    """Buffers for `_neg_loglik` on one k-by-n problem, allocated once per fit.
+    """Buffers for `_neg_loglik` on up to `s` starts of one k-by-n problem, allocated once per fit.
 
     Fresh k-by-n temporaries on every call cost more than the arithmetic at
     large n: past glibc's mmap threshold each one is mapped and unmapped
     again.  A `tailratio fit` of 20,000 scores took about 24,000 minor page
     faults (some 330 per evaluation) with them, and about 1,000 with this.
+    `point_grad` holds each point's gradient of log p, one row per parameter,
+    with the location rows times the scale.
     """
 
-    def __init__(self, k: int, n: int) -> None:
-        self.z, self.az, self.u, self.lp, self.th, self.scratch = np.empty((6, k, n))
-        self.m, self.total, self.log_total = np.empty((3, n))
+    def __init__(self, s: int, k: int, n: int) -> None:
+        self.z, self.lp, self.scratch = np.empty((3, s, k, n))
+        self.point_grad = np.empty((s, 3 * k - 1, n))
+        self.m, self.total = np.empty((2, s, n))
+
+
+@lru_cache
+def _curvature_index(k: int) -> np.ndarray:
+    """Flat Hessian positions of the blocks `_neg_loglik` subtracts, in the order it lists them."""
+    size = 3 * k - 1
+    logit, loc, log_scale = np.arange(k - 1), np.arange(k - 1, 2 * k - 1), np.arange(2 * k - 1, size)
+
+    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return (rows[:, None] * size + cols).ravel()
+
+    index = np.concatenate([
+        block(logit, logit), block(logit, loc), block(loc, logit), block(logit, log_scale),
+        block(log_scale, logit), loc * size + loc, loc * size + log_scale, log_scale * size + loc,
+        log_scale * size + log_scale,
+    ])
+    index.flags.writeable = False  # shared by every call through the cache
+    return index
 
 
 def _neg_loglik(
-    theta: np.ndarray, xs: np.ndarray, k: int, floor: float, work: _Workspace
-) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood and its gradient in the unconstrained parameters.
+    thetas: np.ndarray, xs: np.ndarray, k: int, floor: float, work: _Workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Negative log-likelihood, its gradient and its Hessian at each row of `thetas`.
 
-    With z = (x - mu) / s and responsibilities r = softmax over components of
-    log w + log f: d/dmu = -sum r tanh(z/2) / s, d/dlog s = -sum r (z tanh(z/2) - 1)
-    and d/dlogit = -(sum r - n w).  Where a clip or the scale floor binds, the
-    objective is flat in that coordinate and its gradient is 0.  Every k-by-n
-    and n-sized intermediate lives in `work`, which must match k and xs.size.
+    With z = (x - mu) / s, t = tanh(z/2) and responsibilities r = softmax
+    over components of log w + log f, the per-point gradient of log p is
+    r - w in the logits, r t / s in mu and r (z t - 1) in log s; the
+    gradient is minus its sum over points.  The Hessian is the sum over
+    points of that gradient's outer product, minus the responsibility-weighted
+    curvature of each component: with e = 1.5 t^2 - 0.5 its own block is
+    sum r e / s^2, (sum r e z - 2 sum r t) / s and sum r - 3 sum r z t +
+    sum r e z^2, and the logit blocks follow from the softmax.  Where a clip
+    or the scale floor binds, the objective is flat in that coordinate and
+    its gradient, Hessian row and Hessian column are 0.  Every k-by-n and
+    n-sized intermediate lives in `work`, which must match k and xs.size
+    and hold at least len(thetas) starts.  Each row's numbers are the same
+    bits whichever other rows share the call.
     """
-    # Hot path: about 25 calls per start.  Arrays are k-by-n so that every
-    # reduction runs over contiguous rows or across whole rows; an n-by-k
-    # layout makes the per-point max and sums several times slower.
-    weights, locations, scales = _unpack(theta, k, floor)
-    z, az, u, lp, th, scratch = work.z, work.az, work.u, work.lp, work.th, work.scratch
-    np.subtract(xs, locations[:, None], out=z)
-    z /= scales[:, None]
-    np.abs(z, out=az)
-    np.exp(np.negative(az, out=scratch), out=u)
+    # Arrays are starts-by-k-by-n so that every reduction runs over
+    # contiguous rows or across whole rows.  Sums of products go through
+    # einsum, which runs in this thread, not through a threaded BLAS.
+    a, n = thetas.shape[0], xs.size
+    weights, locations, scales = _unpack(thetas, k, floor)
+    z, lp, scratch, point_grad = work.z[:a], work.lp[:a], work.scratch[:a], work.point_grad[:a]
+    m, total = work.m[:a], work.total[:a]
+    g_logit, g_loc, g_log_scale = point_grad[:, : k - 1], point_grad[:, k - 1 : 2 * k - 1], point_grad[:, 2 * k - 1 :]
+    np.subtract(xs, locations[..., None], out=z)
+    z /= scales[..., None]
+    az = np.abs(z, out=g_log_scale)
+    u = np.exp(np.negative(az, out=scratch), out=g_loc)
     # lp = log w + log f = log w - log s - |z| - 2 log1p(e^-|z|), exact in both tails
     np.log1p(u, out=lp)
     lp *= -2.0
     lp -= az
-    lp += (np.log(weights) - np.log(scales))[:, None]
-    m = np.max(lp, axis=0, out=work.m)
-    lp -= m
+    lp += np.log(weights / scales)[..., None]
+    np.max(lp, axis=1, out=m)
+    lp -= m[:, None]
     np.exp(lp, out=lp)
-    total = np.sum(lp, axis=0, out=work.total)
-    f = -float(m.sum() + np.log(total, out=work.log_total).sum())
+    np.sum(lp, axis=1, out=total)
+    f = m.sum(axis=1)
+    f += np.log(total, out=m).sum(axis=1)
     r = lp
-    r /= total
-    # tanh(|z|/2) = (1 - e^-|z|) / (1 + e^-|z|), then r * tanh(|z|/2) in place
-    np.subtract(1.0, u, out=th)
+    r /= total[:, None]
+    # tanh(|z|/2) = (1 - e^-|z|) / (1 + e^-|z|)
+    th = np.subtract(1.0, u, out=g_log_scale)
     u += 1.0
     th /= u
-    th *= r
-    r_sum = r.sum(axis=1)
-    g_logit = xs.size * weights[:-1] - r_sum[:-1]
-    g_logit[np.abs(theta[: k - 1]) > _LOGIT_CLIP] = 0.0
-    g_loc = -np.copysign(th, z, out=scratch).sum(axis=1) / scales
-    g_log_scale = r_sum - np.multiply(th, az, out=scratch).sum(axis=1)
-    log_scales = theta[2 * k - 1 :]
-    g_log_scale[(log_scales <= np.log(floor)) | (log_scales > _LOG_SCALE_CLIP)] = 0.0
-    return f, np.concatenate([g_logit, g_loc, g_log_scale])
+    re = np.square(th, out=scratch)
+    re *= 1.5
+    re -= 0.5
+    re *= r
+    rt = np.multiply(r, np.copysign(th, z, out=th), out=g_loc)
+    rzt = np.multiply(rt, z, out=g_log_scale)
+    rzt -= r
+    np.subtract(r[:, : k - 1], weights[:, : k - 1, None], out=g_logit)
+    sums = point_grad.sum(axis=2)  # sum r - n w, sum r t and sum r (z t - 1)
+    re_sum = re.sum(axis=2)
+    rez_sum = np.einsum("skn,skn->sk", re, z)
+    re *= z
+    rez2_sum = np.einsum("skn,skn->sk", re, z)
+
+    unit = np.ones_like(sums)
+    unit[:, k - 1 : 2 * k - 1] = 1.0 / scales
+    grad = -sums * unit
+    # one start at a time: past 8,192 points a batched einsum splits each row
+    # where the batch's flattened buffer does, so its bits would depend on the batch
+    hess = np.array([np.einsum("pn,qn->pq", g, g) for g in point_grad])
+    hess *= unit[:, :, None] * unit[:, None, :]
+    # minus the responsibility-weighted curvature, block by block
+    w = weights[:, :-1]
+    r_logit = sums[:, : k - 1] + n * w
+    r_sum = np.concatenate([r_logit, n - r_logit.sum(axis=1, keepdims=True)], axis=1)
+    rt_sum, rzt1_sum = sums[:, k - 1 : 2 * k - 1], sums[:, 2 * k - 1 :]
+    logit_logit = (n * w - r_logit)[:, :, None] * w[:, None, :]
+    logit_logit += logit_logit.transpose(0, 2, 1)
+    logit_logit += np.eye(k - 1) * (r_logit - n * w)[:, None, :]
+    own = np.eye(k)[:-1] - w[:, :, None]  # d log w_j / d logit_i
+    logit_loc = own * (rt_sum / scales)[:, None, :]
+    logit_log_scale = own * rzt1_sum[:, None, :]
+    loc_log_scale = (rez_sum - 2.0 * rt_sum) / scales
+    curvature = np.concatenate([
+        logit_logit.reshape(a, -1), logit_loc.reshape(a, -1), logit_loc.transpose(0, 2, 1).reshape(a, -1),
+        logit_log_scale.reshape(a, -1), logit_log_scale.transpose(0, 2, 1).reshape(a, -1),
+        re_sum / scales**2, loc_log_scale, loc_log_scale, rez2_sum - 3.0 * rzt1_sum - 2.0 * r_sum,
+    ], axis=1)
+    hess.reshape(a, -1)[:, _curvature_index(k)] -= curvature
+
+    log_scales = thetas[:, 2 * k - 1 :]
+    free = np.ones_like(grad)
+    free[:, : k - 1] = np.abs(thetas[:, : k - 1]) <= _LOGIT_CLIP
+    free[:, 2 * k - 1 :] = (log_scales > np.log(floor)) & (log_scales <= _LOG_SCALE_CLIP)
+    grad *= free
+    hess *= free[:, :, None] * free[:, None, :]
+    return -f, grad, hess
+
+
+@dataclass(frozen=True, eq=False)
+class Minimum:
+    """Where each start of one `minimize` call stopped, with totals over its starts.
+
+    `converged` marks the starts that stopped on the gradient test; `nit`
+    counts Newton steps and `nfev` objective evaluations (each with its
+    gradient and Hessian), both summed over starts.
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    converged: np.ndarray
+    nit: int
+    nfev: int
+
+    @property
+    def success(self) -> bool:
+        """True when every start converged."""
+        return bool(self.converged.all())
+
+
+def _newton_steps(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modified-Newton direction per start, and its slope grad . step.
+
+    The Hessian's eigenvalues are replaced by their absolute values, floored
+    at _EIG_FLOOR of the largest, so the direction descends where the
+    Hessian is indefinite; the step is then shortened to at most _MAX_STEP
+    in any coordinate.
+    """
+    lam, vec = np.linalg.eigh(hess)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True))
+    step = -np.einsum("spq,sq->sp", vec, np.einsum("spq,sp->sq", vec, grad) / lam)
+    step *= np.minimum(1.0, _MAX_STEP / np.abs(step).max(axis=1))[:, None]
+    return step, np.einsum("sp,sp->s", grad, step)
+
+
+def minimize(thetas: np.ndarray, xs: np.ndarray, k: int, floor: float, maxiter: int = _MAX_ITER) -> Minimum:
+    """Damped Newton from each row of `thetas` on the negative log-likelihood of sorted `xs`.
+
+    All starts step together as one batch, and each is the same bits alone
+    or in any batch.  A start takes the modified-Newton step of
+    `_newton_steps`, halved until it meets the Armijo condition (sufficient
+    decrease _ARMIJO, up to the objective's rounding), and stops once the
+    largest gradient entry is at most _TOL * max(1, |f0|), f0 its objective
+    at the start.  It fails if it takes `maxiter` steps first, or if
+    _MAX_HALVINGS halvings find no decrease.
+    """
+    x = np.array(thetas, dtype=float)
+    starts = x.shape[0]
+    work = _Workspace(starts, k, xs.size)
+    f, grad, hess = _neg_loglik(x, xs, k, floor, work)
+    gtol = _TOL * np.maximum(1.0, np.abs(f))
+    converged = np.abs(grad).max(axis=1) <= gtol
+    active = ~converged & np.isfinite(f) & np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2))
+    step, slope = np.zeros_like(x), np.zeros(starts)
+    step[active], slope[active] = _newton_steps(grad[active], hess[active])
+    alpha, iters = np.ones(starts), np.zeros(starts, dtype=int)
+    nfev = starts
+    while active.any():
+        idx = np.flatnonzero(active)
+        trial = x[idx] + alpha[idx, None] * step[idx]
+        f_t, grad_t, hess_t = _neg_loglik(trial, xs, k, floor, work)
+        nfev += idx.size
+        rounding = _ROUNDING * np.finfo(float).eps * (xs.size + np.abs(f[idx]))
+        ok = f_t <= f[idx] + _ARMIJO * alpha[idx] * slope[idx] + rounding
+        moved = idx[ok]
+        x[moved], f[moved], grad[moved] = trial[ok], f_t[ok], grad_t[ok]
+        iters[moved] += 1
+        done = np.abs(grad[moved]).max(axis=1) <= gtol[moved]
+        converged[moved[done]] = True
+        stop = done | (iters[moved] >= maxiter)
+        active[moved[stop]] = False
+        going = moved[~stop]
+        step[going], slope[going] = _newton_steps(grad[going], hess_t[ok][~stop])
+        alpha[going] = 1.0
+        short = idx[~ok]
+        alpha[short] *= 0.5
+        active[short[alpha[short] < 0.5**_MAX_HALVINGS]] = False
+    return Minimum(x, f, converged, int(iters.sum()), nfev)
 
 
 def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
-    """Fit a k-component logistic mixture by L-BFGS-B over several starts.
+    """Fit a k-component logistic mixture by damped Newton over several starts.
 
     The starts run on the standardized sample (see the module docstring).
     Restart 0 runs from the quantile initializer and, for k > 1, from two
     variants of it with the top component moved into the right tail; each
-    further restart runs once from a jittered initializer.  A later start
+    further restart runs once from a jittered initializer.  All starts go to
+    one `minimize` call: each steps along its modified-Newton direction
+    (the Hessian's eigenvalues made positive, the step at most 0.5 in any
+    coordinate), halves the step until the objective falls enough, and
+    stops once its largest gradient entry is at most 1e-8 * max(1, |f0|),
+    f0 its standardized objective at the start.  A later start
     replaces the best so far only if it lowers the negative log-likelihood,
     in data units, by more than 1e-8 * max(1, |f|), so float noise never
     changes the winner.
@@ -244,8 +426,7 @@ def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
     """
     k = cfg.k
     xs = _sorted_sample(train, k)
-    # Standardize once (see the module docstring): a well-scaled problem
-    # takes about a third fewer L-BFGS-B evaluations.
+    # Standardize once (see the module docstring).
     q1, center, q3 = np.quantile(xs, [0.25, 0.5, 0.75])
     unit = float(q3 - q1) or float(xs[-1] - xs[0])
     zs = (xs - center) / unit
@@ -267,47 +448,32 @@ def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
         theta[2 * k - 1 :] += jitter.normal(0.0, 0.25, size=k)
         starts.append((r, theta))
 
-    work = _Workspace(k, zs.size)
-    runs = []  # (restart, OptimizeResult, data-unit objective) per start
-    for r, theta in starts:
-        f0 = _neg_loglik(theta, zs, k, floor, work)[0]
-        res = minimize(
-            _neg_loglik,
-            theta,
-            args=(zs, k, floor, work),
-            method="L-BFGS-B",
-            jac=True,
-            # gtol is relative to the objective's size: at _TOL * n, 1 in 90
-            # starts on 20,000-point samples ended in a line search lost in
-            # float noise.  The relative-reduction test runs at _TOL**2: at
-            # _TOL it stops on slow ridges up to 7e-5 short of the optimum.
-            options=dict(maxiter=_MAX_ITER, ftol=_TOL**2, gtol=_TOL * max(1.0, abs(f0))),
-        )
-        runs.append((r, res, float(res.fun) + shift))
+    res = minimize(np.array([theta for _, theta in starts]), zs, k, floor)
+    fun = res.fun + shift
 
     def data_model(theta: np.ndarray) -> MixtureModel:
         weights, locs, scales = _unpack(theta, k, floor)
         return MixtureModel(weights, center + unit * locs, unit * scales)
 
     best = None
-    for r, res, f in runs:
-        if not (res.success and np.isfinite(f)):
+    for i, f in enumerate(fun.tolist()):
+        if not (res.converged[i] and np.isfinite(f)):
             continue
-        if best is None or f < best[2] - _TOL * max(1.0, abs(best[2])):
-            best = (r, res, f)
+        if best is None or f < best[1] - _TOL * max(1.0, abs(best[1])):
+            best = (i, f)
     if best is None:
-        _, res, f = min(runs, key=lambda run: run[2] if np.isfinite(run[2]) else np.inf)
+        i = int(np.argmin(np.where(np.isfinite(fun), fun, np.inf)))
         raise FitFailureError(
             "no start converged to a finite optimum",
-            best_model=data_model(res.x),
-            best_log_likelihood=-f,
+            best_model=data_model(res.x[i]),
+            best_log_likelihood=-float(fun[i]),
         )
-    best_restart, res, f = best
+    i, f = best
     return FitResult(
-        model=data_model(res.x),
+        model=data_model(res.x[i]),
         log_likelihood=-f,
-        restart=best_restart,
-        converged=all(run.success for _, run, _ in runs),
-        nit=sum(int(run.nit) for _, run, _ in runs),
-        nfev=sum(int(run.nfev) for _, run, _ in runs),
+        restart=starts[i][0],
+        converged=res.success,
+        nit=res.nit,
+        nfev=res.nfev,
     )

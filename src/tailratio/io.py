@@ -193,6 +193,8 @@ class _Table:
 def _read_csv(path: str | Path, columns: Callable[[list[str]], np.dtype]) -> _Table:
     """Read a CSV in one numpy pass: `columns(header)` checks the header and gives the row dtype.
 
+    A DataFormatError that `columns` raises is reported at the header's line.
+
     Blank lines are skipped, and so are leading `# key=value` metadata lines,
     which must precede the header.  Every table read here has a numeric first
     column, so a `#` line after the header fails to parse and is reported as
@@ -207,7 +209,10 @@ def _read_csv(path: str | Path, columns: Callable[[list[str]], np.dtype]) -> _Ta
                 break
         else:
             raise DataFormatError(f"no header found in {path}")
-        dtype = columns(header)
+        try:
+            dtype = columns(header)
+        except DataFormatError as exc:
+            raise DataFormatError(str(exc), line=header_line) from None
         try:
             rows = _parse(filterfalse(_BLANK_LINES.__contains__, fh), dtype)
         except ValueError:
@@ -223,9 +228,7 @@ def _read_csv(path: str | Path, columns: Callable[[list[str]], np.dtype]) -> _Ta
 
 def _score_columns(header: list[str]) -> np.dtype:
     if header not in (_SCORE_HEADER, _SCORE_HEADER_FULL):
-        raise DataFormatError(
-            f"unexpected header {header!r}; want {','.join(_SCORE_HEADER)}[,source_id]", line=1
-        )
+        raise DataFormatError(f"unexpected header {header!r}; want {','.join(_SCORE_HEADER)}[,source_id]")
     return np.dtype([(name, _SCORE_FORMATS[name]) for name in header])
 
 
@@ -250,7 +253,9 @@ def load_scores(path: str | Path) -> ScoreDataset:
     try:
         dataset = ScoreDataset(*columns, source_id)
     except DomainError as exc:
-        raise DataFormatError(f"bad record: {exc}", line=table.line(exc.payload["row"])) from exc
+        row = exc.payload["row"]
+        problem = str(exc).removeprefix(f"row {row}: ")
+        raise DataFormatError(f"bad record: {problem}", line=table.line(row)) from exc
     if table.failure is not None:
         raise table.failure
     return dataset
@@ -328,7 +333,7 @@ def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> 
     """
     def columns(header: list[str]) -> np.dtype:
         if len(header) < 3 or header[:2] != ["feature_count", "pairs"]:
-            raise DataFormatError(f"unexpected header {header!r} in {path}", line=1)
+            raise DataFormatError(f"unexpected header {header!r} in {path}")
         rates = [(f"rate{j}", "f8") for j in range(2, len(header))]
         return np.dtype([("feature_count", "i8"), ("pairs", "i8"), *rates])
 
@@ -338,7 +343,7 @@ def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> 
     try:
         thresholds = tuple(float(h) for h in table.header[2:])
     except ValueError as exc:
-        raise DataFormatError(f"non-numeric threshold column in {path}: {exc}", line=1) from exc
+        raise DataFormatError(f"non-numeric threshold column in {path}: {exc}", line=table.header_line) from exc
     rows = table.rows
     scale = 0.01 if percent else 1.0
     return ThresholdTable(
@@ -353,7 +358,7 @@ def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> 
 def _fixed_columns(header: list[str], formats: Mapping[str, Any], path: str | Path) -> np.dtype:
     """The dtype of a table whose header is exactly `formats`' keys, in order."""
     if header != list(formats):
-        raise DataFormatError(f"unexpected header {header!r} in {path}", line=1)
+        raise DataFormatError(f"unexpected header {header!r} in {path}")
     return np.dtype(list(formats.items()))
 
 

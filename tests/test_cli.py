@@ -400,17 +400,17 @@ def _three_feature_count_scores() -> str:
 # digests.
 OUTPUT_DIGESTS = {
     "gen": "2d8eb4ccc5c50c70cc6e6935f798d6ff33bd443af775602d4c5f952b8388ee29",
-    "sim-toy": "dd8be46546f76be49f4882d3c71c63118340e20981c82eeb9b7b08a86a956084",
-    "sim-pvalues asymptotic": "b2317de1da349715b261f7832e0d4791786122671ee16dbd74237b78027cc1cb",
+    "sim-toy": "51f0e884a80cd68d039d7e89c638dff7d24b1328a1febdf62cdd025cba44a35c",
+    "sim-pvalues asymptotic": "678fc5ed8189bdaff9a606a7b7ff70914e21f987ea49d2bc09a15955ec484940",
     "sim-pvalues bootstrap": "8e3e04b296e6f3659318fd653ca4dc074a1d20e7ae1a78b504e8d3074494032f",
     "thresholds --check": "665edc81cf202c8462c6e39c91495571bee02e32561ac5985de693b1ed52d573",
     "thresholds exclusion": "e14be58a61da1dac66ab2a0bb7d158ca8b983b83cac15b9a2e526199cdb7bf9d",
     "thresholds error": "4e48b323b21ea51c8256636c170cdcdde542b798ffe2b81c3bdba952f77eae35",
-    "fit stdout": "f08aa4375d331e3adcbe865d06d865d68d8beff0b214a04ceecff3c15f4c5b4c",
-    "fit model": "c77d1e941ec33062ad26a91904ca2a6dba7267463966541b4dc92f1c5bbef6ca",
+    "fit stdout": "1b51353855ba8c3ea3cf93599cbe75475f7ed01a1871ba89fca6fdee4c40a336",
+    "fit model": "c290da0aa19fa0d96526c8d32b8aa826dd9255c52755842fa4272a945217a096",
     "eval": "0bb9fe85340e34146f0fc5f08d9841a29dd2eb6cf9685a3c240148f3b29d3f25",
     "eval saturated": "7039c1bf821b2d9a11301dc864681454eea0fb98f38cb7848812d52d85d9488a",
-    "gof bootstrap": "d40f069413ddac77e6e13fe4dacff2aaf28169a49d34d5ccd19e4169e6a2eba5",
+    "gof bootstrap": "8f72ac2aff8cafb06fd52c9979db8db35b5dc87e750795bbb62cd32582069bd3",
     "gof asymptotic": "06cc5e5e614266735d18d3c10c9fb6d010c9f8be70e189eeafa0bef5e1dae86e",
     "report": "580accc6f447c071f4e4ebe3d82b6ebe09633c179be4b3a77409a3ba43207690",
     "report smaller": "cfdf0447a779a9b31933d2767dbf001c069521466b33556d0a58ea59a215b6f1",

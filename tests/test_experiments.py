@@ -337,6 +337,18 @@ class TestToyGaussian:
         lower = (sc.source_mean + s - sc.pop_mean) / sc.total_sd
         np.testing.assert_allclose(_toy_tails(sc, s)[1], ndtr(-lower) - ndtr(-upper), rtol=1e-12)
 
+    @pytest.mark.parametrize("s", [-1e-8, -1e-5, -1e-3])
+    def test_narrow_beta_keeps_its_digits(self, s):
+        # The interval's width enters as itself, not as the difference of its
+        # ends, so a tiny |s| keeps beta's digits.  The reference is the series
+        # 2 h phi(c) (1 + (c^2 - 1) h^2 / 6), whose next term is h^4 smaller;
+        # the ends' difference was off by 1.1e-8 at s = -1e-8.
+        sc = default_toy_scenarios()[1]
+        c = (sc.source_mean - sc.pop_mean) / sc.total_sd
+        h = -s / sc.total_sd
+        series = 2.0 * h * np.exp(-0.5 * c * c) / np.sqrt(2.0 * np.pi) * (1.0 + (c * c - 1.0) * h * h / 6.0)
+        assert _toy_tails(sc, np.array([s]))[1][0] == pytest.approx(series, rel=1e-13, abs=0.0)
+
     def test_sds_checked(self):
         with pytest.raises(DomainError):
             ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=-0.5, source_mean=0.0)

@@ -83,6 +83,21 @@ class TestScoresRoundTrip:
         with pytest.raises(DataFormatError):
             load_scores(path)
 
+    def test_bad_header_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# seed=0\n\nscore,origin,feature_count\n1.0,mated,15\n")
+        with pytest.raises(DataFormatError, match="unexpected header") as exc_info:
+            load_scores(path)
+        assert exc_info.value.line == 3
+
+    def test_bad_record_message_names_no_row_index(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("score,origin,feature_count,pair_id\n1.0,mated,15,p0\n2.0,mated,16,p1\n")
+        with pytest.raises(DataFormatError) as exc_info:
+            load_scores(path)
+        assert str(exc_info.value) == "bad record: feature_count must be an integer in [5, 15], got 16"
+        assert exc_info.value.line == 3
+
     def test_bad_row_reports_line_number(self, tmp_path):
         # one case per row rule; each bad row is followed by a good one and by
         # an unparsable one, so only the first bad line may be reported.  The
@@ -361,6 +376,18 @@ class TestFixtureTables:
         assert fx.observed_count == (35, 14, 3)
         assert fx.observed_total == 2694
         assert fx.observed_per_100k == (1300.0, 519.0, 111.0)
+
+    @pytest.mark.parametrize("load, text, match", [
+        (lambda p: load_threshold_table(p, "x"), "feature_count,rate,1\n5,0.5\n", "unexpected header"),
+        (lambda p: load_threshold_table(p, "x"), "feature_count,pairs,one\n5,10,0.5\n", "non-numeric threshold"),
+        (load_table1_fixture, "cutpoint,count\n0,1\n", "unexpected header"),
+    ], ids=["threshold-header", "threshold-value", "fixed-header"])
+    def test_header_errors_name_the_header_line(self, tmp_path, load, text, match):
+        path = tmp_path / "t.csv"
+        path.write_text("# seed=0\n\n" + text)
+        with pytest.raises(DataFormatError, match=match) as exc_info:
+            load(path)
+        assert exc_info.value.line == 3
 
     def test_summary_fixture(self):
         row = load_table4_summary(packaged_data_path("table4_summary.csv"))
