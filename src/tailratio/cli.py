@@ -234,7 +234,7 @@ def eval_cmd(mated_path, nonmated_path, score, out):
     )
 
 
-# Each statistic with its closed-form p-value, in bootstrap channel order.
+# Each statistic with its closed-form p-value, in output order.
 _CLOSED_FORMS = {"KS": (ks_statistic, asymptotic_ks_pvalue), "AD": (ad_statistic, asymptotic_ad_pvalue)}
 
 
@@ -243,7 +243,8 @@ _CLOSED_FORMS = {"KS": (ks_statistic, asymptotic_ks_pvalue), "AD": (ad_statistic
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--origin", type=click.Choice(["mated", "nonmated"]), default="nonmated", show_default=True)
 @click.option("--feature-count", type=int, default=None)
-@click.option("--p-method", type=click.Choice(_P_METHODS), default="bootstrap", show_default=True)
+@click.option("--p-method", type=click.Choice(_P_METHODS), default="asymptotic", show_default=True,
+              help="closed forms, or a bootstrap that refits the model to every draw.")
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_SEED_OPTION
@@ -253,11 +254,13 @@ def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_
     dataset = load_scores(scores_path)
     sample = dataset.scores(origin=origin, feature_count=feature_count)
     model = load_model(model_path).model
-    outcomes = []
-    for channel, (kind, (stat_fn, p_fn)) in enumerate(_CLOSED_FORMS.items()):
-        if p_method == "bootstrap":
-            outcomes.append(bootstrap_pvalue(sample, model, kind, bootstrap_b, (seed, channel)))
-        else:
+    if p_method == "bootstrap":
+        # keyed (seed, 0): its draws sit one level below a study's null draws
+        # (seed, r, RESAMPLE), so the two never share a stream under one seed
+        outcomes = bootstrap_pvalue(sample, model, bootstrap_b, (seed, 0))
+    else:
+        outcomes = []
+        for kind, (stat_fn, p_fn) in _CLOSED_FORMS.items():
             stat = stat_fn(sample, model)
             outcomes.append(GofOutcome(kind, stat, p_fn(stat, len(sample)), p_method))
     config = dict(subcommand="gof", scores=str(scores_path), model=str(model_path), origin=origin,
@@ -320,7 +323,7 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option("--restarts", type=int, default=1, show_default=True)
 @click.option("--p-method", type=click.Choice(_P_METHODS), default="asymptotic", show_default=True,
-              help="p-value method for both statistics.")
+              help="p-value method for the held-out panels; the null panels always use the closed forms.")
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))

@@ -297,12 +297,13 @@ class PValueStudyResult:
             object.__setattr__(self, name, panel)
 
 
-def _pvalue(kind: str, method: str, sample: np.ndarray, model: MixtureModel, seed: Key, B: int) -> float:
-    if method == "bootstrap":
-        return bootstrap_pvalue(sample, model, kind, B, seed).p_value
-    if kind == "KS":
-        return asymptotic_ks_pvalue(ks_statistic(sample, model), len(sample))
-    return asymptotic_ad_pvalue(ad_statistic(sample, model), len(sample))
+def _closed_form_pvalues(sample: np.ndarray, model: MixtureModel) -> tuple[float, float]:
+    """KS and AD p-values of a sample against a fully specified model, from their closed forms."""
+    n = len(sample)
+    return (
+        asymptotic_ks_pvalue(ks_statistic(sample, model), n),
+        asymptotic_ad_pvalue(ad_statistic(sample, model), n),
+    )
 
 
 def pvalue_study(
@@ -324,14 +325,17 @@ def pvalue_study(
     model and compute both p-values again on that null sample.  The four
     panels are returned in replicate order.
 
-    `p_method` selects the p-value method for both statistics: "asymptotic"
-    (the closed-form null law, the default) or "bootstrap" (a parametric
-    bootstrap of size `bootstrap_b`).
+    `p_method` selects the held-out panels' p-values: "asymptotic" (the
+    closed-form null laws, the default) or "bootstrap" (`bootstrap_pvalue`
+    of size `bootstrap_b`, which refits the model to every draw).  The null
+    panels always use the closed forms: the null draw comes from the fully
+    specified model it is scored against, which is the law they describe.
+    A fit that fails, in the replicate or in one of its bootstrap refits,
+    makes the replicate missing.
 
     Replicate r keys its split (*seed, r, SPLIT), its fit restarts under
-    (*seed, r), its null draw (*seed, r, RESAMPLE), and the bootstrap of
-    panel c, in the order above, under (*seed, r, c), so results are
-    identical for any `workers` count.
+    (*seed, r), its null draw (*seed, r, RESAMPLE), and its bootstrap under
+    (*seed, r, 0), so results are identical for any `workers` count.
     """
     arr = np.asarray(data, dtype=float)
     if arr.size < 100:
@@ -348,15 +352,15 @@ def pvalue_study(
         split = split_dataset(arr, fraction, (*seed, rep, SPLIT))
         try:
             model = fit_mixture(split.train, replace(fit_config, seed=(*seed, rep))).model
+            if p_method == "bootstrap":
+                ks, ad = bootstrap_pvalue(split.test, model, bootstrap_b, (*seed, rep, 0))
+                observed = (ks.p_value, ad.p_value)
+            else:
+                observed = _closed_form_pvalues(split.test, model)
         except FitFailureError:
             return None
         null_draw = mixture_sample(model, resample_n, (*seed, rep, RESAMPLE))
-        return (
-            _pvalue("KS", p_method, split.test, model, (*seed, rep, 0), bootstrap_b),
-            _pvalue("AD", p_method, split.test, model, (*seed, rep, 1), bootstrap_b),
-            _pvalue("KS", p_method, null_draw, model, (*seed, rep, 2), bootstrap_b),
-            _pvalue("AD", p_method, null_draw, model, (*seed, rep, 3), bootstrap_b),
-        )
+        return (*observed, *_closed_form_pvalues(null_draw, model))
 
     if workers == 1:
         results = [one_rep(r) for r in range(reps)]

@@ -142,20 +142,23 @@ def _sorted_sample(train, k: int) -> np.ndarray:
     return xs
 
 
-def _initializer(xs: np.ndarray, k: int) -> tuple[np.ndarray, float, float, float]:
-    """Mid-quantile locations, common scale, IQR and scale floor of a sorted sample."""
-    q1, q3 = np.quantile(xs, [0.25, 0.75])
-    iqr = float(q3 - q1)
+def _initializer(xs: np.ndarray, k: int, extra=()) -> tuple[np.ndarray, float, float, float, np.ndarray]:
+    """Mid-quantile locations, common scale, IQR, scale floor and the `extra` quantiles of a sorted sample.
+
+    All the quantiles come from one `np.quantile` call, which gives the same bits as one call each.
+    """
+    mids = [(j - 0.5) / k for j in range(1, k + 1)]
+    q = np.quantile(xs, [0.25, 0.75, *mids, *extra])
+    iqr = float(q[1] - q[0])
     floor = _SCALE_FLOOR_FRAC * float(xs[-1] - xs[0])
-    locations = np.quantile(xs, [(j - 0.5) / k for j in range(1, k + 1)])
     # sd of a unit-scale logistic is pi/sqrt(3); spread the IQR across components
     scale = max(iqr * (np.sqrt(3.0) / np.pi) / k, floor)
-    return locations, scale, iqr, floor
+    return q[2 : 2 + k], scale, iqr, floor, q[2 + k :]
 
 
 def init_params(train, k: int) -> MixtureModel:
     """Initializer: components at the k mid-quantiles, IQR-derived scales, uniform weights."""
-    locations, scale, _, _ = _initializer(_sorted_sample(train, k), k)
+    locations, scale, *_ = _initializer(_sorted_sample(train, k), k)
     return MixtureModel(np.full(k, 1.0 / k), locations, np.full(k, scale))
 
 
@@ -432,13 +435,13 @@ def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
     zs = (xs - center) / unit
     # the data-unit objective is the standardized one plus n log(unit)
     shift = float(zs.size * np.log(unit))
-    locations, scale, iqr, floor = _initializer(zs, k)
+    locations, scale, iqr, floor, tops = _initializer(zs, k, _TOP_START_QUANTILES if k > 1 else ())
     theta0 = np.concatenate([np.zeros(k - 1), locations, np.full(k, np.log(scale))])
 
     starts = [(0, theta0)]
-    for q in _TOP_START_QUANTILES if k > 1 else ():
+    for top in tops:
         theta = theta0.copy()
-        theta[2 * k - 2] = np.quantile(zs, q)
+        theta[2 * k - 2] = top
         starts.append((0, theta))
     for r in range(1, cfg.restarts):
         theta = theta0.copy()

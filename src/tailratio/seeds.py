@@ -22,7 +22,10 @@ Key = Union[int, Sequence[int]]
 SEED_ENV_VAR = "TAILRATIO_SEED"
 
 # The purpose of a stream: the last element of every key path built from a master seed.
-GEN_MATED, GEN_NONMATED, SPLIT, RESTART, RESAMPLE, BOOTSTRAP, TOY_CELL = range(7)
+# Purpose 5 named the retired uniform bootstrap null; it stays unused so the
+# toy cells keep their streams.
+GEN_MATED, GEN_NONMATED, SPLIT, RESTART, RESAMPLE = range(5)
+TOY_CELL = 6
 
 
 def key_path(seed: Key) -> tuple[int, ...]:

@@ -25,10 +25,14 @@ def random_mixture(k: int, params) -> MixtureModel:
     )
 
 
-def fit_failing_on(*reps):
-    """`fit_mixture` that fails on the study replicates `reps` (the last element of the fit's key path)."""
+def fit_failing_on(*reps, at=-1):
+    """`fit_mixture` that fails on the study replicates `reps`: element `at` of the fit's key path.
+
+    A replicate's fit is keyed (*seed, r), so r is its last element; the
+    refits of its bootstrap are keyed (*seed, r, 0, b), which puts r at -3.
+    """
     def fit(train, cfg):
-        if cfg.seed[-1] in reps:
+        if cfg.seed[at] in reps:
             raise FitFailureError("stubbed failure")
         return fit_mixture(train, cfg)
 

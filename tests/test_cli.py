@@ -291,7 +291,8 @@ class TestFitAndGof:
     @pytest.mark.parametrize("p_method", ["asymptotic", "bootstrap"])
     def test_gof_out_writes_the_stdout_bytes(self, runner, workdir, p_method):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
-        args = ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", p_method, "--seed", "2"]
+        args = ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", p_method, "--bootstrap-b", "100",
+                "--seed", "2"]
         stdout = invoke(runner, args).output
         result = invoke(runner, [*args, "--out", "g.json"])
         assert result.exit_code == 0 and result.output == ""
@@ -343,7 +344,7 @@ class TestErrorSurface:
     def test_bootstrap_floor_reported_as_json(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
         result = runner.invoke(main, ["gof", "--scores", "s.csv", "--model", REF_JSON,
-                                      "--bootstrap-b", "50"])
+                                      "--p-method", "bootstrap", "--bootstrap-b", "50"])
         assert result.exit_code == 2
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["code"] == "domain_error"
@@ -402,7 +403,7 @@ OUTPUT_DIGESTS = {
     "gen": "2d8eb4ccc5c50c70cc6e6935f798d6ff33bd443af775602d4c5f952b8388ee29",
     "sim-toy": "51f0e884a80cd68d039d7e89c638dff7d24b1328a1febdf62cdd025cba44a35c",
     "sim-pvalues asymptotic": "678fc5ed8189bdaff9a606a7b7ff70914e21f987ea49d2bc09a15955ec484940",
-    "sim-pvalues bootstrap": "8e3e04b296e6f3659318fd653ca4dc074a1d20e7ae1a78b504e8d3074494032f",
+    "sim-pvalues bootstrap": "2242088b21a88f417b59d5f72b5de1eeaa1b2f475af8b44896ffb1247ae1b9f0",
     "thresholds --check": "665edc81cf202c8462c6e39c91495571bee02e32561ac5985de693b1ed52d573",
     "thresholds exclusion": "e14be58a61da1dac66ab2a0bb7d158ca8b983b83cac15b9a2e526199cdb7bf9d",
     "thresholds error": "4e48b323b21ea51c8256636c170cdcdde542b798ffe2b81c3bdba952f77eae35",
@@ -410,7 +411,7 @@ OUTPUT_DIGESTS = {
     "fit model": "c290da0aa19fa0d96526c8d32b8aa826dd9255c52755842fa4272a945217a096",
     "eval": "0bb9fe85340e34146f0fc5f08d9841a29dd2eb6cf9685a3c240148f3b29d3f25",
     "eval saturated": "7039c1bf821b2d9a11301dc864681454eea0fb98f38cb7848812d52d85d9488a",
-    "gof bootstrap": "8f72ac2aff8cafb06fd52c9979db8db35b5dc87e750795bbb62cd32582069bd3",
+    "gof bootstrap": "ebf14db403769d8d2a6d9c30cca62ecda9dbd3f3a4b6c62db0b1df22b0da6c73",
     "gof asymptotic": "06cc5e5e614266735d18d3c10c9fb6d010c9f8be70e189eeafa0bef5e1dae86e",
     "report": "580accc6f447c071f4e4ebe3d82b6ebe09633c179be4b3a77409a3ba43207690",
     "report smaller": "cfdf0447a779a9b31933d2767dbf001c069521466b33556d0a58ea59a215b6f1",
@@ -459,7 +460,9 @@ def cli_outputs(tmp_path_factory):
             "fit model": read("f.json"),
             "eval": run(["eval", *pair, "--score", "-30"]),
             "eval saturated": run(["eval", *pair, "--score", "50000"]),
-            "gof bootstrap": run(["gof", "--scores", "s.csv", "--model", "f.json", "--seed", "4"]),
+            "gof bootstrap": run(["gof", "--scores", "s.csv", "--model", "f.json", "--p-method", "bootstrap",
+                                  "--bootstrap-b", "100", "--seed", "4"]),
+            "gof default": run(["gof", "--scores", "s.csv", "--model", REF_JSON]),
             "gof asymptotic": run(["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", "asymptotic"]),
             "report": run(["report", *pair, "--score", "0"]),
             "report smaller": run(["report", "--mated", REF_JSON, "--nonmated", MATED_JSON,
@@ -472,3 +475,19 @@ def cli_outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
 def test_output_digest(cli_outputs, name):
     assert hashlib.sha256(cli_outputs[name]).hexdigest() == OUTPUT_DIGESTS[name]
+
+
+def test_gof_defaults_to_the_closed_forms(cli_outputs):
+    assert cli_outputs["gof default"] == cli_outputs["gof asymptotic"]
+
+
+def test_sim_pvalues_bootstrap_keeps_the_closed_form_null_columns(cli_outputs):
+    # the bootstrap refits only for the held-out panels; the meta lines name the method
+    def null_columns(name):
+        rows = [ln for ln in cli_outputs[name].decode().splitlines() if not ln.startswith("#")]
+        return [row.split(",")[3:] for row in rows]
+
+    boot, asym = null_columns("sim-pvalues bootstrap"), null_columns("sim-pvalues asymptotic")
+    assert boot[0] == asym[0] == ["ks_null", "ad_null"]
+    assert boot == asym
+    assert cli_outputs["sim-pvalues bootstrap"] != cli_outputs["sim-pvalues asymptotic"]

@@ -12,8 +12,9 @@ from scipy.special import ndtr
 
 from tailratio import (
     DEFAULT_MATED_MODEL,
-    DEFAULT_STUDY_FIT_CONFIG,
     DomainError,
+    FitConfig,
+    MixtureModel,
     PValueStudyResult,
     REFERENCE_NONMATED_MODEL,
     ScoreDataset,
@@ -150,6 +151,23 @@ class TestTailAudit:
         assert TailAudit.from_counts([0.0], [35.0], 2694).observed_count == (35,)
 
 
+# One-component fits of a one-component logistic sample: the 1,000 refits of a
+# 10-replicate bootstrap study stay cheap, and the family is right, so some
+# held-out p-values sit in the body of the refit null, where they depend on
+# how its draws are keyed (replicate 1 reads KS 0.267, AD 0.119).
+_K1 = FitConfig(k=1, restarts=1)
+
+
+def _logistic_scores():
+    return mixture_sample(MixtureModel([1.0], [0.0], [1.0]), 400, seed=5)
+
+
+@pytest.fixture(scope="module")
+def bootstrap_study():
+    return pvalue_study(_logistic_scores(), reps=10, fit_config=_K1, p_method="bootstrap", bootstrap_b=100,
+                        seed=0)
+
+
 class TestPValueStudy:
     def test_worker_invariance_and_determinism(self):
         data = generate_synthetic(SynthConfig(seed=0)).scores(origin="nonmated")
@@ -175,24 +193,31 @@ class TestPValueStudy:
 
     # None is the default, which is the closed form
     @pytest.mark.parametrize("method", [None, "asymptotic", "bootstrap"])
-    def test_panels_use_the_chosen_methods(self, method):
-        # replicate 0 rebuilt by hand: its split, its fit, its null draw, and
-        # the bootstrap of panel c keyed (seed, 0, c)
-        data = generate_synthetic(SynthConfig(seed=0)).scores(origin="nonmated")
-        chosen = {} if method is None else {"p_method": method}
-        study = pvalue_study(data, reps=10, seed=0, bootstrap_b=100, **chosen)
-        split = split_dataset(data, 0.75, (0, 0, SPLIT))
-        model = fit_mixture(split.train, replace(DEFAULT_STUDY_FIT_CONFIG, seed=(0, 0))).model
-        null_draw = mixture_sample(model, 1500, (0, 0, RESAMPLE))
-        for c, (panel, sample) in enumerate(zip(_PANELS, (split.test, split.test, null_draw, null_draw))):
-            kind = ("KS", "AD")[c % 2]
+    def test_panels_use_the_chosen_methods(self, method, bootstrap_study):
+        # replicates 0 and 1 rebuilt by hand: the split, the fit, the null
+        # draw, the held-out panels' bootstrap keyed (seed, r, 0), and the
+        # null panels' closed forms, which every method uses
+        data = _logistic_scores()
+        if method == "bootstrap":
+            study = bootstrap_study
+        else:
+            chosen = {} if method is None else {"p_method": method}
+            study = pvalue_study(data, reps=10, fit_config=_K1, seed=0, bootstrap_b=100, **chosen)
+        for rep in (0, 1):
+            split = split_dataset(data, 0.75, (0, rep, SPLIT))
+            model = fit_mixture(split.train, replace(_K1, seed=(0, rep))).model
+            null_draw = mixture_sample(model, 1500, (0, rep, RESAMPLE))
+
+            def closed_forms(sample):
+                return (asymptotic_ks_pvalue(ks_statistic(sample, model), sample.size),
+                        asymptotic_ad_pvalue(ad_statistic(sample, model), sample.size))
+
             if method == "bootstrap":
-                expected = bootstrap_pvalue(sample, model, kind, 100, (0, 0, c)).p_value
-            elif kind == "KS":
-                expected = asymptotic_ks_pvalue(ks_statistic(sample, model), sample.size)
+                observed = tuple(o.p_value for o in bootstrap_pvalue(split.test, model, 100, (0, rep, 0)))
             else:
-                expected = asymptotic_ad_pvalue(ad_statistic(sample, model), sample.size)
-            assert getattr(study, panel)[0] == expected, panel
+                observed = closed_forms(split.test)
+            expected = (*observed, *closed_forms(null_draw))
+            assert tuple(getattr(study, panel)[rep] for panel in _PANELS) == expected, rep
 
     def test_failed_fits_are_missing_and_leave_the_rest(self, monkeypatch):
         data = generate_synthetic(SynthConfig(seed=0)).scores(origin="nonmated")
@@ -203,6 +228,15 @@ class TestPValueStudy:
         kept = [r for r in range(10) if r not in (2, 5)]
         for panel in _PANELS:
             assert np.array_equal(getattr(study, panel), getattr(full, panel)[kept]), panel
+
+    def test_failed_bootstrap_refit_makes_its_replicate_missing(self, monkeypatch, bootstrap_study):
+        monkeypatch.setattr("tailratio.gof.fit_mixture", fit_failing_on(2, 5, at=-3))
+        study = pvalue_study(_logistic_scores(), reps=10, fit_config=_K1, p_method="bootstrap", bootstrap_b=100,
+                             seed=0)
+        assert study.missing == (2, 5)
+        kept = [r for r in range(10) if r not in (2, 5)]
+        for panel in _PANELS:
+            assert np.array_equal(getattr(study, panel), getattr(bootstrap_study, panel)[kept]), panel
 
     def test_result_panels_checked(self):
         ok = PValueStudyResult((0.5, 1.0), [0.0, 0.25], np.ones(2), np.zeros(2), reps=3, missing=(1,))

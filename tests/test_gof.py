@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp, kstwo
+from scipy.stats import kstwo
 
 from tailratio import (
     DomainError,
@@ -29,8 +29,8 @@ from tailratio import (
     substream,
 )
 from tailratio.dist import _scores_from_uniforms
-from tailratio.gof import _cdf_statistics, _statistics
-from tailratio.seeds import BOOTSTRAP, RESAMPLE
+from tailratio.gof import _statistics
+from tailratio.seeds import RESAMPLE
 
 REF = REFERENCE_NONMATED_MODEL
 SINGLE = MixtureModel([1.0], [0.0], [1.0])
@@ -38,15 +38,18 @@ TRIPLE = MixtureModel([0.5, 0.3, 0.2], [-5.0, 0.0, 4.0], [1.0, 2.0, 0.5])
 
 
 def _loop_formula(kind, F, S=None):
-    """The one-sample KS or AD formula, written out on sorted 1-D cdf values
-    and, for AD, their survival values (1 - F where none are given)."""
-    n = F.size
+    """The one-sample KS or AD formula, written out on sorted cdf values in
+    the last axis and, for AD, their survival values (1 - F where none are
+    given); a float for one sample, an array for rows of them."""
+    n = F.shape[-1]
     i = np.arange(1, n + 1)
     if kind == "KS":
-        return float(np.max(np.maximum(i / n - F, F - (i - 1) / n)))
-    F = np.clip(F, 1e-12, 1.0 - 1e-12)
-    S = 1.0 - F if S is None else np.clip(S, 1e-12, 1.0 - 1e-12)
-    return float(-n - np.mean((2 * i - 1) * (np.log(F) + np.log(S[::-1]))))
+        stat = np.max(np.maximum(i / n - F, F - (i - 1) / n), axis=-1)
+    else:
+        F = np.clip(F, 1e-12, 1.0 - 1e-12)
+        S = 1.0 - F if S is None else np.clip(S, 1e-12, 1.0 - 1e-12)
+        stat = -n - np.mean((2 * i - 1) * (np.log(F) + np.log(S[..., ::-1])), axis=-1)
+    return float(stat) if stat.ndim == 0 else stat
 
 
 def _loop_statistic(kind, sample, model):
@@ -55,28 +58,27 @@ def _loop_statistic(kind, sample, model):
     return _loop_formula(kind, mixture_cdf(model, xs), mixture_sf(model, xs))
 
 
-def _loop_bootstrap(sample, model, kind, B, seed, refit=False):
-    """(statistic, p-value) from one null row per replicate, as a plain loop.
+def _loop_bootstrap(sample, model, B, seed):
+    """(statistic, p-value) of KS and of AD, from one refit per draw, as a plain loop.
 
-    Without a refit, row b is the next n uniforms of the one substream keyed
-    (seed, BOOTSTRAP), sorted; with one, replicate b maps 2n uniforms of
-    substream (seed, b, RESAMPLE) to scores, refits a model of the same
-    component count with restarts keyed under (seed, b), and is scored
-    against its own refit.
+    Draw b maps 2n uniforms of substream (seed, b, RESAMPLE) to scores,
+    refits a model of the same component count with restarts keyed under
+    (seed, b), and is scored against its own refit.
     """
-    observed = _loop_statistic(kind, sample, model)
+    kinds = ("KS", "AD")
+    observed = [_loop_statistic(kind, sample, model) for kind in kinds]
     n = len(sample)
-    rng = substream(seed, BOOTSTRAP)
-    count = 0
+    counts = [0, 0]
     for b in range(B):
-        if not refit:
-            stat = _loop_formula(kind, np.sort(rng.random(n)))
-        else:
-            draw = _scores_from_uniforms(model, substream(seed, b, RESAMPLE).random(2 * n))
-            model_b = fit_mixture(draw, FitConfig(k=model.k, restarts=1, seed=(seed, b))).model
-            stat = _loop_statistic(kind, draw, model_b)
-        count += stat >= observed
-    return observed, (1 + count) / (B + 1)
+        draw = _scores_from_uniforms(model, substream(seed, b, RESAMPLE).random(2 * n))
+        model_b = fit_mixture(draw, FitConfig(k=model.k, restarts=1, seed=(seed, b))).model
+        for j, kind in enumerate(kinds):
+            counts[j] += _loop_statistic(kind, draw, model_b) >= observed[j]
+    return [(stat, (1 + count) / (B + 1)) for stat, count in zip(observed, counts)]
+
+
+def _pairs(outcomes):
+    return [(o.statistic, o.p_value) for o in outcomes]
 
 
 class TestEmpirical:
@@ -91,8 +93,9 @@ class TestEmpirical:
             for arg in (sample, shuffled, shuffled.tolist(), tuple(shuffled[::-1])):
                 stat = ks_statistic(arg, TRIPLE) if kind == "KS" else ad_statistic(arg, TRIPLE)
                 assert stat == sorted_stat, kind
-                out = bootstrap_pvalue(arg, TRIPLE, kind, 100, seed=3)
-                assert (out.statistic, out.p_value) == _loop_bootstrap(sample, TRIPLE, kind, 100, 3), kind
+        # a three-component refit per draw; the bootstrap reads a reversed shuffle
+        outcomes = bootstrap_pvalue(tuple(shuffled[::-1]), TRIPLE, 100, seed=3)
+        assert _pairs(outcomes) == _loop_bootstrap(sample, TRIPLE, 100, 3)
 
     def test_rejects_empty_and_nonfinite(self):
         for bad in ([], [1.0, np.nan], [np.inf, 0.0], [0.0, -np.inf]):
@@ -100,9 +103,8 @@ class TestEmpirical:
                 ks_statistic(bad, REF)
             with pytest.raises(DomainError):
                 ad_statistic(bad, REF)
-            for kind in ("KS", "AD"):
-                with pytest.raises(DomainError):
-                    bootstrap_pvalue(bad, REF, kind, 100, seed=0)
+            with pytest.raises(DomainError):
+                bootstrap_pvalue(bad, REF, 100, seed=0)
 
 
 class TestKS:
@@ -174,10 +176,10 @@ class TestAD:
         rng = substream(41, 20)
         base = _scores_from_uniforms(REF, rng.random(2 * 1480))
         contaminated = np.concatenate([base, rng.logistic(45.0, 25.0, size=20)])
-        ks_p = bootstrap_pvalue(contaminated, REF, "KS", 199, seed=0).p_value
-        ad_p = bootstrap_pvalue(contaminated, REF, "AD", 199, seed=0).p_value
-        assert ks_p == pytest.approx(0.2)
-        assert ad_p == pytest.approx(0.015)
+        ks_p = asymptotic_ks_pvalue(ks_statistic(contaminated, REF), contaminated.size)
+        ad_p = asymptotic_ad_pvalue(ad_statistic(contaminated, REF), contaminated.size)
+        assert ks_p == pytest.approx(0.19873, rel=1e-4)
+        assert ad_p == pytest.approx(0.0075331, rel=1e-4)
         assert ad_p < ks_p / 10
 
 
@@ -224,7 +226,7 @@ class TestADClosedForm:
         rng = substream(2004, n)
         block = 2**20 // n
         stats = np.concatenate([
-            _cdf_statistics("AD", np.sort(rng.random((min(block, rows - start), n)), axis=-1))
+            _loop_formula("AD", np.sort(rng.random((min(block, rows - start), n)), axis=-1))
             for start in range(0, rows, block)
         ])
         for p in (0.5, 0.1, 0.05, 0.01):
@@ -253,11 +255,22 @@ class TestADClosedForm:
     @pytest.mark.parametrize("n", [1, 500, 1500])
     def test_clamped_statistic_reaches_the_floor(self, n):
         # every point at the cdf clamp: a statistic of about 27 n, far out in the tail
-        clamped = float(_cdf_statistics("AD", np.ones(n)))
+        clamped = _loop_formula("AD", np.ones(n))
         p = asymptotic_ad_pvalue(clamped, n)
         assert math.isfinite(p) and p >= 0.0
         assert p == pytest.approx(6e-4 / n, rel=1e-9)
         assert asymptotic_ad_pvalue(0.0, n) == 1.0
+
+    def test_null_rejection_rate_near_level(self):
+        # drawn-from-model samples should be rejected at about the nominal
+        # level; this reads 17 of 300 (0.057)
+        trials, level, n = 300, 0.05, 150
+        rejections = 0
+        for t in range(trials):
+            draws = mixture_sample(SINGLE, n, seed=[97, t])
+            rejections += asymptotic_ad_pvalue(ad_statistic(draws, SINGLE), n) < level
+        rate = rejections / trials
+        assert 0.02 <= rate <= 0.09
 
     def test_domain(self):
         for a in (-1e-9, math.nan, math.inf):
@@ -282,74 +295,43 @@ class TestBootstrap:
     def test_minimum_size_enforced(self):
         draws = mixture_sample(REF, 200, seed=19)
         with pytest.raises(DomainError):
-            bootstrap_pvalue(draws, REF, "KS", 99, seed=0)
+            bootstrap_pvalue(draws, REF, 99, seed=0)
 
     def test_deterministic_and_add_one_bounded(self):
         draws = mixture_sample(REF, 300, seed=23)
-        a = bootstrap_pvalue(draws, REF, "AD", 199, seed=5)
-        b = bootstrap_pvalue(draws, REF, "AD", 199, seed=5)
-        assert a.p_value == b.p_value
-        assert a.p_value >= 1.0 / 200.0
-        assert a.p_method == "bootstrap(B=199, seed=[5])"
+        a = bootstrap_pvalue(draws, REF, 100, seed=5)
+        b = bootstrap_pvalue(draws, REF, 100, seed=5)
+        assert a == b
+        for outcome, kind in zip(a, ("KS", "AD")):
+            assert outcome.statistic_kind == kind
+            assert outcome.p_value >= 1.0 / 101.0
+            assert outcome.p_method == "refit-bootstrap(B=100, seed=[5])"
 
     def test_detects_wrong_model(self):
+        # one component fitted to two-component draws is rejected at the
+        # floor; two components fit (KS 0.76, AD 0.54)
         draws = mixture_sample(REF, 1000, seed=29)
-        wrong = MixtureModel([0.8, 0.2], [-80.0, -55.0], [5.625, 10.9375])
-        assert bootstrap_pvalue(draws, wrong, "AD", 199, seed=0).p_value < 0.02
-        assert bootstrap_pvalue(draws, REF, "AD", 199, seed=0).p_value > 0.05
+        one, two = (fit_mixture(draws, FitConfig(k=k, restarts=1)).model for k in (1, 2))
+        assert bootstrap_pvalue(draws, one, 100, seed=0)[1].p_value < 0.02
+        assert bootstrap_pvalue(draws, two, 100, seed=0)[1].p_value > 0.05
 
     def test_refit_variant_runs_and_differs(self):
+        # the closed form ignores that the location was estimated; the refit does not
         rng = np.random.default_rng(31)
         draws = rng.logistic(0.0, 1.0, size=200)
         fitted = MixtureModel([1.0], [float(np.median(draws))], [1.0])
-        plain = bootstrap_pvalue(draws, fitted, "AD", 100, seed=0)
-        refit = bootstrap_pvalue(draws, fitted, "AD", 100, seed=0, refit_within_bootstrap=True)
-        assert 0.0 <= refit.p_value <= 1.0
-        assert refit.p_value != plain.p_value
+        ks, ad = bootstrap_pvalue(draws, fitted, 100, seed=0)
+        assert 0.0 <= ad.p_value <= 1.0
+        assert ad.p_value != asymptotic_ad_pvalue(ad_statistic(draws, fitted), draws.size)
+        assert ks.p_value != asymptotic_ks_pvalue(ks_statistic(draws, fitted), draws.size)
         # the outcome names the null it was drawn from
-        assert plain.p_method == "bootstrap(B=100, seed=[0])"
-        assert refit.p_method == "refit-bootstrap(B=100, seed=[0])"
-
-    # n=1500 packs 10 rows per block, so B=101 leaves a one-row block; past
-    # 2**14 values every block holds a single row
-    @pytest.mark.parametrize("model", [SINGLE, REF, TRIPLE], ids=["k1", "k2", "k3"])
-    @pytest.mark.parametrize("n,B", [
-        (1, 100), (7, 199), (500, 199), (1500, 100), (1500, 101), (1500, 199), (20_000, 100),
-    ])
-    def test_batched_matches_loop_reference(self, model, n, B):
-        sample = mixture_sample(model, n, seed=[53, n])
-        for kind in ("KS", "AD"):
-            out = bootstrap_pvalue(sample, model, kind, B, seed=n + B)
-            assert (out.statistic, out.p_value) == _loop_bootstrap(sample, model, kind, B, n + B), kind
-
-    # the no-refit null is drawn from uniforms; it must have the law of the
-    # statistic on draws from the model, scored against that model
-    @pytest.mark.parametrize("model", [SINGLE, REF, TRIPLE], ids=["k1", "k2", "k3"])
-    @pytest.mark.parametrize("n", [7, 500])
-    def test_uniform_null_has_the_model_draw_law(self, model, n):
-        reps = 2000
-        draws = np.sort(mixture_sample(model, reps * n, seed=[61, n]).reshape(reps, n), axis=-1)
-        uniforms = np.sort(substream(67, n).random((reps, n)), axis=-1)
-        for kind in ("KS", "AD"):
-            p = ks_2samp(_statistics(kind, model, draws), _cdf_statistics(kind, uniforms)).pvalue
-            assert p > 0.001, (kind, p)
+        assert ad.p_method == ks.p_method == "refit-bootstrap(B=100, seed=[0])"
 
     def test_refit_matches_loop_reference(self):
         # against the fitted model the p-values sit in the body of the null
         # (KS 0.406, AD 0.277), so they depend on how the refit draws are keyed
         draws = np.random.default_rng(31).logistic(0.0, 1.3, size=200)
         fitted = fit_mixture(draws, FitConfig(k=1, restarts=1)).model
-        for kind in ("KS", "AD"):
-            out = bootstrap_pvalue(draws, fitted, kind, 100, seed=4, refit_within_bootstrap=True)
-            assert (out.statistic, out.p_value) == _loop_bootstrap(draws, fitted, kind, 100, 4, refit=True), kind
-
-    def test_null_rejection_rate_near_level(self):
-        # drawn-from-model samples should be rejected at about the nominal level
-        trials, level, B = 300, 0.05, 199
-        rejections = 0
-        for t in range(trials):
-            draws = mixture_sample(SINGLE, 150, seed=[97, t])
-            p = bootstrap_pvalue(draws, SINGLE, "AD", B, seed=t).p_value
-            rejections += p < level
-        rate = rejections / trials
-        assert 0.02 <= rate <= 0.09
+        outcomes = bootstrap_pvalue(draws, fitted, 100, seed=4)
+        assert _pairs(outcomes) == _loop_bootstrap(draws, fitted, 100, 4)
+        assert [round(o.p_value, 3) for o in outcomes] == [0.406, 0.277]

@@ -28,7 +28,7 @@ PATHS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6)
 OUT_OF_RANGE = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**32))
 PURPOSES = {
     seeds.GEN_MATED, seeds.GEN_NONMATED, seeds.SPLIT, seeds.RESTART,
-    seeds.RESAMPLE, seeds.BOOTSTRAP, seeds.TOY_CELL,
+    seeds.RESAMPLE, seeds.TOY_CELL,
 }
 
 
@@ -108,17 +108,18 @@ def test_one_seed_keys_every_stream_once(monkeypatch, tmp_path):
     commands = [
         ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400"],
         ["fit", "--scores", "s.csv", "--train-fraction", "0.75", "--restarts", "3", "--out", "f.json"],
-        ["gof", "--scores", "s.csv", "--model", "f.json", "--bootstrap-b", "100"],
+        ["gof", "--scores", "s.csv", "--model", "f.json", "--p-method", "bootstrap", "--bootstrap-b", "100"],
         ["sim-pvalues", "--scores", "s.csv", "--reps", "10", "--resample-n", "200", "--bootstrap-b", "100",
-         "--restarts", "2", "--p-method", "bootstrap", "--out", "pv.csv"],
+         "--k", "1", "--restarts", "2", "--p-method", "bootstrap", "--out", "pv.csv"],
         ["sim-toy", "--reps", "100", "--out", "toy.csv"],
     ]
     for args in commands:
         result = runner.invoke(main, [*args, *seed], catch_exceptions=False)
         assert result.exit_code == 0, result.output
-    # gen 2; fit a split and 2 restarts; gof 2 nulls; sim-pvalues per replicate
-    # a split, 1 restart, a null draw and 4 bootstraps; sim-toy 3 x 2 cells
-    assert len(used) == 2 + 3 + 2 + 10 * 7 + 6
+    # gen 2; fit a split and 2 restarts; gof 100 refit draws; sim-pvalues per
+    # replicate a split, 1 restart, a null draw and 100 refit draws (a refit at
+    # restarts 1 draws no jitter); sim-toy 3 x 2 cells
+    assert len(used) == 2 + 3 + 100 + 10 * 103 + 6
     assert len(set(used)) == len(used)
     assert {key[0] for key in used} == {7}
     assert {key[-1] for key in used} == PURPOSES
