@@ -325,7 +325,8 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
 @click.option("--p-method", type=click.Choice(_P_METHODS), default="asymptotic", show_default=True,
               help="p-value method for the held-out panels; the null panels always use the closed forms.")
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="threads for the per-replicate p-value stage; the fits run first, as one stacked batch.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_SEED_OPTION
 @_wrap_errors

@@ -333,6 +333,10 @@ def pvalue_study(
     A fit that fails, in the replicate or in one of its bootstrap refits,
     makes the replicate missing.
 
+    All replicates' train splits are fitted as one stack (`fit_mixture` on
+    a 2-D array), row r keyed (*seed, r), so the fits take one batched
+    Newton run per chunk of replicates.  The p-value stage then runs per
+    replicate, and `workers` > 1 spreads only that stage over a thread pool.
     Replicate r keys its split (*seed, r, SPLIT), its fit restarts under
     (*seed, r), its null draw (*seed, r, RESAMPLE), and its bootstrap under
     (*seed, r, 0), so results are identical for any `workers` count.
@@ -347,18 +351,22 @@ def pvalue_study(
     if p_method not in _P_METHODS:
         raise DomainError(f"p_method must be one of {_P_METHODS}, got {p_method!r}")
     seed = key_path(seed)
+    splits = [split_dataset(arr, fraction, (*seed, rep, SPLIT)) for rep in range(reps)]
+    fits = fit_mixture(np.array([split.train for split in splits]), replace(fit_config, seed=seed))
 
     def one_rep(rep: int) -> tuple[float, float, float, float] | None:
-        split = split_dataset(arr, fraction, (*seed, rep, SPLIT))
-        try:
-            model = fit_mixture(split.train, replace(fit_config, seed=(*seed, rep))).model
-            if p_method == "bootstrap":
-                ks, ad = bootstrap_pvalue(split.test, model, bootstrap_b, (*seed, rep, 0))
-                observed = (ks.p_value, ad.p_value)
-            else:
-                observed = _closed_form_pvalues(split.test, model)
-        except FitFailureError:
+        test, fit = splits[rep].test, fits[rep]
+        if isinstance(fit, FitFailureError):
             return None
+        model = fit.model
+        if p_method == "bootstrap":
+            try:
+                ks, ad = bootstrap_pvalue(test, model, bootstrap_b, (*seed, rep, 0))
+            except FitFailureError:
+                return None
+            observed = (ks.p_value, ad.p_value)
+        else:
+            observed = _closed_form_pvalues(test, model)
         null_draw = mixture_sample(model, resample_n, (*seed, rep, RESAMPLE))
         return (*observed, *_closed_form_pvalues(null_draw, model))
 

@@ -4,8 +4,10 @@ The optimizer is a damped Newton method with the exact Hessian (Nocedal &
 Wright 2006, *Numerical Optimization*, ch. 3) over an unconstrained
 reparameterization: k-1 weight logits (softmax, last logit pinned to 0),
 locations, and log scales.  All starts of one fit step together as one
-(starts, k, n) problem, and each start is the same bits alone or in a batch.
-It runs in standardized coordinates: the sorted sample is mapped once to
+(starts, k, n) problem, and so do the starts of every sample in a stack of
+equal-size samples, in chunks of whole samples; each start is the same bits
+alone or in any batch, so a sample fits to the same bits alone or stacked.
+Each sample runs in standardized coordinates: it is sorted and mapped once to
 z = (x - median) / IQR (the range when the IQR is 0), so locations are O(1)
 and log scales near 0 whatever the score units, and the winner is mapped
 back (location = median + IQR * z-location, scale = IQR * z-scale,
@@ -14,7 +16,8 @@ affine-equivariant up to rounding and makes a step of fixed size mean the
 same for any scores.  Each fit runs a few deterministic starts from the
 quantile initializer plus one start per extra restart; restarts jitter the
 initializer with an independent substream per restart, keyed
-(*seed, restart, RESTART), so results do not depend on scheduling.
+(*seed, restart, RESTART), where row i of a stack takes (*seed, i) for seed,
+so results do not depend on scheduling or on which samples share a stack.
 """
 from __future__ import annotations
 
@@ -65,6 +68,15 @@ _MAX_HALVINGS = 30
 # gained less than that spread kept halving it, and 2 of 300 stress fits ran
 # to the iteration cap.
 _ROUNDING = 16.0
+# Values (starts times points) one `minimize` call steps together; a stack of
+# samples is fitted in chunks of as many whole samples as fit, and always at
+# least one.  Its workspace takes (6k + 2) * 8 bytes a value, 7.3 MB at k = 2.
+# On `pvalue_study(reps=200)` of criterion 8's data (3 starts of 1,500 points
+# a sample; one core of a 2-core x86_64 host, numpy 2.4.6) a replicate took
+# 5.5-5.6 ms at 2**14, 4.8-5.0 at 2**16, 5.0-5.7 at 2**18 and 5.8-6.4 at
+# 2**20, and the study's traced peak grew from 18.8 MB at 2**16 to 126 MB at
+# 2**20.  Fitting one sample at a time, the study took 7.8-8.7 ms a replicate.
+_CHUNK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -98,9 +110,10 @@ class SplitResult:
 class FitResult:
     """Fitted model, its log-likelihood, the winning restart, and a convergence record.
 
-    `converged` is true when every start stopped on the gradient test; `nit`
-    and `nfev` are Newton steps and objective evaluations (each with its
-    gradient and Hessian) summed over all starts.
+    `converged` is true when every start of this fit stopped on the gradient
+    test; `nit` and `nfev` are Newton steps and objective evaluations (each
+    with its gradient and Hessian) summed over this fit's starts, so a fit
+    in a stack counts the same as alone.
     """
 
     model: MixtureModel
@@ -126,44 +139,57 @@ def split_dataset(scores, fraction: float, seed: Key) -> SplitResult:
     return SplitResult(train=arr[idx[:n_train]], test=arr[idx[n_train:]])
 
 
-def _sorted_sample(train, k: int) -> np.ndarray:
-    """Sorted copy of a fit sample, checked for size, finiteness and spread."""
+def _sorted_samples(train, k: int) -> np.ndarray:
+    """Sorted rows of one fit sample (1-D) or of a stack of them (2-D), each checked for size, finiteness and spread."""
     arr = np.asarray(train, dtype=float)
     if k < 1:
         raise DomainError(f"component count must be at least 1, got {k}")
-    if arr.size < 10 * k:
-        raise DomainError(f"need at least {10 * k} points to initialize k={k}, got {arr.size}")
-    xs = np.sort(arr)
+    if arr.ndim > 2 or arr.ndim == 2 and arr.shape[0] == 0:
+        raise DomainError(f"need one sample or a nonempty stack of them, got shape {arr.shape}")
+    n = arr.shape[-1] if arr.ndim else arr.size
+    if n < 10 * k:
+        raise DomainError(f"need at least {10 * k} points to initialize k={k}, got {n}")
+    xs = np.sort(np.atleast_2d(arr), axis=1)
+
+    def check(bad: np.ndarray, message: str) -> None:
+        if bad.any():
+            raise DomainError(f"row {int(np.argmax(bad))}: {message}" if arr.ndim == 2 else message)
+
     # -inf sorts first, +inf and NaN last
-    if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
-        raise DomainError("fit sample must be finite")
-    if xs[-1] - xs[0] <= 0.0:
-        raise DomainError("sample is a single repeated value; no scale information")
+    check(~(np.isfinite(xs[:, 0]) & np.isfinite(xs[:, -1])), "fit sample must be finite")
+    check(xs[:, -1] - xs[:, 0] <= 0.0, "sample is a single repeated value; no scale information")
     return xs
 
 
-def _initializer(xs: np.ndarray, k: int, extra=()) -> tuple[np.ndarray, float, float, float, np.ndarray]:
-    """Mid-quantile locations, common scale, IQR, scale floor and the `extra` quantiles of a sorted sample.
+def _initializer(xs: np.ndarray, k: int, extra=()) -> tuple[np.ndarray, ...]:
+    """Mid-quantile locations, common scale, IQR, scale floor and the `extra` quantiles of each sorted row.
 
-    All the quantiles come from one `np.quantile` call, which gives the same bits as one call each.
+    All the quantiles come from one `np.quantile` call, which gives the same
+    bits as one call per row and quantile.  Locations and extras have one
+    row per sample; the scale, IQR and floor one entry.
     """
     mids = [(j - 0.5) / k for j in range(1, k + 1)]
-    q = np.quantile(xs, [0.25, 0.75, *mids, *extra])
-    iqr = float(q[1] - q[0])
-    floor = _SCALE_FLOOR_FRAC * float(xs[-1] - xs[0])
+    q = np.quantile(xs, [0.25, 0.75, *mids, *extra], axis=1)
+    iqr = q[1] - q[0]
+    floor = _SCALE_FLOOR_FRAC * (xs[:, -1] - xs[:, 0])
     # sd of a unit-scale logistic is pi/sqrt(3); spread the IQR across components
-    scale = max(iqr * (np.sqrt(3.0) / np.pi) / k, floor)
-    return q[2 : 2 + k], scale, iqr, floor, q[2 + k :]
+    scale = np.maximum(iqr * (np.sqrt(3.0) / np.pi) / k, floor)
+    return q[2 : 2 + k].T, scale, iqr, floor, q[2 + k :].T
 
 
 def init_params(train, k: int) -> MixtureModel:
-    """Initializer: components at the k mid-quantiles, IQR-derived scales, uniform weights."""
-    locations, scale, *_ = _initializer(_sorted_sample(train, k), k)
-    return MixtureModel(np.full(k, 1.0 / k), locations, np.full(k, scale))
+    """Initializer of one sample: components at the k mid-quantiles, IQR-derived scales, uniform weights."""
+    if np.ndim(train) != 1:
+        raise DomainError(f"need one flat sample, got shape {np.shape(train)}")
+    locations, scale, *_ = _initializer(_sorted_samples(train, k), k)
+    return MixtureModel(np.full(k, 1.0 / k), locations[0], np.full(k, scale[0]))
 
 
-def _unpack(theta: np.ndarray, k: int, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, locations and scales of one parameter vector or of each row of a stack."""
+def _unpack(theta: np.ndarray, k: int, floor: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, locations and scales of one parameter vector or of each row of a stack.
+
+    `floor` is the scale floor: one number, or one per row.
+    """
     logits = np.zeros((*theta.shape[:-1], k))
     np.minimum(theta[..., : k - 1], _LOGIT_CLIP, out=logits[..., : k - 1])
     np.maximum(logits, -_LOGIT_CLIP, out=logits)
@@ -173,25 +199,26 @@ def _unpack(theta: np.ndarray, k: int, floor: float) -> tuple[np.ndarray, np.nda
     locations = theta[..., k - 1 : 2 * k - 1]
     # below -_LOG_SCALE_CLIP the scale is at the floor anyway
     scales = np.exp(np.minimum(theta[..., 2 * k - 1 :], _LOG_SCALE_CLIP))
-    np.maximum(scales, floor, out=scales)
+    np.maximum(scales, np.expand_dims(floor, -1), out=scales)
     return weights, locations, scales
 
 
 class _Workspace:
-    """Buffers for `_neg_loglik` on up to `s` starts of one k-by-n problem, allocated once per fit.
+    """Buffers for `minimize` on a chunk of up to `s` starts of k-by-n problems, allocated once per chunk.
 
     Fresh k-by-n temporaries on every call cost more than the arithmetic at
     large n: past glibc's mmap threshold each one is mapped and unmapped
     again.  A `tailratio fit` of 20,000 scores took about 24,000 minor page
     faults (some 330 per evaluation) with them, and about 1,000 with this.
     `point_grad` holds each point's gradient of log p, one row per parameter,
-    with the location rows times the scale.
+    with the location rows times the scale; `sample` holds the active
+    starts' samples.
     """
 
     def __init__(self, s: int, k: int, n: int) -> None:
         self.z, self.lp, self.scratch = np.empty((3, s, k, n))
         self.point_grad = np.empty((s, 3 * k - 1, n))
-        self.m, self.total = np.empty((2, s, n))
+        self.m, self.total, self.sample = np.empty((3, s, n))
 
 
 @lru_cache
@@ -213,7 +240,7 @@ def _curvature_index(k: int) -> np.ndarray:
 
 
 def _neg_loglik(
-    thetas: np.ndarray, xs: np.ndarray, k: int, floor: float, work: _Workspace
+    thetas: np.ndarray, xs: np.ndarray, k: int, floor: float | np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Negative log-likelihood, its gradient and its Hessian at each row of `thetas`.
 
@@ -226,20 +253,22 @@ def _neg_loglik(
     sum r e / s^2, (sum r e z - 2 sum r t) / s and sum r - 3 sum r z t +
     sum r e z^2, and the logit blocks follow from the softmax.  Where a clip
     or the scale floor binds, the objective is flat in that coordinate and
-    its gradient, Hessian row and Hessian column are 0.  Every k-by-n and
-    n-sized intermediate lives in `work`, which must match k and xs.size
-    and hold at least len(thetas) starts.  Each row's numbers are the same
-    bits whichever other rows share the call.
+    its gradient, Hessian row and Hessian column are 0.  `xs` holds one
+    sorted n-point sample per row of `thetas`, and `floor` one scale floor
+    per row; a single sample or floor serves every row.  Every k-by-n and
+    n-sized intermediate lives in `work`, which must match k and n and hold
+    at least len(thetas) starts.  Each row's numbers are the same bits
+    whichever other rows share the call.
     """
     # Arrays are starts-by-k-by-n so that every reduction runs over
     # contiguous rows or across whole rows.  Sums of products go through
     # einsum, which runs in this thread, not through a threaded BLAS.
-    a, n = thetas.shape[0], xs.size
+    a, n = thetas.shape[0], xs.shape[-1]
     weights, locations, scales = _unpack(thetas, k, floor)
     z, lp, scratch, point_grad = work.z[:a], work.lp[:a], work.scratch[:a], work.point_grad[:a]
     m, total = work.m[:a], work.total[:a]
     g_logit, g_loc, g_log_scale = point_grad[:, : k - 1], point_grad[:, k - 1 : 2 * k - 1], point_grad[:, 2 * k - 1 :]
-    np.subtract(xs, locations[..., None], out=z)
+    np.subtract(xs[..., None, :], locations[..., None], out=z)
     z /= scales[..., None]
     az = np.abs(z, out=g_log_scale)
     u = np.exp(np.negative(az, out=scratch), out=g_loc)
@@ -303,7 +332,7 @@ def _neg_loglik(
     log_scales = thetas[:, 2 * k - 1 :]
     free = np.ones_like(grad)
     free[:, : k - 1] = np.abs(thetas[:, : k - 1]) <= _LOGIT_CLIP
-    free[:, 2 * k - 1 :] = (log_scales > np.log(floor)) & (log_scales <= _LOG_SCALE_CLIP)
+    free[:, 2 * k - 1 :] = (log_scales > np.log(np.expand_dims(floor, -1))) & (log_scales <= _LOG_SCALE_CLIP)
     grad *= free
     hess *= free[:, :, None] * free[:, None, :]
     return -f, grad, hess
@@ -311,18 +340,29 @@ def _neg_loglik(
 
 @dataclass(frozen=True, eq=False)
 class Minimum:
-    """Where each start of one `minimize` call stopped, with totals over its starts.
+    """Where each start of one `minimize` call stopped, with its counts and their totals.
 
-    `converged` marks the starts that stopped on the gradient test; `nit`
-    counts Newton steps and `nfev` objective evaluations (each with its
-    gradient and Hessian), both summed over starts.
+    `converged` marks the starts that stopped on the gradient test;
+    `start_nit` counts each start's Newton steps and `start_nfev` its
+    objective evaluations (each with its gradient and Hessian).  `nit`,
+    `nfev` and `success` sum and join them over all starts.
     """
 
     x: np.ndarray
     fun: np.ndarray
     converged: np.ndarray
-    nit: int
-    nfev: int
+    start_nit: np.ndarray
+    start_nfev: np.ndarray
+
+    @property
+    def nit(self) -> int:
+        """Newton steps summed over starts."""
+        return int(self.start_nit.sum())
+
+    @property
+    def nfev(self) -> int:
+        """Objective evaluations summed over starts."""
+        return int(self.start_nfev.sum())
 
     @property
     def success(self) -> bool:
@@ -346,34 +386,40 @@ def _newton_steps(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.nd
     return step, np.einsum("sp,sp->s", grad, step)
 
 
-def minimize(thetas: np.ndarray, xs: np.ndarray, k: int, floor: float, maxiter: int = _MAX_ITER) -> Minimum:
-    """Damped Newton from each row of `thetas` on the negative log-likelihood of sorted `xs`.
+def minimize(
+    thetas: np.ndarray, xs: np.ndarray, k: int, floor: float | np.ndarray, maxiter: int = _MAX_ITER
+) -> Minimum:
+    """Damped Newton from each row of `thetas` on the negative log-likelihood of its sorted sample.
 
-    All starts step together as one batch, and each is the same bits alone
-    or in any batch.  A start takes the modified-Newton step of
-    `_newton_steps`, halved until it meets the Armijo condition (sufficient
-    decrease _ARMIJO, up to the objective's rounding), and stops once the
-    largest gradient entry is at most _TOL * max(1, |f0|), f0 its objective
-    at the start.  It fails if it takes `maxiter` steps first, or if
+    `xs` holds one n-point sample per row of `thetas` and `floor` one scale
+    floor per row; a single sample or floor serves every row.  All starts
+    step together as one batch, and each is the same bits alone or in any
+    batch.  A start takes the modified-Newton step of `_newton_steps`,
+    halved until it meets the Armijo condition (sufficient decrease
+    _ARMIJO, up to the objective's rounding), and stops once the largest
+    gradient entry is at most _TOL * max(1, |f0|), f0 its objective at the
+    start.  It fails if it takes `maxiter` steps first, or if
     _MAX_HALVINGS halvings find no decrease.
     """
     x = np.array(thetas, dtype=float)
-    starts = x.shape[0]
-    work = _Workspace(starts, k, xs.size)
+    starts, n = x.shape[0], np.shape(xs)[-1]
+    floor = np.broadcast_to(floor, (starts,))
+    work = _Workspace(starts, k, n)
     f, grad, hess = _neg_loglik(x, xs, k, floor, work)
     gtol = _TOL * np.maximum(1.0, np.abs(f))
     converged = np.abs(grad).max(axis=1) <= gtol
     active = ~converged & np.isfinite(f) & np.isfinite(grad).all(axis=1) & np.isfinite(hess).all(axis=(1, 2))
     step, slope = np.zeros_like(x), np.zeros(starts)
     step[active], slope[active] = _newton_steps(grad[active], hess[active])
-    alpha, iters = np.ones(starts), np.zeros(starts, dtype=int)
-    nfev = starts
+    alpha, iters, nfev = np.ones(starts), np.zeros(starts, dtype=int), np.ones(starts, dtype=int)
     while active.any():
         idx = np.flatnonzero(active)
         trial = x[idx] + alpha[idx, None] * step[idx]
-        f_t, grad_t, hess_t = _neg_loglik(trial, xs, k, floor, work)
-        nfev += idx.size
-        rounding = _ROUNDING * np.finfo(float).eps * (xs.size + np.abs(f[idx]))
+        # a shared sample serves any subset of starts as it is
+        sample = xs if np.ndim(xs) == 1 else np.take(xs, idx, axis=0, out=work.sample[: idx.size])
+        f_t, grad_t, hess_t = _neg_loglik(trial, sample, k, floor[idx], work)
+        nfev[idx] += 1
+        rounding = _ROUNDING * np.finfo(float).eps * (n + np.abs(f[idx]))
         ok = f_t <= f[idx] + _ARMIJO * alpha[idx] * slope[idx] + rounding
         moved = idx[ok]
         x[moved], f[moved], grad[moved] = trial[ok], f_t[ok], grad_t[ok]
@@ -388,17 +434,17 @@ def minimize(thetas: np.ndarray, xs: np.ndarray, k: int, floor: float, maxiter: 
         short = idx[~ok]
         alpha[short] *= 0.5
         active[short[alpha[short] < 0.5**_MAX_HALVINGS]] = False
-    return Minimum(x, f, converged, int(iters.sum()), nfev)
+    return Minimum(x, f, converged, iters, nfev)
 
 
-def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
+def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult | list[FitResult | FitFailureError]:
     """Fit a k-component logistic mixture by damped Newton over several starts.
 
     The starts run on the standardized sample (see the module docstring).
     Restart 0 runs from the quantile initializer and, for k > 1, from two
     variants of it with the top component moved into the right tail; each
-    further restart runs once from a jittered initializer.  All starts go to
-    one `minimize` call: each steps along its modified-Newton direction
+    further restart runs once from a jittered initializer.  The starts go
+    to `minimize` together: each steps along its modified-Newton direction
     (the Hessian's eigenvalues made positive, the step at most 0.5 in any
     coordinate), halves the step until the objective falls enough, and
     stops once its largest gradient entry is at most 1e-8 * max(1, |f0|),
@@ -407,76 +453,108 @@ def fit_mixture(train, cfg: FitConfig = FitConfig()) -> FitResult:
     in data units, by more than 1e-8 * max(1, |f|), so float noise never
     changes the winner.
 
+    A stack of samples is one `minimize` call per chunk of whole samples,
+    up to _CHUNK_VALUES starts times points (at least one sample).  Row i
+    fits to the same bits as fitting it alone under
+    `replace(cfg, seed=(*cfg.seed, i))`.
+
     Parameters
     ----------
     train : array-like of float
-        Scores to fit; at least 10 * cfg.k points.
+        Scores to fit, at least 10 * cfg.k points: one sample (1-D), or a
+        stack of equal-size samples (2-D), one per row.
     cfg : FitConfig
         Component count, restart count, and seed.
 
     Returns
     -------
-    FitResult
+    FitResult, or a list with one entry per row for a stack
         Best converged model in canonical component order, its
         log-likelihood, the restart that produced it (ties go to the lowest
-        index, so reruns are reproducible), and the convergence record.
+        index, so reruns are reproducible), and the convergence record.  A
+        row whose fit fails holds the FitFailureError that fitting it alone
+        raises.
 
     Raises
     ------
     FitFailureError
-        If no start ends at a finite, converged optimum; carries the best
-        finite start so far, in data units.
+        If no start of a single sample ends at a finite, converged optimum;
+        carries the best finite start so far, in data units.
     """
     k = cfg.k
-    xs = _sorted_sample(train, k)
+    xs = _sorted_samples(train, k)
+    m, n = xs.shape
+    stacked = np.ndim(train) == 2
+    keys = [(*cfg.seed, i) for i in range(m)] if stacked else [cfg.seed]
     # Standardize once (see the module docstring).
-    q1, center, q3 = np.quantile(xs, [0.25, 0.5, 0.75])
-    unit = float(q3 - q1) or float(xs[-1] - xs[0])
-    zs = (xs - center) / unit
+    q1, center, q3 = np.quantile(xs, [0.25, 0.5, 0.75], axis=1)
+    unit = np.where(q3 > q1, q3 - q1, xs[:, -1] - xs[:, 0])
+    zs = (xs - center[:, None]) / unit[:, None]
     # the data-unit objective is the standardized one plus n log(unit)
-    shift = float(zs.size * np.log(unit))
+    shift = n * np.log(unit)
     locations, scale, iqr, floor, tops = _initializer(zs, k, _TOP_START_QUANTILES if k > 1 else ())
-    theta0 = np.concatenate([np.zeros(k - 1), locations, np.full(k, np.log(scale))])
+    theta0 = np.concatenate([np.zeros((m, k - 1)), locations, np.repeat(np.log(scale)[:, None], k, axis=1)], axis=1)
 
-    starts = [(0, theta0)]
-    for top in tops:
+    starts = [theta0]
+    for top in tops.T:
         theta = theta0.copy()
-        theta[2 * k - 2] = top
-        starts.append((0, theta))
+        theta[:, 2 * k - 2] = top
+        starts.append(theta)
+    restarts = [0] * len(starts) + list(range(1, cfg.restarts))
     for r in range(1, cfg.restarts):
         theta = theta0.copy()
-        jitter = substream(*cfg.seed, r, RESTART)
-        theta[: k - 1] += jitter.normal(0.0, 0.5, size=k - 1)
-        theta[k - 1 : 2 * k - 1] += jitter.normal(0.0, 0.25 * max(iqr, floor), size=k)
-        theta[2 * k - 1 :] += jitter.normal(0.0, 0.25, size=k)
-        starts.append((r, theta))
+        for row, key, q, fl in zip(theta, keys, iqr, floor):
+            jitter = substream(*key, r, RESTART)
+            row[: k - 1] += jitter.normal(0.0, 0.5, size=k - 1)
+            row[k - 1 : 2 * k - 1] += jitter.normal(0.0, 0.25 * max(q, fl), size=k)
+            row[2 * k - 1 :] += jitter.normal(0.0, 0.25, size=k)
+        starts.append(theta)
+    # samples by starts by parameters, so that a sample's starts are adjacent
+    thetas = np.stack(starts, axis=1)
+    s = thetas.shape[1]
 
-    res = minimize(np.array([theta for _, theta in starts]), zs, k, floor)
-    fun = res.fun + shift
+    def row_result(i: int, res: Minimum, at: slice) -> FitResult | FitFailureError:
+        """Sample i's fit from its starts, `at` in the chunk's `minimize` result."""
+        def data_model(theta: np.ndarray) -> MixtureModel:
+            weights, locs, scales = _unpack(theta, k, floor[i])
+            return MixtureModel(weights, center[i] + unit[i] * locs, unit[i] * scales)
 
-    def data_model(theta: np.ndarray) -> MixtureModel:
-        weights, locs, scales = _unpack(theta, k, floor)
-        return MixtureModel(weights, center + unit * locs, unit * scales)
-
-    best = None
-    for i, f in enumerate(fun.tolist()):
-        if not (res.converged[i] and np.isfinite(f)):
-            continue
-        if best is None or f < best[1] - _TOL * max(1.0, abs(best[1])):
-            best = (i, f)
-    if best is None:
-        i = int(np.argmin(np.where(np.isfinite(fun), fun, np.inf)))
-        raise FitFailureError(
-            "no start converged to a finite optimum",
-            best_model=data_model(res.x[i]),
-            best_log_likelihood=-float(fun[i]),
+        x, fun, converged = res.x[at], res.fun[at] + shift[i], res.converged[at]
+        best = None
+        for j, f in enumerate(fun.tolist()):
+            if not (converged[j] and np.isfinite(f)):
+                continue
+            if best is None or f < best[1] - _TOL * max(1.0, abs(best[1])):
+                best = (j, f)
+        if best is None:
+            j = int(np.argmin(np.where(np.isfinite(fun), fun, np.inf)))
+            return FitFailureError(
+                "no start converged to a finite optimum",
+                best_model=data_model(x[j]),
+                best_log_likelihood=-float(fun[j]),
+            )
+        j, f = best
+        return FitResult(
+            model=data_model(x[j]),
+            log_likelihood=-f,
+            restart=restarts[j],
+            converged=bool(converged.all()),
+            nit=int(res.start_nit[at].sum()),
+            nfev=int(res.start_nfev[at].sum()),
         )
-    i, f = best
-    return FitResult(
-        model=data_model(res.x[i]),
-        log_likelihood=-f,
-        restart=starts[i][0],
-        converged=res.success,
-        nit=res.nit,
-        nfev=res.nfev,
-    )
+
+    results = []
+    per_chunk = max(1, _CHUNK_VALUES // (s * n))
+    for lo in range(0, m, per_chunk):
+        hi = min(lo + per_chunk, m)
+        # a chunk of one sample shares it between its starts, with no copies
+        samples = zs[lo] if hi - lo == 1 else np.repeat(zs[lo:hi], s, axis=0)
+        res = minimize(thetas[lo:hi].reshape(-1, thetas.shape[2]), samples, k, np.repeat(floor[lo:hi], s))
+        for i in range(lo, hi):
+            at = slice((i - lo) * s, (i - lo + 1) * s)
+            results.append(row_result(i, res, at))
+    if stacked:
+        return results
+    if isinstance(results[0], FitFailureError):
+        raise results[0]
+    return results[0]

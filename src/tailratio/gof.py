@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .dist import MixtureModel, mixture_cdf, mixture_sample, mixture_sf
-from .errors import DomainError
+from .errors import DomainError, FitFailureError
 from .fit import FitConfig, fit_mixture
 from .seeds import RESAMPLE, Key, key_path
 
@@ -174,7 +174,9 @@ def bootstrap_pvalue(sample, model: MixtureModel, B: int, seed: Key) -> tuple[Go
     add-one estimator (1 + #{stat_b >= stat_obs}) / (B + 1) never reports 0,
     and the result is reproducible bit for bit from the key path `seed` (an
     int is the one-element path).  Returns the (KS, AD) pair of outcomes,
-    each with `p_method` `refit-bootstrap(B=..., seed=[...])`.
+    each with `p_method` `refit-bootstrap(B=..., seed=[...])`.  The B
+    refits run as one stacked `fit_mixture` call on the (B, n) draws, row b
+    keyed (*seed, b); a refit that fails raises its FitFailureError.
 
     The refit is of n points, the size of `sample`, so the null is that of
     a model fitted to the very points it is scored on.  A study's held-out
@@ -194,12 +196,15 @@ def bootstrap_pvalue(sample, model: MixtureModel, B: int, seed: Key) -> tuple[Go
         raise DomainError(f"bootstrap size must be at least {_MIN_B}, got {B}")
     kinds = ("KS", "AD")
     observed = [_statistics(kind, model, values) for kind in kinds]
+    draws = np.sort([mixture_sample(model, n, (*path, b, RESAMPLE)) for b in range(B)], axis=1)
+    fits = fit_mixture(draws, FitConfig(k=model.k, restarts=1, seed=path))
+    for fit in fits:
+        if isinstance(fit, FitFailureError):
+            raise fit
     exceed = [0, 0]
-    for b in range(B):
-        draw = np.sort(mixture_sample(model, n, (*path, b, RESAMPLE)))
-        fitted = fit_mixture(draw, FitConfig(k=model.k, restarts=1, seed=(*path, b))).model
+    for draw, fit in zip(draws, fits):
         for j, kind in enumerate(kinds):
-            exceed[j] += _statistics(kind, fitted, draw) >= observed[j]
+            exceed[j] += _statistics(kind, fit.model, draw) >= observed[j]
     label = f"refit-bootstrap(B={B}, seed={list(path)})"
     return tuple(GofOutcome(kind, stat, (1 + count) / (B + 1), label)
                  for kind, stat, count in zip(kinds, observed, exceed))

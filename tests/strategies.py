@@ -26,15 +26,21 @@ def random_mixture(k: int, params) -> MixtureModel:
 
 
 def fit_failing_on(*reps, at=-1):
-    """`fit_mixture` that fails on the study replicates `reps`: element `at` of the fit's key path.
+    """`fit_mixture` that fails on the study replicates `reps`: element `at` of a fit's key path.
 
-    A replicate's fit is keyed (*seed, r), so r is its last element; the
-    refits of its bootstrap are keyed (*seed, r, 0, b), which puts r at -3.
+    A fit's key path is its config's seed, and row i of a stacked fit has
+    (*seed, i).  A study fits replicate r as row r of a stack keyed by its
+    seed, so r is the last element; its bootstrap refits draw b as row b of
+    a stack keyed (*seed, r, 0), which puts r at -3.  A failed row of a
+    stack holds a FitFailureError, as in a real stacked fit.
     """
     def fit(train, cfg):
-        if cfg.seed[at] in reps:
-            raise FitFailureError("stubbed failure")
-        return fit_mixture(train, cfg)
+        if np.ndim(train) == 1:
+            if cfg.seed[at] in reps:
+                raise FitFailureError("stubbed failure")
+            return fit_mixture(train, cfg)
+        return [FitFailureError("stubbed failure") if (*cfg.seed, i)[at] in reps else result
+                for i, result in enumerate(fit_mixture(train, cfg))]
 
     return fit
 

@@ -291,6 +291,72 @@ def test_restart_zero_gives_the_same_bits_under_more_restarts(monkeypatch):
     assert np.array_equal(one.x, three.x[:3]) and np.array_equal(one.fun, three.fun[:3])
 
 
+class _RecordingMinimize:
+    """`minimize` recording each call's start count and samples; its starts on the sample `bad` never converge."""
+
+    def __init__(self) -> None:
+        self.starts: list[int] = []
+        self.samples: list[np.ndarray] = []
+        self.bad = None
+
+    def __call__(self, thetas, xs, *args, **kwargs):
+        self.starts.append(len(thetas))
+        self.samples.append(np.array(xs))
+        res = minimize(thetas, xs, *args, **kwargs)
+        if self.bad is None:
+            return res
+        # one shared sample is every start's
+        on_bad = np.broadcast_to((np.atleast_2d(xs) == self.bad).all(axis=1), res.converged.shape)
+        return replace(res, converged=res.converged & ~on_bad)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_stacked_rows_fit_to_the_same_bits_as_alone(k, restarts, monkeypatch):
+    n, rows, seed = 200, 5, (4, 1)
+    stack = np.array([mixture_sample(REF, n, seed=(40, i)) for i in range(rows)])
+    starts = (3 if k > 1 else 1) + restarts - 1
+    # chunks of two, two and one samples
+    monkeypatch.setattr("tailratio.fit._CHUNK_VALUES", 2 * starts * n + 1)
+    run = _RecordingMinimize()
+    monkeypatch.setattr("tailratio.fit.minimize", run)
+    cfg = FitConfig(k=k, restarts=restarts, seed=seed)
+    # row 3's starts never converge, so its fit fails alone and in the stack
+    fit_mixture(stack[3], cfg)
+    run.bad = run.samples[-1]
+    run.starts.clear()
+    stacked = fit_mixture(stack, cfg)
+    assert run.starts == [2 * starts, 2 * starts, starts]
+    assert len(stacked) == rows
+    for i, row in enumerate(stacked):
+        alone_cfg = replace(cfg, seed=(*seed, i))
+        if i == 3:
+            assert isinstance(row, FitFailureError)
+            with pytest.raises(FitFailureError) as info:
+                fit_mixture(stack[i], alone_cfg)
+            assert same_model(row.best_model, info.value.best_model)
+            assert row.best_log_likelihood == info.value.best_log_likelihood
+            continue
+        alone = fit_mixture(stack[i], alone_cfg)
+        assert same_model(row.model, alone.model), i
+        record = ("log_likelihood", "restart", "converged", "nit", "nfev")
+        assert [getattr(row, name) for name in record] == [getattr(alone, name) for name in record], i
+        assert row.converged and row.nfev > row.nit >= starts
+
+
+def test_stack_rows_are_checked_by_row():
+    good = mixture_sample(REF, 100, seed=1)
+    with pytest.raises(DomainError, match="row 1: sample is a single repeated value"):
+        fit_mixture(np.array([good, np.full(100, 3.0)]), FitConfig(k=2, restarts=1))
+    with pytest.raises(DomainError, match="row 0: fit sample must be finite"):
+        fit_mixture(np.array([np.where(good > -70.0, np.inf, good), good]), FitConfig(k=2, restarts=1))
+    for bad in (np.empty((0, 100)), np.ones((2, 2, 100))):
+        with pytest.raises(DomainError, match="stack"):
+            fit_mixture(bad, FitConfig(k=2, restarts=1))
+    with pytest.raises(DomainError):
+        init_params(np.array([good, good]), 2)
+
+
 # Log-likelihoods that the derivative-free simplex search (two Nelder-Mead
 # passes per start) reached on two 1,500-point contamination-free training
 # splits where a single gradient start from the quantile initializer lands in
