@@ -20,7 +20,7 @@ import click
 from ._version import __version__
 from .dist import MixtureModel
 from .errors import TailratioError
-from .evidence import evidence_numbers, tipping_score
+from .evidence import evidence_numbers, tail_ratio, tipping_score
 from .experiments import (
     DEFAULT_MATED_MODEL,
     SynthConfig,
@@ -408,8 +408,8 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
     nonmated = _load_model_arg(nonmated_path, default_name="nonmated_15.json")
     dataset = load_scores(scores_path)
     is_nonmated = dataset.origin == "nonmated"
-    rep = evidence_numbers(mated, nonmated, dataset.score[is_nonmated])
-    excl_table, err_table = threshold_study(rep.ratio, dataset.feature_count[is_nonmated], thresholds)
+    _, _, ratio, _ = tail_ratio(mated, nonmated, dataset.score[is_nonmated])
+    excl_table, err_table = threshold_study(ratio, dataset.feature_count[is_nonmated], thresholds)
     config = dict(subcommand="thresholds", scores=str(scores_path), mated_model=mated_path or "builtin",
                   nonmated_model=nonmated_path or "builtin", thresholds=thresholds_text)
     meta = build_meta(0, config)

@@ -23,6 +23,7 @@ __all__ = [
     "BloodTypeTable",
     "DiscreteWoe",
     "evidence_numbers",
+    "tail_ratio",
     "tipping_score",
     "discrete_woe",
 ]
@@ -95,6 +96,17 @@ def _saturating_ratio(num, den):
     return ratio, saturated
 
 
+def tail_ratio(mated: MixtureModel, nonmated: MixtureModel, s) -> tuple[np.ndarray, ...]:
+    """Arrays alpha, beta, alpha / beta and its saturation flag at a score or an array of scores.
+
+    These are the `EvidenceReport` fields without the densities, to the same bits.
+    """
+    arr = np.asarray(s, dtype=float)
+    alpha = mixture_cdf(mated, arr)
+    beta = mixture_sf(nonmated, arr)
+    return (alpha, beta, *_saturating_ratio(alpha, beta))
+
+
 def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> EvidenceReport:
     """Both tail risks, their ratio and the SLR at a score or an array of scores.
 
@@ -102,9 +114,7 @@ def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> Evidence
     report of arrays.  Each score gets the same bits either way.
     """
     arr = np.asarray(s, dtype=float)
-    alpha = mixture_cdf(mated, arr)
-    beta = mixture_sf(nonmated, arr)
-    ratio, saturated = _saturating_ratio(alpha, beta)
+    alpha, beta, ratio, saturated = tail_ratio(mated, nonmated, arr)
     slr, slr_saturated = _saturating_ratio(mixture_pdf(mated, arr), mixture_pdf(nonmated, arr))
     fields = (arr, alpha, beta, ratio, slr, saturated, slr_saturated)
     if np.isscalar(s):

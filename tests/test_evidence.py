@@ -21,6 +21,7 @@ from tailratio import (
     mixture_pdf,
     mixture_sf,
     specific_source_lr,
+    tail_ratio,
     tipping_score,
 )
 
@@ -49,6 +50,12 @@ class TestTails:
     def test_ratio_and_slr_disagree_in_general(self):
         rep = evidence_numbers(MATED_20_8, REF, 0.0)
         assert abs(math.log(rep.ratio) - math.log(rep.slr)) > 0.1
+
+    def test_tail_ratio_is_the_reports_tail_fields(self):
+        scores = np.array([-120.0, 0.0, 35.5, 50_000.0])
+        rep = evidence_numbers(MATED_20_8, REF, scores)
+        fields = (rep.alpha, rep.beta, rep.ratio, rep.saturated)
+        assert all(np.array_equal(a, b) for a, b in zip(tail_ratio(MATED_20_8, REF, scores), fields))
 
     def test_saturation_reports_inf_with_flag(self):
         rep = evidence_numbers(MATED_20_8, REF, 50_000.0)

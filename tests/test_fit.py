@@ -292,41 +292,54 @@ def test_restart_zero_gives_the_same_bits_under_more_restarts(monkeypatch):
 
 
 class _RecordingMinimize:
-    """`minimize` recording each call's start count and samples; its starts on the sample `bad` never converge."""
+    """`minimize` recording each call's starts and samples; its starts on the sample `bad` never converge."""
 
     def __init__(self) -> None:
         self.starts: list[int] = []
+        self.thetas: list[np.ndarray] = []
         self.samples: list[np.ndarray] = []
         self.bad = None
 
     def __call__(self, thetas, xs, *args, **kwargs):
         self.starts.append(len(thetas))
+        self.thetas.append(np.array(thetas))
         self.samples.append(np.array(xs))
         res = minimize(thetas, xs, *args, **kwargs)
-        if self.bad is None:
+        if self.bad is None or np.shape(xs)[-1] != self.bad.size:
             return res
         # one shared sample is every start's
         on_bad = np.broadcast_to((np.atleast_2d(xs) == self.bad).all(axis=1), res.converged.shape)
         return replace(res, converged=res.converged & ~on_bad)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    ("k", "coarse"),
+    [(k, coarse) for coarse in (False, True) for k in (1, 2, 3)],
+    ids=["1", "2", "3", "1-coarse", "2-coarse", "3-coarse"],
+)
 @pytest.mark.parametrize("restarts", [1, 3])
-def test_stacked_rows_fit_to_the_same_bits_as_alone(k, restarts, monkeypatch):
+def test_stacked_rows_fit_to_the_same_bits_as_alone(k, coarse, restarts, monkeypatch):
     n, rows, seed = 200, 5, (4, 1)
     stack = np.array([mixture_sample(REF, n, seed=(40, i)) for i in range(rows)])
     starts = (3 if k > 1 else 1) + restarts - 1
     # chunks of two, two and one samples
     monkeypatch.setattr("tailratio.fit._CHUNK_VALUES", 2 * starts * n + 1)
+    if coarse:
+        monkeypatch.setattr("tailratio.fit._COARSE_POINTS", n // 4)
     run = _RecordingMinimize()
     monkeypatch.setattr("tailratio.fit.minimize", run)
     cfg = FitConfig(k=k, restarts=restarts, seed=seed)
-    # row 3's starts never converge, so its fit fails alone and in the stack
+    # row 3's starts never converge on all n points, so its fit fails alone and in the stack
     fit_mixture(stack[3], cfg)
     run.bad = run.samples[-1]
     run.starts.clear()
     stacked = fit_mixture(stack, cfg)
-    assert run.starts == [2 * starts, 2 * starts, starts]
+    if coarse:
+        # each chunk's coarse call, then its full call on the starts left to polish
+        assert run.starts[::2] == [2 * starts, 2 * starts, starts]
+        assert all(0 < full <= first for first, full in zip(run.starts[::2], run.starts[1::2]))
+    else:
+        assert run.starts == [2 * starts, 2 * starts, starts]
     assert len(stacked) == rows
     for i, row in enumerate(stacked):
         alone_cfg = replace(cfg, seed=(*seed, i))
@@ -342,6 +355,62 @@ def test_stacked_rows_fit_to_the_same_bits_as_alone(k, restarts, monkeypatch):
         record = ("log_likelihood", "restart", "converged", "nit", "nfev")
         assert [getattr(row, name) for name in record] == [getattr(alone, name) for name in record], i
         assert row.converged and row.nfev > row.nit >= starts
+
+
+@pytest.mark.parametrize("n", [199, 200])
+def test_coarse_phase_starts_at_four_times_its_points(n, monkeypatch):
+    monkeypatch.setattr("tailratio.fit._COARSE_POINTS", 50)
+    run = _RecordingMinimize()
+    monkeypatch.setattr("tailratio.fit.minimize", run)
+    stack = np.array([mixture_sample(REF, n, seed=(41, i)) for i in range(2)])
+    fit_mixture(stack, FitConfig(k=2, restarts=1, seed=0))
+    if n < 200:
+        assert run.starts == [6] and run.samples[0].shape == (6, n)
+    else:
+        # the coarse sample is the middle point of each stratum of four
+        assert run.starts[0] == 6 and len(run.starts) == 2
+        coarse, full = run.samples
+        assert coarse.shape == (6, 50) and full.shape[-1] == n
+        assert np.array_equal(coarse[0], full[0, 2::4]) and np.array_equal(coarse[3], full[-1, 2::4])
+
+
+def test_merged_starts_give_the_bits_of_polishing_every_start(monkeypatch):
+    monkeypatch.setattr("tailratio.fit._COARSE_POINTS", 100)
+    run = _RecordingMinimize()
+    monkeypatch.setattr("tailratio.fit.minimize", run)
+    data = mixture_sample(REF, 400, seed=(3, 0))
+    cfg = FitConfig(k=2, restarts=3, seed=0)
+    merged = fit_mixture(data, cfg)
+    assert run.starts == [5, 2]
+    monkeypatch.setattr("tailratio.fit._MERGE_TOL", 0.0)
+    polished = fit_mixture(data, cfg)
+    assert run.starts[2:] == [5, 5]
+    assert same_model(merged.model, polished.model)
+    assert (merged.log_likelihood, merged.restart, merged.converged) == (
+        polished.log_likelihood, polished.restart, polished.converged
+    )
+    # a merged start counts its coarse evaluations only
+    assert merged.nfev < polished.nfev
+
+
+def test_nonfinite_coarse_end_polishes_from_the_start(monkeypatch):
+    monkeypatch.setattr("tailratio.fit._COARSE_POINTS", 100)
+    run = _RecordingMinimize()
+
+    def lost_first_start(thetas, xs, *args, **kwargs):
+        res = run(thetas, xs, *args, **kwargs)
+        if np.shape(xs)[-1] == 100:
+            res.fun[0] = np.nan
+        return res
+
+    monkeypatch.setattr("tailratio.fit.minimize", lost_first_start)
+    data = mixture_sample(REF, 400, seed=(3, 0))
+    result = fit_mixture(data, FitConfig(k=2, restarts=1, seed=0))
+    coarse, full = run.thetas
+    # start 0 runs again from its initial point and merges with nothing, so
+    # start 1 stays too
+    assert len(full) >= 2 and np.array_equal(full[0], coarse[0])
+    assert result.converged
 
 
 def test_stack_rows_are_checked_by_row():

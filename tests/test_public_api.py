@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "load_threshold_table", "log_likelihood", "mixture_cdf", "mixture_pdf", "mixture_quantile",
     "mixture_sample", "mixture_sf", "packaged_data_path", "pvalue_study", "save_model", "save_scores",
     "specific_source_lr", "split_dataset", "substream", "table_fixture_check", "tail_audit",
-    "threshold_study", "tipping_score", "toy_study", "write_csv",
+    "tail_ratio", "threshold_study", "tipping_score", "toy_study", "write_csv",
 ]
 
 
