@@ -34,15 +34,7 @@ from .experiments import (
     toy_study,
 )
 from .fit import FitConfig, fit_mixture, split_dataset
-from .gof import (
-    _P_METHODS,
-    GofOutcome,
-    ad_statistic,
-    asymptotic_ad_pvalue,
-    asymptotic_ks_pvalue,
-    bootstrap_pvalue,
-    ks_statistic,
-)
+from .gof import _P_METHODS, GofOutcome, _closed_forms, _sorted_sample, bootstrap_pvalue
 from .io import (
     build_meta,
     config_digest,
@@ -234,10 +226,6 @@ def eval_cmd(mated_path, nonmated_path, score, out):
     )
 
 
-# Each statistic with its closed-form p-value, in output order.
-_CLOSED_FORMS = {"KS": (ks_statistic, asymptotic_ks_pvalue), "AD": (ad_statistic, asymptotic_ad_pvalue)}
-
-
 @main.command("gof")
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -259,10 +247,9 @@ def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_
         # (seed, r, RESAMPLE), so the two never share a stream under one seed
         outcomes = bootstrap_pvalue(sample, model, bootstrap_b, (seed, 0))
     else:
-        outcomes = []
-        for kind, (stat_fn, p_fn) in _CLOSED_FORMS.items():
-            stat = stat_fn(sample, model)
-            outcomes.append(GofOutcome(kind, stat, p_fn(stat, len(sample)), p_method))
+        ks, ad, ks_p, ad_p = _closed_forms(model, _sorted_sample(sample))
+        outcomes = [GofOutcome(kind, float(stat), float(p), p_method)
+                    for kind, stat, p in (("KS", ks, ks_p), ("AD", ad, ad_p))]
     config = dict(subcommand="gof", scores=str(scores_path), model=str(model_path), origin=origin,
                   feature_count=feature_count, p_method=p_method, bootstrap_b=bootstrap_b)
     _emit_json(
@@ -326,7 +313,8 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
               help="p-value method for the held-out panels; the null panels always use the closed forms.")
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="threads for the per-replicate p-value stage; the fits run first, as one stacked batch.")
+              help="threads for the bootstrap's per-replicate refits; the fits and the closed forms run as "
+                   "stacked batches.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_SEED_OPTION
 @_wrap_errors
@@ -451,13 +439,21 @@ def render_report(rep) -> str:
     The ratio is rounded to one significant figure; the direction word is
     elided when the rounded factor is 1; the absolute risk of erroneous
     identification is always appended, because the ratio alone hides its
-    magnitude.
+    magnitude.  A saturated ratio, or one too small to invert, gets a
+    sentence that reports no factor.
     """
     if rep.saturated:
         return (
             "The risk of erroneous identification at this score is below the smallest "
             "representable probability; the tail ratio is saturated and no finite factor "
             "can be reported. The risk of erroneous identification is 0 at double precision."
+        )
+    if rep.ratio < 1.0 / sys.float_info.max:
+        # alpha underflowed to 0, or is so far below beta that 1 / ratio overflows
+        return (
+            "The risk of erroneous exclusion at this score is below the smallest probability whose "
+            "reciprocal is representable; the tail ratio underflows and no finite factor can be reported. "
+            f"The risk of erroneous identification is {rep.beta:.2g}."
         )
     if rep.ratio >= 1.0:
         factor = _one_significant_figure(rep.ratio)

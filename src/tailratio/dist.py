@@ -97,15 +97,28 @@ class MixtureModel:
         return self.weights.size
 
 
-def _component_sum(model: MixtureModel, x, term):
+def _stack(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, locations and scales of models with equal component counts, as (k, m, 1) arrays.
+
+    Row r holds model r.  `mixture_pdf`, `mixture_cdf` and `mixture_sf`
+    take the triple in place of a model and evaluate row r of a (k, n)
+    array of points under model r.
+    """
+    return tuple(np.array([getattr(m, name) for m in models])[..., None] for name in ("weights", "locations", "scales"))
+
+
+def _component_sum(model, x, term):
     """Weighted sum of term(z, scale) over the components, one component at a time.
 
-    Adding components in turn, rather than through a matrix product, gives a
-    point the same bits whether it is evaluated alone or inside any batch.
+    `model` is a MixtureModel or a `_stack` of them.  Adding components in
+    turn, rather than through a matrix product, gives a point the same bits
+    whether it is evaluated alone or inside any batch or stack.
     """
     arr = _check_finite_x(x)
     out = np.zeros(arr.shape)
-    for w, loc, scale in zip(model.weights, model.locations, model.scales):
+    columns = (model.weights, model.locations, model.scales) if isinstance(model, MixtureModel) else (
+        a.swapaxes(0, 1) for a in model)
+    for w, loc, scale in zip(*columns):
         out = out + w * term((arr - loc) / scale, scale)
     return float(out) if np.isscalar(x) else out
 

@@ -16,18 +16,12 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 from scipy.special import erf, erfc, factorial, ndtr
 
-from .dist import _FEATURE_COUNTS, MixtureModel, mixture_sample, mixture_sf
+from .dist import _FEATURE_COUNTS, MixtureModel, _stack, mixture_sample, mixture_sf
 from .errors import DomainError, FitFailureError
 from .evidence import _saturating_ratio
 from .fit import FitConfig, fit_mixture, split_dataset
-from .gof import (
-    _P_METHODS,
-    ad_statistic,
-    asymptotic_ad_pvalue,
-    asymptotic_ks_pvalue,
-    bootstrap_pvalue,
-    ks_statistic,
-)
+from .gof import _MIN_B, _P_METHODS, _closed_forms, bootstrap_pvalue
+from .gof import asymptotic_ks_pvalue, ks_statistic  # noqa: F401  kept bound: perfbench's layer trace wraps them
 from .seeds import GEN_MATED, GEN_NONMATED, RESAMPLE, SPLIT, TOY_CELL, Key, key_path, substream
 
 __all__ = [
@@ -249,11 +243,14 @@ class TailAudit:
         cnts = tuple(int(c) for c in counts)
         if len(cuts) == 0 or len(cuts) != len(cnts):
             raise DomainError("cutpoints and counts must align and be nonempty")
-        if total < 1 or any(c < 0 or c > total for c in cnts):
+        if not float(total).is_integer() or total < 1:
+            raise DomainError(f"total must be a finite whole number of at least 1, got {total!r}")
+        total = int(total)
+        if any(c < 0 or c > total for c in cnts):
             raise DomainError("counts must be within [0, total]")
         expected = tuple(1e5 * mixture_sf(model, c) for c in cuts) if model is not None else None
         observed = tuple(1e5 * c / total for c in cnts)
-        return cls(cuts, expected, cnts, int(total), observed)
+        return cls(cuts, expected, cnts, total, observed)
 
 
 def tail_audit(model: MixtureModel, observed, cutpoints: Sequence[float]) -> TailAudit:
@@ -297,15 +294,6 @@ class PValueStudyResult:
             object.__setattr__(self, name, panel)
 
 
-def _closed_form_pvalues(sample: np.ndarray, model: MixtureModel) -> tuple[float, float]:
-    """KS and AD p-values of a sample against a fully specified model, from their closed forms."""
-    n = len(sample)
-    return (
-        asymptotic_ks_pvalue(ks_statistic(sample, model), n),
-        asymptotic_ad_pvalue(ad_statistic(sample, model), n),
-    )
-
-
 def pvalue_study(
     data,
     reps: int,
@@ -335,8 +323,10 @@ def pvalue_study(
 
     All replicates' train splits are fitted as one stack (`fit_mixture` on
     a 2-D array), row r keyed (*seed, r), so the fits take one batched
-    Newton run per chunk of replicates.  The p-value stage then runs per
-    replicate, and `workers` > 1 spreads only that stage over a thread pool.
+    Newton run per chunk of replicates.  Each replicate's null draw is then
+    scored in one stacked pass against the stack of fitted models, and so,
+    under the closed forms, are the held-out parts.  Threads run only under
+    "bootstrap": `workers` threads each run one replicate's refits at a time.
     Replicate r keys its split (*seed, r, SPLIT), its fit restarts under
     (*seed, r), its null draw (*seed, r, RESAMPLE), and its bootstrap under
     (*seed, r, 0), so results are identical for any `workers` count.
@@ -350,35 +340,34 @@ def pvalue_study(
         raise DomainError(f"workers must be at least 1, got {workers}")
     if p_method not in _P_METHODS:
         raise DomainError(f"p_method must be one of {_P_METHODS}, got {p_method!r}")
+    if resample_n < 1:
+        raise DomainError(f"resample_n must be at least 1, got {resample_n}")
+    if p_method == "bootstrap" and bootstrap_b < _MIN_B:
+        raise DomainError(f"bootstrap size must be at least {_MIN_B}, got {bootstrap_b}")
     seed = key_path(seed)
     splits = [split_dataset(arr, fraction, (*seed, rep, SPLIT)) for rep in range(reps)]
     fits = fit_mixture(np.array([split.train for split in splits]), replace(fit_config, seed=seed))
-
-    def one_rep(rep: int) -> tuple[float, float, float, float] | None:
-        test, fit = splits[rep].test, fits[rep]
-        if isinstance(fit, FitFailureError):
-            return None
-        model = fit.model
-        if p_method == "bootstrap":
+    kept = [r for r, fit in enumerate(fits) if not isinstance(fit, FitFailureError)]
+    if p_method == "bootstrap":
+        def bootstrap(r: int) -> list[float] | None:
             try:
-                ks, ad = bootstrap_pvalue(test, model, bootstrap_b, (*seed, rep, 0))
+                return [o.p_value for o in bootstrap_pvalue(splits[r].test, fits[r].model, bootstrap_b, (*seed, r, 0))]
             except FitFailureError:
                 return None
-            observed = (ks.p_value, ad.p_value)
-        else:
-            observed = _closed_form_pvalues(test, model)
-        null_draw = mixture_sample(model, resample_n, (*seed, rep, RESAMPLE))
-        return (*observed, *_closed_form_pvalues(null_draw, model))
 
-    if workers == 1:
-        results = [one_rep(r) for r in range(reps)]
-    else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_rep, range(reps)))
-
-    missing = tuple(r for r, out in enumerate(results) if out is None)
-    panels = np.array([out for out in results if out is not None], dtype=float).reshape(-1, 4).T
-    return PValueStudyResult(*panels, reps=reps, missing=missing)
+            booted = dict(zip(kept, pool.map(bootstrap, kept)))
+        kept = [r for r in kept if booted[r] is not None]
+    missing = tuple(sorted(set(range(reps)) - set(kept)))
+    if not kept:
+        return PValueStudyResult(*np.empty((4, 0)), reps=reps, missing=missing)
+    models = _stack([fits[r].model for r in kept])
+    nulls = np.sort([mixture_sample(fits[r].model, resample_n, (*seed, r, RESAMPLE)) for r in kept], axis=1)
+    if p_method == "bootstrap":
+        observed = np.array([booted[r] for r in kept]).T
+    else:
+        observed = _closed_forms(models, np.sort([splits[r].test for r in kept], axis=1))[2:]
+    return PValueStudyResult(*observed, *_closed_forms(models, nulls)[2:], reps=reps, missing=missing)
 
 
 @dataclass(frozen=True)

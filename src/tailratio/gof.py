@@ -6,6 +6,13 @@ moving) and the quadratic tail-weighted statistic, whose 1 / (F (1 - F))
 weight makes misfit in either tail count heavily.  P-values come from a
 closed-form null law for either statistic, or from a parametric bootstrap
 that refits the model to every draw and so accounts for its estimation.
+
+Both statistics come from one pass over the model's cdf and right tail,
+and that pass takes a stack of sorted samples against a stack of models
+as readily as one of each (`_statistics`).  The bootstrap scores all its
+refits in one such pass, and a p-value study its replicates' null and
+held-out samples in one each.  Threads run only in a bootstrap study, one
+replicate's refits per task.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kolmogorov
 
-from .dist import MixtureModel, mixture_cdf, mixture_sample, mixture_sf
+from .dist import MixtureModel, _stack, mixture_cdf, mixture_sample, mixture_sf
 from .errors import DomainError, FitFailureError
 from .fit import FitConfig, fit_mixture
 from .seeds import RESAMPLE, Key, key_path
@@ -68,19 +75,33 @@ class GofOutcome:
             raise DomainError(f"statistic must be nonnegative, got {self.statistic}")
 
 
-def _statistics(kind: str, model: MixtureModel, xs: np.ndarray) -> float:
-    """KS or AD statistic of sorted points against the model.
+def _statistics(model, xs: np.ndarray) -> tuple:
+    """KS and AD statistics of sorted points against the model, reduced over the last axis.
 
-    AD reads the model's right tail S, not 1 - F, so it keeps its digits where F is near 1.
+    `model` is one MixtureModel against a sorted sample, or a `_stack` of k
+    models against k sorted rows, row r scored against model r.  AD reads
+    the model's right tail S, not 1 - F, so it keeps its digits where F is near 1.
     """
-    n = xs.size
+    n = xs.shape[-1]
     i = np.arange(1, n + 1)
     F = mixture_cdf(model, xs)
-    if kind == "KS":
-        return float(np.max(np.maximum(i / n - F, F - (i - 1) / n)))
+    ks = np.max(np.maximum(i / n - F, F - (i - 1) / n), axis=-1)
     F = np.clip(F, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
     S = np.clip(mixture_sf(model, xs), _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-    return float(-n - np.mean((2 * i - 1) * (np.log(F) + np.log(S[::-1]))))
+    return ks, -n - np.mean((2 * i - 1) * (np.log(F) + np.log(S[..., ::-1])), axis=-1)
+
+
+def _closed_forms(model, xs: np.ndarray) -> tuple:
+    """KS and AD statistics of sorted points against the model, then their closed-form p-values.
+
+    Takes what `_statistics` takes and returns (ks, ad, ks_p, ad_p).  The AD
+    p-value is `asymptotic_ad_pvalue` entry by entry: a numpy port of its
+    `math.exp` and `math.expm1` would not give the same bits.
+    """
+    n = xs.shape[-1]
+    ks, ad = _statistics(model, xs)
+    ad_p = np.reshape([asymptotic_ad_pvalue(float(a), n) for a in np.ravel(ad)], np.shape(ad))
+    return ks, ad, _ks_pvalue(ks, n), ad_p
 
 
 def ks_statistic(sample, model: MixtureModel) -> float:
@@ -88,7 +109,7 @@ def ks_statistic(sample, model: MixtureModel) -> float:
 
     Over order statistics the supremum is max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n).
     """
-    return _statistics("KS", model, _sorted_sample(sample))
+    return float(_statistics(model, _sorted_sample(sample))[0])
 
 
 def ad_statistic(sample, model: MixtureModel) -> float:
@@ -98,7 +119,7 @@ def ad_statistic(sample, model: MixtureModel) -> float:
     with S = 1 - F the model's right tail, and F and S clamped away from 0
     and 1 so extreme-tail samples stay finite.
     """
-    return _statistics("AD", model, _sorted_sample(sample))
+    return float(_statistics(model, _sorted_sample(sample))[1])
 
 
 def ad_weight(F) -> float:
@@ -118,9 +139,13 @@ def asymptotic_ks_pvalue(d_n: float, n: int) -> float:
         raise DomainError(f"sample size must be at least 1, got {n}")
     if not 0.0 <= d_n <= 1.0:
         raise DomainError(f"statistic must be in [0, 1], got {d_n}")
+    return float(_ks_pvalue(d_n, n))
+
+
+def _ks_pvalue(d_n, n: int):
+    """`asymptotic_ks_pvalue` without its checks, for a statistic or an array of them."""
     sqrt_n = np.sqrt(n)
-    lam = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d_n
-    return float(kolmogorov(lam))
+    return kolmogorov((sqrt_n + 0.12 + 0.11 / sqrt_n) * d_n)
 
 
 def asymptotic_ad_pvalue(a: float, n: int) -> float:
@@ -194,17 +219,13 @@ def bootstrap_pvalue(sample, model: MixtureModel, B: int, seed: Key) -> tuple[Go
     n = values.size
     if B < _MIN_B:
         raise DomainError(f"bootstrap size must be at least {_MIN_B}, got {B}")
-    kinds = ("KS", "AD")
-    observed = [_statistics(kind, model, values) for kind in kinds]
+    observed = _statistics(model, values)
     draws = np.sort([mixture_sample(model, n, (*path, b, RESAMPLE)) for b in range(B)], axis=1)
     fits = fit_mixture(draws, FitConfig(k=model.k, restarts=1, seed=path))
     for fit in fits:
         if isinstance(fit, FitFailureError):
             raise fit
-    exceed = [0, 0]
-    for draw, fit in zip(draws, fits):
-        for j, kind in enumerate(kinds):
-            exceed[j] += _statistics(kind, fit.model, draw) >= observed[j]
+    null = _statistics(_stack([fit.model for fit in fits]), draws)
     label = f"refit-bootstrap(B={B}, seed={list(path)})"
-    return tuple(GofOutcome(kind, stat, (1 + count) / (B + 1), label)
-                 for kind, stat, count in zip(kinds, observed, exceed))
+    return tuple(GofOutcome(kind, float(stat), (1 + int(np.sum(null_stats >= stat))) / (B + 1), label)
+                 for kind, stat, null_stats in zip(("KS", "AD"), observed, null))

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from tailratio import (
     DEFAULT_MATED_MODEL,
+    EvidenceReport,
     REFERENCE_NONMATED_MODEL,
     ad_statistic,
     asymptotic_ad_pvalue,
@@ -20,7 +21,7 @@ from tailratio import (
     save_model,
     tail_audit,
 )
-from tailratio.cli import main
+from tailratio.cli import main, render_report
 
 from strategies import fit_failing_on
 
@@ -141,6 +142,22 @@ class TestEvalAndReport:
         for args in (["--score", "0"], ["--score", "-30"]):
             result = invoke(runner, ["report", "--mated", MATED_JSON, "--nonmated", REF_JSON, *args])
             assert "The risk of erroneous identification is" in result.output
+
+    def test_report_underflowed_exclusion_risk_gives_no_factor(self, runner, workdir):
+        # far left of both models alpha underflows to 0, so the ratio is 0 and has no finite inverse
+        result = invoke(runner, ["report", "--mated", MATED_JSON, "--nonmated", REF_JSON, "--score", "-7000"])
+        assert result.exit_code == 0
+        assert result.output.strip() == (
+            "The risk of erroneous exclusion at this score is below the smallest probability whose "
+            "reciprocal is representable; the tail ratio underflows and no finite factor can be reported. "
+            "The risk of erroneous identification is 1."
+        )
+
+    def test_report_ratio_with_overflowing_inverse_gives_no_factor(self):
+        # a subnormal ratio is not 0, but 1 / ratio is +inf and would print as "inf times smaller"
+        text = render_report(EvidenceReport(0.0, 1e-310, 1.0, 1e-310, 0.0))
+        assert "no finite factor" in text and "inf" not in text
+        assert text.endswith("The risk of erroneous identification is 1.")
 
 
 class TestTails:

@@ -150,6 +150,17 @@ class TestTailAudit:
             TailAudit.from_counts([0.0, 25.0], [count, 14], 2694)
         assert TailAudit.from_counts([0.0], [35.0], 2694).observed_count == (35,)
 
+    @pytest.mark.parametrize("total", [10.5, math.nan, math.inf, 0, -4.0])
+    def test_total_must_be_a_finite_whole_number(self, total):
+        # 10.5 once stored observed_total 10 beside a rate of 1 / 10.5; NaN once raised a bare ValueError
+        with pytest.raises(DomainError, match="total must be a finite whole number"):
+            TailAudit.from_counts([0.0], [1], total)
+
+    def test_whole_float_total_is_stored_as_the_int_it_divides_by(self):
+        audit = TailAudit.from_counts([0.0], [1], 10.0)
+        assert (audit.observed_total, audit.observed_per_100k) == (10, (10_000.0,))
+        assert type(audit.observed_total) is int
+
 
 # One-component fits of a one-component logistic sample: the 1,000 refits of a
 # 10-replicate bootstrap study stay cheap, and the family is right, so some
@@ -191,6 +202,20 @@ class TestPValueStudy:
             with pytest.raises(DomainError):
                 pvalue_study(data, reps=10, p_method=method)
 
+    def test_bad_sizes_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fit_mixture was called")
+
+        monkeypatch.setattr("tailratio.experiments.fit_mixture", no_fit)
+        data = _logistic_scores()
+        with pytest.raises(DomainError, match="resample_n"):
+            pvalue_study(data, reps=10, resample_n=0)
+        with pytest.raises(DomainError, match="bootstrap size"):
+            pvalue_study(data, reps=10, p_method="bootstrap", bootstrap_b=99)
+        # the closed forms never read the bootstrap size, so it is not checked and the study goes on to fit
+        with pytest.raises(AssertionError, match="fit_mixture was called"):
+            pvalue_study(data, reps=10, bootstrap_b=99)
+
     # None is the default, which is the closed form
     @pytest.mark.parametrize("method", [None, "asymptotic", "bootstrap"])
     def test_panels_use_the_chosen_methods(self, method, bootstrap_study):
@@ -228,6 +253,10 @@ class TestPValueStudy:
         kept = [r for r in range(10) if r not in (2, 5)]
         for panel in _PANELS:
             assert np.array_equal(getattr(study, panel), getattr(full, panel)[kept]), panel
+        monkeypatch.setattr("tailratio.experiments.fit_mixture", fit_failing_on(*range(10)))
+        none = pvalue_study(data, reps=10, seed=0)
+        assert none.missing == tuple(range(10))
+        assert [getattr(none, panel).shape for panel in _PANELS] == [(0,)] * 4
 
     def test_failed_bootstrap_refit_makes_its_replicate_missing(self, monkeypatch, bootstrap_study):
         monkeypatch.setattr("tailratio.gof.fit_mixture", fit_failing_on(2, 5, at=-3))

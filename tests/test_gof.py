@@ -28,9 +28,11 @@ from tailratio import (
     mixture_sf,
     substream,
 )
-from tailratio.dist import _scores_from_uniforms
-from tailratio.gof import _statistics
+from tailratio.dist import _scores_from_uniforms, _stack
+from tailratio.gof import _closed_forms, _statistics
 from tailratio.seeds import RESAMPLE
+
+from strategies import random_mixture
 
 REF = REFERENCE_NONMATED_MODEL
 SINGLE = MixtureModel([1.0], [0.0], [1.0])
@@ -87,9 +89,9 @@ class TestEmpirical:
     def test_sorts_and_counts(self):
         sample = mixture_sample(TRIPLE, 50, seed=71)
         shuffled = np.random.default_rng(73).permutation(sample)
-        for kind in ("KS", "AD"):
+        for kind, stat in zip(("KS", "AD"), _statistics(TRIPLE, np.sort(sample))):
             sorted_stat = _loop_statistic(kind, sample, TRIPLE)
-            assert _statistics(kind, TRIPLE, np.sort(sample)) == sorted_stat
+            assert stat == sorted_stat
             for arg in (sample, shuffled, shuffled.tolist(), tuple(shuffled[::-1])):
                 stat = ks_statistic(arg, TRIPLE) if kind == "KS" else ad_statistic(arg, TRIPLE)
                 assert stat == sorted_stat, kind
@@ -105,6 +107,47 @@ class TestEmpirical:
                 ad_statistic(bad, REF)
             with pytest.raises(DomainError):
                 bootstrap_pvalue(bad, REF, 100, seed=0)
+
+
+def _bits(values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+class TestStacked:
+    """A stack of samples against a stack of models: row r gets the bits of its one-sample call."""
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_one_sample_calls(self, k, m, n, data):
+        # k models of m components each, and k sorted rows of n points
+        unit = st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9)
+        models = [random_mixture(m, data.draw(unit)) for _ in range(k)]
+        xs = np.sort([data.draw(st.lists(st.floats(-250.0, 120.0), min_size=n, max_size=n)) for _ in range(k)],
+                     axis=1)
+        stack = _stack(models)
+        stacked = _closed_forms(stack, xs)
+        assert _bits(_statistics(stack, xs)) == _bits(stacked[:2])
+        for r, model in enumerate(models):
+            single = _closed_forms(model, xs[r])
+            assert _bits(single[:2]) == _bits(_statistics(model, xs[r]))
+            assert _bits(single[:2]) == _bits((ks_statistic(xs[r], model), ad_statistic(xs[r], model)))
+            assert _bits(v[r] for v in stacked) == _bits(single), r
+
+    def test_bootstrap_counts_match_a_per_draw_loop(self):
+        # the refits scored one draw at a time; a two-component model of 150
+        # points puts both counts inside (0, B): 50 for KS, 60 for AD
+        B, seed = 100, 6
+        sample = mixture_sample(REF, 150, seed=37)
+        model = fit_mixture(sample, FitConfig(k=2, restarts=1)).model
+        draws = np.sort([mixture_sample(model, 150, (seed, b, RESAMPLE)) for b in range(B)], axis=1)
+        refits = fit_mixture(draws, FitConfig(k=2, restarts=1, seed=seed))
+        counts = []
+        for kind in ("KS", "AD"):
+            observed = _loop_statistic(kind, sample, model)
+            counts.append(sum(_loop_statistic(kind, draw, fit.model) >= observed for draw, fit in zip(draws, refits)))
+        outcomes = bootstrap_pvalue(sample, model, B, seed)
+        assert [o.p_value for o in outcomes] == [(1 + c) / (B + 1) for c in counts]
+        assert all(0 < c < B for c in counts), counts
 
 
 class TestKS:
