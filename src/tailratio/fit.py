@@ -456,7 +456,8 @@ def minimize(
         stop = done | (iters[moved] >= maxiter)
         active[moved[stop]] = False
         going = moved[~stop]
-        step[going], slope[going] = _newton_steps(grad[going], hess_t[ok][~stop])
+        if going.size:
+            step[going], slope[going] = _newton_steps(grad[going], hess_t[ok][~stop])
         alpha[going] = 1.0
         short = idx[~ok]
         alpha[short] *= 0.5

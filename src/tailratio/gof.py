@@ -88,7 +88,10 @@ def _statistics(model, xs: np.ndarray) -> tuple:
     ks = np.max(np.maximum(i / n - F, F - (i - 1) / n), axis=-1)
     F = np.clip(F, _CDF_CLAMP, 1.0 - _CDF_CLAMP)
     S = np.clip(mixture_sf(model, xs), _CDF_CLAMP, 1.0 - _CDF_CLAMP)
-    return ks, -n - np.mean((2 * i - 1) * (np.log(F) + np.log(S[..., ::-1])), axis=-1)
+    # np.log runs a scalar loop on a reversed 1-D view, as a lone sample's S[::-1], and SIMD on a
+    # reversed stack; the two can differ in the last bit, so every row takes the scalar loop
+    log_s = np.log(S.ravel()[::-1])[::-1].reshape(S.shape)[..., ::-1]
+    return ks, -n - np.mean((2 * i - 1) * (np.log(F) + log_s), axis=-1)
 
 
 def _closed_forms(model, xs: np.ndarray) -> tuple:

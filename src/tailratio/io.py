@@ -14,8 +14,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, count, filterfalse
-from operator import itemgetter
+from itertools import compress
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -99,6 +98,9 @@ def write_csv(
 # What iterating a file opened with newline="" yields for an empty line.
 _BLANK_LINES = frozenset({"\n", "\r\n", "\r"})
 _CSV = dict(delimiter=",", quotechar='"', comments=None)
+# Characters read at a time.  A block ends on a whole line, so a record is
+# never split between blocks and a file is never held whole.
+_BLOCK_CHARS = 1 << 18
 
 
 @contextmanager
@@ -116,7 +118,7 @@ def _cells(line: str) -> list[str]:
     return np.loadtxt([line], dtype=object, ndmin=2, **_CSV)[0].tolist()
 
 
-def _parse(lines: Iterable[str], dtype: np.dtype) -> np.ndarray:
+def _parse(lines: list[str], dtype: np.dtype) -> np.ndarray:
     """Parse nonblank CSV lines into a structured array of `dtype`, one row per line.
 
     numpy's tokenizer lets a quoted cell run on into the next line; here a
@@ -126,17 +128,10 @@ def _parse(lines: Iterable[str], dtype: np.dtype) -> np.ndarray:
     does not parse or a record spans lines.
     """
     end = ",".join("" if dtype[j] == object else "0" for j in range(len(dtype))) + "\n"
-    tally = count()  # advanced once per line that numpy takes
-    rows = np.loadtxt(chain(map(itemgetter(0), zip(lines, tally)), (end,)), dtype=dtype, ndmin=1, **_CSV)
-    if rows.size != next(tally) + 1:
+    rows = np.loadtxt(lines + [end], dtype=dtype, ndmin=1, **_CSV)
+    if rows.size != len(lines) + 1:
         raise ValueError("a quoted cell runs past the end of its line")
     return rows[:-1]
-
-
-def _body_lines(fh: IO[str], header_line: int) -> list[tuple[int, str]]:
-    """(line number, text) of every nonblank line after the header, read again from the start."""
-    fh.seek(0)
-    return [(n, line) for n, line in enumerate(fh, start=1) if n > header_line and line not in _BLANK_LINES]
 
 
 def _first_bad_line(lines: list[str], dtype: np.dtype) -> int:
@@ -176,31 +171,27 @@ def _line_error(line: str, lineno: int, header: list[str], dtype: np.dtype) -> D
 
 @dataclass(frozen=True, eq=False)
 class _Table:
-    """The rows of a CSV file up to its first line that does not parse."""
+    """The rows of a CSV file before its first line that does not parse."""
 
-    path: str | Path
     header: list[str]
     header_line: int
     rows: np.ndarray  # structured, one field per header cell
-    failure: DataFormatError | None  # names the first line that does not parse
-
-    def line(self, row: int) -> int:
-        """Line number of a parsed row."""
-        with _open_text(self.path) as fh:
-            return _body_lines(fh, self.header_line)[row][0]
+    lines: np.ndarray  # the line number of each row
 
 
-def _read_csv(path: str | Path, columns: Callable[[list[str]], np.dtype]) -> _Table:
-    """Read a CSV in one numpy pass: `columns(header)` checks the header and gives the row dtype.
+def _read_csv(
+    path: str | Path, columns: Callable[[list[str]], np.dtype], build: Callable[[_Table], Any] = lambda table: table
+) -> Any:
+    """Read a CSV once, in blocks of whole lines: `columns(header)` checks the header and gives the row dtype.
 
     A DataFormatError that `columns` raises is reported at the header's line.
 
     Blank lines are skipped, and so are leading `# key=value` metadata lines,
     which must precede the header.  Every table read here has a numeric first
     column, so a `#` line after the header fails to parse and is reported as
-    such.  When some line does not parse, the rows before it are returned
-    with a `failure` naming it, so a caller can report an earlier bad value
-    first.
+    such.  Reading stops at the first line that does not parse.  The rows
+    before it go to `build`, and what `build` returns is returned; then that
+    line's error is raised, so `build` can report an earlier bad value first.
     """
     with _open_text(path) as fh:
         for header_line, line in enumerate(fh, start=1):
@@ -213,17 +204,26 @@ def _read_csv(path: str | Path, columns: Callable[[list[str]], np.dtype]) -> _Ta
             dtype = columns(header)
         except DataFormatError as exc:
             raise DataFormatError(str(exc), line=header_line) from None
-        try:
-            rows = _parse(filterfalse(_BLANK_LINES.__contains__, fh), dtype)
-        except ValueError:
-            # also a UnicodeDecodeError, which reading the file again raises again
-            numbered = _body_lines(fh, header_line)
-        else:
-            return _Table(path, header, header_line, rows, None)
-        lines = [line for _, line in numbered]
-        good = _first_bad_line(lines, dtype)
-        failure = _line_error(lines[good], numbered[good][0], header, dtype)
-        return _Table(path, header, header_line, _parse(lines[:good], dtype), failure)
+        rows, lines, bad, lineno = [np.empty(0, dtype)], [np.empty(0, int)], None, header_line
+        while bad is None and (block := fh.readlines(_BLOCK_CHARS)):
+            numbers = np.arange(lineno + 1, lineno + 1 + len(block))
+            lineno += len(block)
+            if not _BLANK_LINES.isdisjoint(block):
+                keep = [line not in _BLANK_LINES for line in block]
+                block, numbers = list(compress(block, keep)), numbers[keep]
+            try:
+                rows.append(_parse(block, dtype))
+            except ValueError:
+                good = _first_bad_line(block, dtype)
+                bad = block[good], int(numbers[good])
+                rows.append(_parse(block[:good], dtype))
+            lines.append(numbers[: rows[-1].size])
+    rows, lines = np.concatenate(rows), np.concatenate(lines)  # frees the blocks before `build` copies columns
+    result = build(_Table(header, header_line, rows, lines))
+    if bad is not None:
+        # made where it is raised: an error held in a local would keep this frame alive through its traceback
+        raise _line_error(*bad, header, dtype)
+    return result
 
 
 def _score_columns(header: list[str]) -> np.dtype:
@@ -236,11 +236,17 @@ def load_scores(path: str | Path) -> ScoreDataset:
     """Load a labeled score CSV into columns, validating every row.
 
     Header must be `score,origin,feature_count,pair_id` with an optional
-    trailing `source_id` column; the first malformed row fails with its line
-    number.  Scores are decimal floats as `repr` writes them and feature
-    counts decimal integers; an empty source_id loads as None.
+    trailing `source_id` column.  The file is read once, in blocks, and the
+    first malformed row fails with its line number, whether it does not
+    parse or holds a value out of range.  Scores are decimal floats as
+    `repr` writes them and feature counts decimal integers; an empty
+    source_id loads as None.
     """
-    table = _read_csv(path, _score_columns)
+    return _read_csv(path, _score_columns, _score_dataset)
+
+
+def _score_dataset(table: _Table) -> ScoreDataset:
+    """The dataset of a score table's rows; a row out of range fails at its line."""
     rows = table.rows
     if "source_id" in rows.dtype.names:
         source_id = rows["source_id"].copy()
@@ -248,17 +254,12 @@ def load_scores(path: str | Path) -> ScoreDataset:
     else:
         source_id = np.full(rows.size, None, dtype=object)
     columns = (np.ascontiguousarray(rows[name]) for name in _SCORE_HEADER)
-    # The rows before an unparsable one are validated first, so the error
-    # always names the first bad line.
     try:
-        dataset = ScoreDataset(*columns, source_id)
+        return ScoreDataset(*columns, source_id)
     except DomainError as exc:
         row = exc.payload["row"]
         problem = str(exc).removeprefix(f"row {row}: ")
-        raise DataFormatError(f"bad record: {problem}", line=table.line(row)) from exc
-    if table.failure is not None:
-        raise table.failure
-    return dataset
+        raise DataFormatError(f"bad record: {problem}", line=int(table.lines[row])) from exc
 
 
 def save_scores(dataset: ScoreDataset, path: str | Path, meta: Mapping[str, Any] | None = None) -> None:
@@ -338,8 +339,6 @@ def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> 
         return np.dtype([("feature_count", "i8"), ("pairs", "i8"), *rates])
 
     table = _read_csv(path, columns)
-    if table.failure is not None:
-        raise table.failure
     try:
         thresholds = tuple(float(h) for h in table.header[2:])
     except ValueError as exc:
@@ -372,8 +371,6 @@ _TABLE4_FORMATS = {"feature_count": "i8", "cross_comparisons": "i8", "rate_below
 def load_table1_fixture(path: str | Path) -> TailAudit:
     """Load the published tail table as a TailAudit of its printed rates, counts and total."""
     table = _read_csv(path, lambda header: _fixed_columns(header, _TABLE1_FORMATS, path))
-    if table.failure is not None:
-        raise table.failure
     cuts, expected, counts, totals, printed = (table.rows[name].tolist() for name in _TABLE1_FORMATS)
     if len(set(totals)) != 1:
         raise DataFormatError(f"inconsistent observed totals {totals} in {path}")
@@ -383,8 +380,6 @@ def load_table1_fixture(path: str | Path) -> TailAudit:
 def load_table4_summary(path: str | Path) -> dict[str, int | float]:
     """Load the single-row cross-comparison summary fixture; its counts are integers."""
     table = _read_csv(path, lambda header: _fixed_columns(header, _TABLE4_FORMATS, path))
-    if table.failure is not None:
-        raise table.failure
     if table.rows.size != 1:
         raise DataFormatError(f"expected exactly one data row in {path}")
     return dict(zip(table.header, table.rows[0].tolist()))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstwo
 
@@ -109,6 +109,14 @@ class TestEmpirical:
                 bootstrap_pvalue(bad, REF, 100, seed=0)
 
 
+# 1 to 3 pairs of (nine numbers for `random_mixture`, a row of n points), n in [1, 40]
+_STACKS = st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.tuples(st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
+              st.lists(st.floats(-250.0, 120.0), min_size=n, max_size=n)),
+    min_size=1, max_size=3,
+))
+
+
 def _bits(values):
     return [np.asarray(v, dtype=float).tobytes() for v in values]
 
@@ -116,14 +124,16 @@ def _bits(values):
 class TestStacked:
     """A stack of samples against a stack of models: row r gets the bits of its one-sample call."""
 
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 40), st.data())
+    @given(st.integers(1, 3), _STACKS)
+    @example(2, [([0.0] * 9, [0.0, 0.0]),
+                 ([0, 1, 0, 0, 0.8184513229028234, 0, 0, 0.2798513574868556, 0], [1.0, 0.721054504426745])])
     @settings(max_examples=60, deadline=None)
-    def test_rows_match_one_sample_calls(self, k, m, n, data):
-        # k models of m components each, and k sorted rows of n points
-        unit = st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9)
-        models = [random_mixture(m, data.draw(unit)) for _ in range(k)]
-        xs = np.sort([data.draw(st.lists(st.floats(-250.0, 120.0), min_size=n, max_size=n)) for _ in range(k)],
-                     axis=1)
+    def test_rows_match_one_sample_calls(self, m, pairs):
+        # k models of m components each, and k sorted rows of n points.  In the
+        # example, a log over the reversed stack once gave row 1 an AD one bit
+        # off its one-sample value.
+        models = [random_mixture(m, params) for params, _ in pairs]
+        xs = np.sort([row for _, row in pairs], axis=1)
         stack = _stack(models)
         stacked = _closed_forms(stack, xs)
         assert _bits(_statistics(stack, xs)) == _bits(stacked[:2])

@@ -1,6 +1,7 @@
 """Formats layer: score CSVs, model JSONs, fixture tables, packaged data."""
 from __future__ import annotations
 
+import gc
 import json
 import tempfile
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tailratio.io
 from tailratio import (
     DataFormatError,
     ModelError,
@@ -352,6 +354,121 @@ def test_scores_save_load_round_trip_property(rows, meta, blank_after, crlf):
     assert back.score.view(np.uint64).tolist() == ds.score.view(np.uint64).tolist()
     for column in ("origin", "feature_count", "pair_id", "source_id"):
         assert getattr(back, column).tolist() == getattr(ds, column).tolist(), column
+
+
+_HEADER = "score,origin,feature_count,pair_id\n"
+
+
+def _sixteen(i: int) -> str:
+    """A valid score row of exactly 16 characters with its newline."""
+    return f"1.0,mated,15,p{i % 10}\n"
+
+
+def _failure(load, path) -> DataFormatError:
+    """The DataFormatError that loading `path` raises."""
+    try:
+        load(path)
+    except DataFormatError as exc:
+        return exc
+    raise AssertionError(f"{path} loaded")
+
+
+def _load_sixteens(tmp_path, edits: dict[int, str]) -> tuple[str, int]:
+    """Message and line of the error in a file of 16-character rows on lines 2-20, `edits` by line number."""
+    path = tmp_path / "bad.csv"
+    path.write_text(_HEADER + "".join(edits.get(n, _sixteen(n)) for n in range(2, 21)))
+    exc = _failure(load_scores, path)
+    return str(exc), exc.line
+
+
+class TestBlocks:
+    """A score file read 64 characters at a time: five 16-character rows a block.
+
+    A block ends on the line that takes it past 64 characters.  The header
+    is line 1, so blocks hold lines 2-6, 7-11, 12-16 and 17-20.
+    """
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(tailratio.io, "_BLOCK_CHARS", 64)
+
+    def test_round_trip_property(self):
+        test_scores_save_load_round_trip_property()
+
+    @pytest.mark.parametrize("bad_line", [7, 11, 12, 16])
+    def test_bad_line_at_a_block_edge(self, tmp_path, bad_line):
+        got = _load_sixteens(tmp_path, {bad_line: "oop,mated,15,p0\n"})
+        assert got == ("bad record: score 'oop' is not a decimal float", bad_line)
+
+    def test_bad_value_in_block_one_before_syntax_error_in_block_three(self, tmp_path):
+        got = _load_sixteens(tmp_path, {3: "1.0,mated,16,p1\n", 13: "1.0,mated,15\n"})
+        assert got == ("bad record: feature_count must be an integer in [5, 15], got 16", 3)
+
+    def test_quote_opened_on_a_blocks_last_line(self, tmp_path):
+        got = _load_sixteens(tmp_path, {11: '1.0,mated,15,"p\n'})
+        assert got == ("unbalanced quote: record runs past the end of its line", 11)
+
+    def test_crlf_and_blank_runs_across_edges(self, tmp_path):
+        # seventeen-character CRLF rows, with runs of blank lines that end
+        # some blocks and begin others; the last line is the bad one
+        body = []
+        for i in range(12):
+            body.append(_sixteen(i).replace("\n", "\r\n"))
+            body.extend(["\r\n"] * (i % 4) * 3)
+        path = tmp_path / "s.csv"
+        path.write_bytes((_HEADER.replace("\n", "\r\n") + "".join(body)).encode())
+        assert load_scores(path).pair_id.tolist() == [f"p{i % 10}" for i in range(12)]
+        path.write_bytes(path.read_bytes() + b"1.0,mated,15,p,x\r\n")
+        exc = _failure(load_scores, path)
+        assert (str(exc), exc.line) == ("expected 4 cells, got 5", 2 + len(body))
+
+
+class TestOneRead:
+    @pytest.mark.parametrize("row", ["2.0,nonmated,15,p1", "oops,mated,15,p1", "1.0,mated,16,p1"],
+                             ids=["valid", "syntax error", "bad value"])
+    def test_each_load_opens_the_file_once(self, tmp_path, monkeypatch, row):
+        opened = []
+
+        def counted(path):
+            opened.append(path)
+            return open_text(path)
+
+        open_text = tailratio.io._open_text
+        monkeypatch.setattr(tailratio.io, "_open_text", counted)
+        path = tmp_path / "s.csv"
+        path.write_text(f"{_HEADER}1.0,mated,15,p0\n{row}\n")
+        try:
+            load_scores(path)
+        except DataFormatError as exc:
+            assert exc.line == 3
+        assert opened == [path]
+
+    def test_bad_last_line_of_a_large_file(self, tmp_path):
+        # 100,000 rows span several full-size blocks
+        path = tmp_path / "big.csv"
+        path.write_text(_HEADER + "".join(_sixteen(i) for i in range(100_000)) + "1.0,mated,15,p0,x\n")
+        exc = _failure(load_scores, path)
+        assert (str(exc), exc.line) == ("expected 4 cells, got 5", 100_002)
+
+    @pytest.mark.parametrize("load, text", [
+        (load_scores, f"{_HEADER}1.0,mated,15,p0\noops,mated,15,p1\n"),
+        (load_scores, f"{_HEADER}1.0,mated,15,p0\n1.0,mated,16,p1\n"),
+        (load_scores, f'{_HEADER}1.0,mated,15,p0\n1.0,mated,15,"p1\n'),
+        (load_scores, "score,origin\n1.0,mated\n"),
+        (lambda p: load_threshold_table(p, "x"), "feature_count,pairs,1\n5,10,0.5\n5,10,x\n"),
+    ], ids=["syntax error", "bad value", "open quote", "bad header", "threshold table"])
+    def test_failed_load_leaves_no_reference_cycle(self, tmp_path, load, text):
+        # a cycle through the error's traceback would hold the parsed rows
+        # until the cyclic collector next runs
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        gc.collect()
+        gc.disable()
+        try:
+            _failure(load, path)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFixtureTables:
