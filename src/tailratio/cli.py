@@ -273,12 +273,14 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
     """Audit a model's right tail against observed data, per 100,000."""
     model = _load_model_arg(model_path, default_name="nonmated_15.json")
     cuts = _parse_float_list(cutpoints, "cutpoints")
+    if scores_path is not None and (counts is not None or total is not None):
+        raise click.BadParameter("--scores takes no --counts or --total")
+    if (counts is None) != (total is None):
+        raise click.BadParameter("--counts and --total go together")
     if scores_path is not None:
         observed = load_scores(scores_path).scores(origin=origin)
         audit = tail_audit(model, observed, cuts)
     elif counts is not None:
-        if total is None:
-            raise click.BadParameter("--counts requires --total")
         audit = TailAudit.from_counts(cuts, _parse_count_list(counts), total, model=model)
     else:
         audit = TailAudit.from_model(model, cuts)

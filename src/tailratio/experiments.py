@@ -559,6 +559,10 @@ class ThresholdTable:
         rows = len(self.feature_counts)
         if rates.shape != (rows, len(self.thresholds)) or len(self.pair_counts) != rows:
             raise DomainError("need a rate row and a pair count per feature count, a rate column per threshold")
+        for what, values in (("feature count", self.feature_counts), ("threshold", self.thresholds)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise DomainError(f"repeated {what} {repeated[0]}")
         bad = ~((rates >= 0.0) & (rates <= 1.0))
         if np.any(bad):
             raise DomainError(f"rates must be in [0, 1], got {rates[bad][0]}")

@@ -27,7 +27,6 @@ take the full-sample descent alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -244,26 +243,8 @@ class _Workspace:
         self.m, self.total, self.sample = np.empty((3, s, n))
 
 
-@lru_cache
-def _curvature_index(k: int) -> np.ndarray:
-    """Flat Hessian positions of the blocks `_neg_loglik` subtracts, in the order it lists them."""
-    size = 3 * k - 1
-    logit, loc, log_scale = np.arange(k - 1), np.arange(k - 1, 2 * k - 1), np.arange(2 * k - 1, size)
-
-    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return (rows[:, None] * size + cols).ravel()
-
-    index = np.concatenate([
-        block(logit, logit), block(logit, loc), block(loc, logit), block(logit, log_scale),
-        block(log_scale, logit), loc * size + loc, loc * size + log_scale, log_scale * size + loc,
-        log_scale * size + log_scale,
-    ])
-    index.flags.writeable = False  # shared by every call through the cache
-    return index
-
-
 def _neg_loglik(
-    thetas: np.ndarray, xs: np.ndarray, k: int, floor: float | np.ndarray, work: _Workspace
+    thetas: np.ndarray, xs: np.ndarray, k: int, floor: np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Negative log-likelihood, its gradient and its Hessian at each row of `thetas`.
 
@@ -278,10 +259,9 @@ def _neg_loglik(
     or the scale floor binds, the objective is flat in that coordinate and
     its gradient, Hessian row and Hessian column are 0.  `xs` holds one
     sorted n-point sample per row of `thetas`, and `floor` one scale floor
-    per row; a single sample or floor serves every row.  Every k-by-n and
-    n-sized intermediate lives in `work`, which must match k and n and hold
-    at least len(thetas) starts.  Each row's numbers are the same bits
-    whichever other rows share the call.
+    per row.  Every k-by-n and n-sized intermediate lives in `work`, which
+    must match k and n and hold at least len(thetas) starts.  Each row's
+    numbers are the same bits whichever other rows share the call.
     """
     # Arrays are starts-by-k-by-n so that every reduction runs over
     # contiguous rows or across whole rows.  Sums of products go through
@@ -333,7 +313,6 @@ def _neg_loglik(
     # where the batch's flattened buffer does, so its bits would depend on the batch
     hess = np.array([np.einsum("pn,qn->pq", g, g) for g in point_grad])
     hess *= unit[:, :, None] * unit[:, None, :]
-    # minus the responsibility-weighted curvature, block by block
     w = weights[:, :-1]
     r_logit = sums[:, : k - 1] + n * w
     r_sum = np.concatenate([r_logit, n - r_logit.sum(axis=1, keepdims=True)], axis=1)
@@ -345,12 +324,20 @@ def _neg_loglik(
     logit_loc = own * (rt_sum / scales)[:, None, :]
     logit_log_scale = own * rzt1_sum[:, None, :]
     loc_log_scale = (rez_sum - 2.0 * rt_sum) / scales
-    curvature = np.concatenate([
-        logit_logit.reshape(a, -1), logit_loc.reshape(a, -1), logit_loc.transpose(0, 2, 1).reshape(a, -1),
-        logit_log_scale.reshape(a, -1), logit_log_scale.transpose(0, 2, 1).reshape(a, -1),
-        re_sum / scales**2, loc_log_scale, loc_log_scale, rez2_sum - 3.0 * rzt1_sum - 2.0 * r_sum,
-    ], axis=1)
-    hess.reshape(a, -1)[:, _curvature_index(k)] -= curvature
+    # minus the responsibility-weighted curvature, block by block; a
+    # component's location and log scale meet only each other, on diagonals
+    logit, loc, log_scale = slice(k - 1), slice(k - 1, 2 * k - 1), slice(2 * k - 1, None)
+    hess[:, logit, logit] -= logit_logit
+    hess[:, logit, loc] -= logit_loc
+    hess[:, loc, logit] -= logit_loc.transpose(0, 2, 1)
+    hess[:, logit, log_scale] -= logit_log_scale
+    hess[:, log_scale, logit] -= logit_log_scale.transpose(0, 2, 1)
+    diag_loc = np.arange(k - 1, 2 * k - 1)
+    diag_log_scale = diag_loc + k
+    hess[:, diag_loc, diag_loc] -= re_sum / scales**2
+    hess[:, diag_loc, diag_log_scale] -= loc_log_scale
+    hess[:, diag_log_scale, diag_loc] -= loc_log_scale
+    hess[:, diag_log_scale, diag_log_scale] -= rez2_sum - 3.0 * rzt1_sum - 2.0 * r_sum
 
     log_scales = thetas[:, 2 * k - 1 :]
     free = np.ones_like(grad)
@@ -410,24 +397,20 @@ def _newton_steps(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.nd
     return step, np.einsum("sp,sp->s", grad, step)
 
 
-def minimize(
-    thetas: np.ndarray, xs: np.ndarray, k: int, floor: float | np.ndarray, maxiter: int = _MAX_ITER
-) -> Minimum:
+def minimize(thetas: np.ndarray, xs: np.ndarray, k: int, floor: np.ndarray, maxiter: int = _MAX_ITER) -> Minimum:
     """Damped Newton from each row of `thetas` on the negative log-likelihood of its sorted sample.
 
     `xs` holds one n-point sample per row of `thetas` and `floor` one scale
-    floor per row; a single sample or floor serves every row.  All starts
-    step together as one batch, and each is the same bits alone or in any
-    batch.  A start takes the modified-Newton step of `_newton_steps`,
-    halved until it meets the Armijo condition (sufficient decrease
-    _ARMIJO, up to the objective's rounding), and stops once the largest
-    gradient entry is at most _TOL * max(1, |f0|), f0 its objective at the
-    start.  It fails if it takes `maxiter` steps first, or if
-    _MAX_HALVINGS halvings find no decrease.
+    floor per row.  All starts step together as one batch, and each is the
+    same bits alone or in any batch.  A start takes the modified-Newton step
+    of `_newton_steps`, halved until it meets the Armijo condition
+    (sufficient decrease _ARMIJO, up to the objective's rounding), and stops
+    once the largest gradient entry is at most _TOL * max(1, |f0|), f0 its
+    objective at the start.  It fails if it takes `maxiter` steps first, or
+    if _MAX_HALVINGS halvings find no decrease.
     """
     x = np.array(thetas, dtype=float)
-    starts, n = x.shape[0], np.shape(xs)[-1]
-    floor = np.broadcast_to(floor, (starts,))
+    starts, n = xs.shape
     work = _Workspace(starts, k, n)
     f, grad, hess = _neg_loglik(x, xs, k, floor, work)
     gtol = _TOL * np.maximum(1.0, np.abs(f))
@@ -439,8 +422,7 @@ def minimize(
     while active.any():
         idx = np.flatnonzero(active)
         trial = x[idx] + alpha[idx, None] * step[idx]
-        # a shared sample serves any subset of starts as it is, and a stack all of them
-        if np.ndim(xs) == 1 or idx.size == starts:
+        if idx.size == starts:
             sample = xs
         else:
             sample = np.take(xs, idx, axis=0, out=work.sample[: idx.size])
@@ -465,11 +447,6 @@ def minimize(
     return Minimum(x, f, converged, iters, nfev)
 
 
-def _per_start(zs: np.ndarray, s: int) -> np.ndarray:
-    """Each sample of a chunk once per start, or the one sample of a chunk of one, shared with no copies."""
-    return zs[0] if zs.shape[0] == 1 else np.repeat(zs, s, axis=0)
-
-
 def _descend(thetas: np.ndarray, zs: np.ndarray, floor: np.ndarray, k: int) -> Minimum:
     """`minimize` from the starts of a chunk of samples, coarse to fine when the samples are large.
 
@@ -483,16 +460,17 @@ def _descend(thetas: np.ndarray, zs: np.ndarray, floor: np.ndarray, k: int) -> M
     parameter, takes that start's full-sample result; every other start is
     polished on all n points, from where its coarse run ended, or from where
     it began if that end is not finite.  A merged start counts only its
-    coarse steps and evaluations.
+    coarse steps and evaluations.  Every start gets its own copy of its
+    sample, from which the coarse and the polish calls take their rows.
     """
     c, s, p = thetas.shape
     n = zs.shape[1]
-    floors = np.repeat(floor, s)
+    samples, floors = np.repeat(zs, s, axis=0), np.repeat(floor, s)
     x0 = thetas.reshape(-1, p)
     if n < 4 * _COARSE_POINTS:
-        return minimize(x0, _per_start(zs, s), k, floors)
+        return minimize(x0, samples, k, floors)
     stride = n // _COARSE_POINTS
-    coarse = minimize(x0, _per_start(zs[:, stride // 2 :: stride], s), k, floors)
+    coarse = minimize(x0, samples[:, stride // 2 :: stride], k, floors)
     finite = np.isfinite(coarse.fun) & np.isfinite(coarse.x).all(axis=1)
     x = np.where(finite[:, None], coarse.x, x0)
     # twin[j] is the start whose full-sample result start j takes: itself, or an earlier start of its sample
@@ -505,7 +483,7 @@ def _descend(thetas: np.ndarray, zs: np.ndarray, floor: np.ndarray, k: int) -> M
                 if twin[j] == j:
                     kept.append(j)
     polish = np.flatnonzero(twin == np.arange(c * s))
-    full = minimize(x[polish], zs[0] if c == 1 else zs[polish // s], k, floors[polish])
+    full = minimize(x[polish], samples[polish], k, floors[polish])
     fun, converged = np.empty(c * s), np.empty(c * s, dtype=bool)
     x[polish], fun[polish], converged[polish] = full.x, full.fun, full.converged
     nit, nfev = coarse.start_nit.copy(), coarse.start_nfev.copy()

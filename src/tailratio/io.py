@@ -332,18 +332,20 @@ def load_threshold_table(path: str | Path, kind: str, percent: bool = False) -> 
     With `percent` the file stores percentages (the printed convention for
     identification-rate tables) and cells are divided by 100 on load.
     """
+    thresholds: tuple[float, ...] = ()
+
     def columns(header: list[str]) -> np.dtype:
+        nonlocal thresholds
         if len(header) < 3 or header[:2] != ["feature_count", "pairs"]:
             raise DataFormatError(f"unexpected header {header!r} in {path}")
+        try:
+            thresholds = tuple(float(h) for h in header[2:])
+        except ValueError as exc:
+            raise DataFormatError(f"non-numeric threshold column in {path}: {exc}") from None
         rates = [(f"rate{j}", "f8") for j in range(2, len(header))]
         return np.dtype([("feature_count", "i8"), ("pairs", "i8"), *rates])
 
-    table = _read_csv(path, columns)
-    try:
-        thresholds = tuple(float(h) for h in table.header[2:])
-    except ValueError as exc:
-        raise DataFormatError(f"non-numeric threshold column in {path}: {exc}", line=table.header_line) from exc
-    rows = table.rows
+    rows = _read_csv(path, columns).rows
     scale = 0.01 if percent else 1.0
     return ThresholdTable(
         kind=kind,

@@ -196,6 +196,19 @@ class TestTails:
                                       "--out", "x.csv"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--total", "2694"], "--counts and --total go together"),
+        (["--scores", "s.csv", "--counts", "35,14,3", "--total", "2694"], "--scores takes no --counts or --total"),
+        (["--scores", "s.csv", "--counts", "35,14,3"], "--scores takes no --counts or --total"),
+        (["--scores", "s.csv", "--total", "2694"], "--scores takes no --counts or --total"),
+    ], ids=["total", "scores-counts-total", "scores-counts", "scores-total"])
+    def test_inputs_it_would_ignore_rejected(self, runner, workdir, extra, message):
+        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "100", "--seed", "0"])
+        result = runner.invoke(main, ["tails", "--model", REF_JSON, *extra, "--out", "x.csv"])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (workdir / "x.csv").exists()
+
     @pytest.mark.parametrize("counts", ["35.7,14,3", "nan,1,1", "inf,1,1"])
     def test_counts_must_be_whole_numbers(self, runner, workdir, counts):
         result = runner.invoke(main, ["tails", "--model", REF_JSON, "--counts", counts,
@@ -337,6 +350,15 @@ class TestThresholds:
         assert len(obj["violations"]) == 1
         assert obj["violations"][0]["feature_count"] == 15
 
+    def test_repeated_threshold_reported_as_json(self, runner, workdir):
+        (workdir / "fc.csv").write_text(_three_feature_count_scores())
+        result = runner.invoke(main, ["thresholds", "--scores", "fc.csv", "--thresholds", "10,1,10",
+                                      "--out-prefix", "audit"])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == {"code": "domain_error", "message": "repeated threshold 10.0"}
+        assert not (workdir / "audit_exclusion.csv").exists()
+
     def test_compute_mode_writes_pair(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "300", "--seed", "0"])
         result = invoke(runner, ["thresholds", "--scores", "s.csv", "--out-prefix", "audit"])
@@ -426,6 +448,8 @@ OUTPUT_DIGESTS = {
     "thresholds error": "4e48b323b21ea51c8256636c170cdcdde542b798ffe2b81c3bdba952f77eae35",
     "fit stdout": "1b51353855ba8c3ea3cf93599cbe75475f7ed01a1871ba89fca6fdee4c40a336",
     "fit model": "c290da0aa19fa0d96526c8d32b8aa826dd9255c52755842fa4272a945217a096",
+    "fit k=3": "ef7f30fd7cac932ad6824f52737b35d5962e562309e0dcd677902668b967ce39",
+    "fit coarse to fine": "0fb04bd0736c96d5b83ba49db3c1740fb6cbfd23cbabc3337a11d90ca41b4840",
     "eval": "0bb9fe85340e34146f0fc5f08d9841a29dd2eb6cf9685a3c240148f3b29d3f25",
     "eval saturated": "7039c1bf821b2d9a11301dc864681454eea0fb98f38cb7848812d52d85d9488a",
     "gof bootstrap": "ebf14db403769d8d2a6d9c30cca62ecda9dbd3f3a4b6c62db0b1df22b0da6c73",
@@ -464,6 +488,10 @@ def cli_outputs(tmp_path_factory):
         run([*pv, "--p-method", "bootstrap", "--out", "pv_boot.csv"])
         run(["thresholds", "--scores", "fc.csv", "--out-prefix", "audit"])
         fit_out = run(["fit", "--scores", "s.csv", "--restarts", "2", "--seed", "5", "--out", "f.json"])
+        fit_k3 = run(["fit", "--scores", "s.csv", "--k", "3", "--restarts", "2", "--seed", "5", "--out", "f3.json"])
+        # 8,000 non-mated rows: the first size that fits coarse to fine
+        run(["gen", "--out", "large.csv", "--n-mated", "10", "--n-nonmated", "8000", "--seed", "6"])
+        fit_large = run(["fit", "--scores", "large.csv", "--restarts", "3", "--seed", "7", "--out", "fl.json"])
         pair = ["--mated", MATED_JSON, "--nonmated", REF_JSON]
         return {
             "gen": read("s.csv"),
@@ -475,6 +503,8 @@ def cli_outputs(tmp_path_factory):
             "thresholds error": read("audit_error.csv"),
             "fit stdout": fit_out,
             "fit model": read("f.json"),
+            "fit k=3": fit_k3 + read("f3.json"),
+            "fit coarse to fine": fit_large + read("fl.json"),
             "eval": run(["eval", *pair, "--score", "-30"]),
             "eval saturated": run(["eval", *pair, "--score", "50000"]),
             "gof bootstrap": run(["gof", "--scores", "s.csv", "--model", "f.json", "--p-method", "bootstrap",

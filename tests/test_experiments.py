@@ -481,6 +481,10 @@ class TestThresholds:
         with pytest.raises(DomainError):
             threshold_study([1.0], [14], thresholds=[1.0, float("nan")])
 
+    def test_repeated_threshold_rejected(self):
+        with pytest.raises(DomainError, match="repeated threshold 10.0"):
+            threshold_study([1.0], [14], thresholds=[10.0, 1.0, 10.0])
+
 
 @given(
     rows=st.lists(
@@ -492,7 +496,7 @@ class TestThresholds:
         max_size=60,
     ),
     thresholds=st.lists(st.one_of(st.sampled_from([1.0, 10.0, 100.0, float("inf")]), st.floats(0.0, 1e6)),
-                        min_size=1, max_size=6),
+                        min_size=1, max_size=6, unique=True),
 )
 @settings(max_examples=100, deadline=None)
 def test_threshold_rates_match_per_cell_means_bit_for_bit(rows, thresholds):

@@ -179,7 +179,8 @@ _GRAD_FLOOR = _SCALE_FLOOR_FRAC * float(_GRAD_XS[-1] - _GRAD_XS[0])
 
 
 def _derivatives(theta: np.ndarray, k: int):
-    f, grad, hess = _neg_loglik(theta[None], _GRAD_XS, k, _GRAD_FLOOR, _Workspace(1, k, _GRAD_XS.size))
+    work = _Workspace(1, k, _GRAD_XS.size)
+    f, grad, hess = _neg_loglik(theta[None], _GRAD_XS[None], k, np.array([_GRAD_FLOOR]), work)
     return f[0], grad[0], hess[0]
 
 
@@ -244,7 +245,8 @@ def test_warm_objective_call_allocates_less_than_one_row():
     # so a warm call allocates only parameter-sized arrays.
     n, k = 20_000, 2
     xs = np.sort(mixture_sample(REF, n, seed=7))
-    floor = _SCALE_FLOOR_FRAC * float(xs[-1] - xs[0])
+    floor = np.full(2, _SCALE_FLOOR_FRAC * float(xs[-1] - xs[0]))
+    xs = np.repeat(xs[None], 2, axis=0)
     thetas = np.array([[0.5, -85.0, -60.0, np.log(6.0), np.log(11.0)], [1.0, -80.0, -50.0, 1.0, 2.0]])
     work = _Workspace(2, k, n)
     expected = _neg_loglik(thetas, xs, k, floor, work)
@@ -262,8 +264,9 @@ def test_warm_objective_call_allocates_less_than_one_row():
 # reduction may split a row at a place that depends on the batch.
 @pytest.mark.parametrize("n", [400, 9000])
 def test_start_is_the_same_bits_alone_and_in_a_batch(n):
-    xs = np.sort(mixture_sample(REF, n, seed=5))
-    floor = _SCALE_FLOOR_FRAC * float(xs[-1] - xs[0])
+    sample = np.sort(mixture_sample(REF, n, seed=5))
+    xs = np.repeat(sample[None], 4, axis=0)
+    floor = np.full(4, _SCALE_FLOOR_FRAC * float(sample[-1] - sample[0]))
     rng = np.random.default_rng(4)
     thetas = np.column_stack([
         rng.normal(0.0, 1.0, 4), rng.uniform(-100.0, -60.0, (4, 2)), rng.uniform(1.0, 3.0, (4, 2))
@@ -271,8 +274,12 @@ def test_start_is_the_same_bits_alone_and_in_a_batch(n):
     batch = minimize(thetas, xs, 2, floor)
     assert batch.success and batch.nfev > batch.nit > 4
     for i in range(4):
-        alone = minimize(thetas[i : i + 1], xs, 2, floor)
+        alone = minimize(thetas[i : i + 1], xs[i : i + 1], 2, floor[i : i + 1])
         assert np.array_equal(alone.x[0], batch.x[i]) and alone.fun[0] == batch.fun[i]
+    # one sample shared by every start without a copy gives the bits of the repeated copies
+    shared = minimize(thetas, np.broadcast_to(sample, xs.shape), 2, floor)
+    for name in ("x", "fun", "converged", "start_nit", "start_nfev"):
+        assert np.array_equal(getattr(shared, name), getattr(batch, name)), name
 
 
 def test_restart_zero_gives_the_same_bits_under_more_restarts(monkeypatch):
@@ -307,9 +314,7 @@ class _RecordingMinimize:
         res = minimize(thetas, xs, *args, **kwargs)
         if self.bad is None or np.shape(xs)[-1] != self.bad.size:
             return res
-        # one shared sample is every start's
-        on_bad = np.broadcast_to((np.atleast_2d(xs) == self.bad).all(axis=1), res.converged.shape)
-        return replace(res, converged=res.converged & ~on_bad)
+        return replace(res, converged=res.converged & ~(xs == self.bad).all(axis=1))
 
 
 @pytest.mark.parametrize(
@@ -331,7 +336,7 @@ def test_stacked_rows_fit_to_the_same_bits_as_alone(k, coarse, restarts, monkeyp
     cfg = FitConfig(k=k, restarts=restarts, seed=seed)
     # row 3's starts never converge on all n points, so its fit fails alone and in the stack
     fit_mixture(stack[3], cfg)
-    run.bad = run.samples[-1]
+    run.bad = run.samples[-1][0]
     run.starts.clear()
     stacked = fit_mixture(stack, cfg)
     if coarse:

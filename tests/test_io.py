@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import tailratio.io
 from tailratio import (
     DataFormatError,
+    DomainError,
     ModelError,
     REFERENCE_NONMATED_MODEL,
     ScoreDataset,
@@ -497,14 +498,22 @@ class TestFixtureTables:
     @pytest.mark.parametrize("load, text, match", [
         (lambda p: load_threshold_table(p, "x"), "feature_count,rate,1\n5,0.5\n", "unexpected header"),
         (lambda p: load_threshold_table(p, "x"), "feature_count,pairs,one\n5,10,0.5\n", "non-numeric threshold"),
+        # the header's error comes before a bad row's
+        (lambda p: load_threshold_table(p, "x"), "feature_count,pairs,one\n5,10,x\n", "non-numeric threshold"),
         (load_table1_fixture, "cutpoint,count\n0,1\n", "unexpected header"),
-    ], ids=["threshold-header", "threshold-value", "fixed-header"])
+    ], ids=["threshold-header", "threshold-value", "threshold-value-then-bad-row", "fixed-header"])
     def test_header_errors_name_the_header_line(self, tmp_path, load, text, match):
         path = tmp_path / "t.csv"
         path.write_text("# seed=0\n\n" + text)
         with pytest.raises(DataFormatError, match=match) as exc_info:
             load(path)
         assert exc_info.value.line == 3
+
+    def test_repeated_feature_count_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("feature_count,pairs,1,10\n5,10,0.1,0.2\n6,10,0.3,0.4\n5,10,0.5,0.6\n")
+        with pytest.raises(DomainError, match="repeated feature count 5"):
+            load_threshold_table(path, "correct_exclusion")
 
     def test_summary_fixture(self):
         row = load_table4_summary(packaged_data_path("table4_summary.csv"))
