@@ -59,12 +59,23 @@ _SEED_OPTION = click.option(
 )
 
 
+def _echo(text: str, nl: bool = True, err: bool = False) -> None:
+    """`click.echo` to the current stdout or stderr, looked up on every call.
+
+    click's default stream lookup caches a wrapper per stream in a
+    `WeakKeyDictionary` whose value is the stream itself, so each stdout a
+    caller redirects to (an in-process `main` call under `redirect_stdout`,
+    say) would never be freed.
+    """
+    click.echo(text, nl=nl, file=click.get_text_stream("stderr" if err else "stdout"))
+
+
 def _fail_with_json(exc: Exception) -> None:
     if isinstance(exc, TailratioError):
         obj = exc.to_json_obj()
     else:
         obj = {"code": "io_error", "message": str(exc)}
-    click.echo(json.dumps({"error": obj}), err=True)
+    _echo(json.dumps({"error": obj}), err=True)
     sys.exit(2)
 
 
@@ -85,7 +96,7 @@ def _emit_json(obj: dict[str, Any], out: str | None) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 def _jsonable(value: Any) -> Any:
@@ -158,7 +169,7 @@ def gen(out, n_mated, n_nonmated, feature_count, contamination_weight,
         kwargs["nonmated_core"] = load_model(core_path).model
     dataset = generate_synthetic(SynthConfig(**kwargs, seed=seed))
     save_scores(dataset, out, meta=build_meta(seed, config))
-    click.echo(f"wrote {len(dataset)} records to {out}")
+    _echo(f"wrote {len(dataset)} records to {out}")
 
 
 @main.command("fit")
@@ -299,7 +310,7 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
         )
     write_csv(out, ["cutpoint", "expected_per_100k", "observed_count", "observed_total", "observed_per_100k"],
               rows, meta=build_meta(0, config))
-    click.echo(f"wrote {len(rows)} cutpoints to {out}")
+    _echo(f"wrote {len(rows)} cutpoints to {out}")
 
 
 @main.command("sim-pvalues")
@@ -345,7 +356,7 @@ def sim_pvalues(scores_path, origin, feature_count, reps, fraction, resample_n, 
     rows = [[rep, *([None] * 4 if rep in missing else next(kept))] for rep in range(result.reps)]
     meta = build_meta(seed, config, extra={"missing": len(result.missing)})
     write_csv(out, ["rep", "ks_observed", "ad_observed", "ks_null", "ad_null"], rows, meta=meta)
-    click.echo(f"wrote {result.reps} replicates to {out} ({len(result.missing)} missing)")
+    _echo(f"wrote {result.reps} replicates to {out} ({len(result.missing)} missing)")
 
 
 @main.command("sim-toy")
@@ -360,7 +371,7 @@ def sim_toy(reps, out, seed):
     header = ["scenario", "hypothesis", "rep", "true_lr", "frstat_like", "saturated"]
     rows = zip(*(getattr(study, name).tolist() for name in header))
     write_csv(out, header, rows, meta=build_meta(seed, config))
-    click.echo(f"wrote {len(study)} rows to {out}")
+    _echo(f"wrote {len(study)} rows to {out}")
 
 
 @main.command("thresholds")
@@ -411,7 +422,7 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
         write_csv(f"{out_prefix}_{suffix}.csv",
                   ["feature_count", "pairs", *[format_value(t) for t in table.thresholds]],
                   rows, meta=meta)
-    click.echo(f"wrote {out_prefix}_exclusion.csv and {out_prefix}_error.csv")
+    _echo(f"wrote {out_prefix}_exclusion.csv and {out_prefix}_error.csv")
 
 
 @main.command("report")
@@ -424,7 +435,7 @@ def report_cmd(mated_path, nonmated_path, score):
     mated = load_model(mated_path).model
     nonmated = load_model(nonmated_path).model
     rep = evidence_numbers(mated, nonmated, score)
-    click.echo(render_report(rep))
+    _echo(render_report(rep))
 
 
 def _one_significant_figure(x: float) -> float:

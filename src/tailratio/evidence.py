@@ -96,15 +96,16 @@ def _saturating_ratio(num, den):
     return ratio, saturated
 
 
-def tail_ratio(mated: MixtureModel, nonmated: MixtureModel, s) -> tuple[np.ndarray, ...]:
-    """Arrays alpha, beta, alpha / beta and its saturation flag at a score or an array of scores.
+def tail_ratio(mated: MixtureModel, nonmated: MixtureModel, s) -> tuple:
+    """Alpha, beta, alpha / beta and its saturation flag at a score or an array of scores.
 
-    These are the `EvidenceReport` fields without the densities, to the same bits.
+    A score gives Python floats and a bool; an array gives arrays.  These
+    are the `EvidenceReport` fields without the densities, to the same bits.
     """
-    arr = np.asarray(s, dtype=float)
-    alpha = mixture_cdf(mated, arr)
-    beta = mixture_sf(nonmated, arr)
-    return (alpha, beta, *_saturating_ratio(alpha, beta))
+    alpha = mixture_cdf(mated, s)
+    beta = mixture_sf(nonmated, s)
+    fields = (alpha, beta, *_saturating_ratio(alpha, beta))
+    return tuple(np.asarray(v).item() for v in fields) if np.isscalar(s) else fields
 
 
 def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> EvidenceReport:
@@ -113,13 +114,12 @@ def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> Evidence
     A score gives a report of Python floats and bools; an array gives a
     report of arrays.  Each score gets the same bits either way.
     """
-    arr = np.asarray(s, dtype=float)
+    arr = float(s) if np.isscalar(s) else np.asarray(s, dtype=float)
     alpha, beta, ratio, saturated = tail_ratio(mated, nonmated, arr)
     slr, slr_saturated = _saturating_ratio(mixture_pdf(mated, arr), mixture_pdf(nonmated, arr))
-    fields = (arr, alpha, beta, ratio, slr, saturated, slr_saturated)
     if np.isscalar(s):
-        fields = tuple(np.asarray(v).item() for v in fields)
-    return EvidenceReport(*fields)
+        slr, slr_saturated = slr.item(), slr_saturated.item()
+    return EvidenceReport(arr, alpha, beta, ratio, slr, saturated, slr_saturated)
 
 
 def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> EvidenceReport:

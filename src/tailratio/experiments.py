@@ -559,6 +559,9 @@ class ThresholdTable:
         rows = len(self.feature_counts)
         if rates.shape != (rows, len(self.thresholds)) or len(self.pair_counts) != rows:
             raise DomainError("need a rate row and a pair count per feature count, a rate column per threshold")
+        if any(math.isnan(t) for t in self.thresholds):
+            # nan != nan, so a NaN column could be neither looked up nor aligned
+            raise DomainError("thresholds must not be NaN")
         for what, values in (("feature count", self.feature_counts), ("threshold", self.thresholds)):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
@@ -605,8 +608,6 @@ def threshold_study(
     cols = tuple(sorted(float(t) for t in thresholds))
     if len(cols) == 0:
         raise DomainError("need at least one threshold")
-    if any(np.isnan(cols)):
-        raise DomainError("thresholds must not be NaN")
     fcs, counts = np.unique(fc, return_counts=True)
     # ratios strictly below each threshold, one row per feature count
     below = np.array([np.sort(ratio[fc == f]).searchsorted(cols) for f in fcs])

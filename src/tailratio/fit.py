@@ -243,6 +243,18 @@ class _Workspace:
         self.m, self.total, self.sample = np.empty((3, s, n))
 
 
+def _sum_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over points of a * b, per start and component, for (starts, k, n) arrays.
+
+    One start at a time: at k = 1 a batched einsum folds the length-1 axis
+    away and, past 8,192 points, splits each row where the batch's buffer
+    does, so the row's bits would depend on the batch.  Per start, every row
+    gets its lone-call bits at every k, which at k >= 2 are also the
+    batched bits.
+    """
+    return np.array([np.einsum("kn,kn->k", x, y) for x, y in zip(a, b)])
+
+
 def _neg_loglik(
     thetas: np.ndarray, xs: np.ndarray, k: int, floor: np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,9 +314,9 @@ def _neg_loglik(
     np.subtract(r[:, : k - 1], weights[:, : k - 1, None], out=g_logit)
     sums = point_grad.sum(axis=2)  # sum r - n w, sum r t and sum r (z t - 1)
     re_sum = re.sum(axis=2)
-    rez_sum = np.einsum("skn,skn->sk", re, z)
+    rez_sum = _sum_products(re, z)
     re *= z
-    rez2_sum = np.einsum("skn,skn->sk", re, z)
+    rez2_sum = _sum_products(re, z)
 
     unit = np.ones_like(sums)
     unit[:, k - 1 : 2 * k - 1] = 1.0 / scales

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, seeding, determinism, error paths."""
 from __future__ import annotations
 
+import gc
 import hashlib
+import io
 import json
 import os
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -350,6 +354,13 @@ class TestThresholds:
         assert len(obj["violations"]) == 1
         assert obj["violations"][0]["feature_count"] == 15
 
+    def test_check_mode_rejects_a_nan_threshold_column(self, runner, workdir):
+        (workdir / "t.csv").write_text("feature_count,pairs,nan,inf\n5,10,0.5,0.5\n")
+        result = runner.invoke(main, ["thresholds", "--check", "--exclusion", "t.csv", "--error", "t.csv"])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == {"code": "domain_error", "message": "thresholds must not be NaN"}
+
     def test_repeated_threshold_reported_as_json(self, runner, workdir):
         (workdir / "fc.csv").write_text(_three_feature_count_scores())
         result = runner.invoke(main, ["thresholds", "--scores", "fc.csv", "--thresholds", "10,1,10",
@@ -373,6 +384,23 @@ class TestThresholds:
         err_rates = [float(v) for v in err[1].split(",")[2:]]
         for a, b in zip(excl_rates, err_rates):
             assert a + b == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("score, code", [("0", None), ("nan", 2)])
+def test_in_process_call_keeps_no_redirected_stream_alive(workdir, score, code):
+    # the JSON on stdout, or the JSON error line on stderr (a NaN score is a domain error)
+    buf = io.StringIO()
+    exit_code = None
+    with redirect_stdout(buf), redirect_stderr(buf):
+        try:
+            main(["eval", "--mated", MATED_JSON, "--nonmated", REF_JSON, "--score", score], standalone_mode=False)
+        except SystemExit as exc:
+            exit_code = exc.code
+    assert exit_code == code and buf.getvalue()
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 class TestErrorSurface:

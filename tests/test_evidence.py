@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from tailratio import (
     BloodTypeTable,
@@ -24,6 +25,7 @@ from tailratio import (
     tail_ratio,
     tipping_score,
 )
+from tailratio.dist import quantile_bracket
 
 from strategies import MIXTURES
 
@@ -56,6 +58,11 @@ class TestTails:
         rep = evidence_numbers(MATED_20_8, REF, scores)
         fields = (rep.alpha, rep.beta, rep.ratio, rep.saturated)
         assert all(np.array_equal(a, b) for a, b in zip(tail_ratio(MATED_20_8, REF, scores), fields))
+        for score in (0.0, 50_000.0, 35, np.float32(35.5)):
+            rep = evidence_numbers(MATED_20_8, REF, score)
+            lone = tail_ratio(MATED_20_8, REF, score)
+            assert [type(v) for v in lone] == [float, float, float, bool]
+            assert _bits(lone[:3]) == _bits((rep.alpha, rep.beta, rep.ratio)) and lone[3] == rep.saturated
 
     def test_saturation_reports_inf_with_flag(self):
         rep = evidence_numbers(MATED_20_8, REF, 50_000.0)
@@ -79,11 +86,14 @@ _REPORT_FIELDS = ("observed_score", "alpha", "beta", "ratio", "slr", "saturated"
     model=MIXTURES,
     scores=st.lists(st.one_of(st.floats(-5e4, 5e4), st.floats(-200.0, 200.0)), min_size=1, max_size=40),
     cut=st.integers(0, 40),
+    kind=st.sampled_from((float, int, np.float64, np.float32)),
 )
 @settings(max_examples=100, deadline=None)
-def test_batch_matches_scalar_calls_bit_for_bit(model, scores, cut):
-    # scores far enough out that tails and densities underflow
-    arr = np.asarray(scores)
+def test_batch_matches_scalar_calls_bit_for_bit(model, scores, cut, kind):
+    # scores far enough out that tails and densities underflow; a lone score
+    # of any scalar kind is summed on Python floats, an array in numpy
+    scores = [kind(x) for x in scores]
+    arr = np.asarray(scores, dtype=float)
     cut = min(cut, arr.size)
     for fn in (mixture_pdf, mixture_cdf, mixture_sf):
         batch = fn(model, arr)
@@ -96,6 +106,31 @@ def test_batch_matches_scalar_calls_bit_for_bit(model, scores, cut):
         whole = getattr(batch, field)
         assert _bits(whole) == _bits([getattr(rep, field) for rep in singles]), field
         assert _bits(whole) == _bits(np.concatenate([getattr(rep, field) for rep in parts])), field
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.float32("inf"), np.float64("nan")])
+def test_nonfinite_score_raises_the_same_error_alone_and_in_an_array(x):
+    for fn in (mixture_pdf, mixture_cdf, mixture_sf):
+        for arg in (x, np.array([0.0, x])):
+            with pytest.raises(DomainError, match="evaluation points must be finite"):
+                fn(REF, arg)
+    for arg in (x, np.array([0.0, x])):
+        with pytest.raises(DomainError, match="evaluation points must be finite"):
+            evidence_numbers(MATED_20_8, REF, arg)
+
+
+@given(MIXTURES, MIXTURES)
+@settings(max_examples=100, deadline=None)
+def test_tipping_score_is_brent_on_the_gap_through_arrays(mated, nonmated):
+    # the float path gives Brent's method the iterates it gets from one-element arrays
+    lo = min(quantile_bracket(mated)[0], quantile_bracket(nonmated)[0])
+    hi = max(quantile_bracket(mated)[1], quantile_bracket(nonmated)[1])
+
+    def gap(s: float) -> float:
+        x = np.array([s])
+        return float(mixture_cdf(mated, x)[0] - mixture_sf(nonmated, x)[0])
+
+    assert _bits(tipping_score(mated, nonmated).observed_score) == _bits(brentq(gap, lo, hi))
 
 
 @given(MIXTURES, MIXTURES, st.floats(-5e4, 5e4), st.floats(0.0, 1e3))

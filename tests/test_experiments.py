@@ -478,7 +478,7 @@ class TestThresholds:
         assert excl.feature_counts == (7,)
 
     def test_nan_threshold_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="thresholds must not be NaN"):
             threshold_study([1.0], [14], thresholds=[1.0, float("nan")])
 
     def test_repeated_threshold_rejected(self):
@@ -539,6 +539,8 @@ class TestFixtureCheck:
         for bad in (-0.1, 1.1, float("nan")):
             with pytest.raises(DomainError):
                 ThresholdTable("correct_exclusion", (14,), (10.0,), ((bad,),), (100,))
+        with pytest.raises(DomainError, match="thresholds must not be NaN"):
+            ThresholdTable("correct_exclusion", (14,), (float("nan"), math.inf), ((0.5, 0.5),), (100,))
 
     def test_violations_in_row_major_order(self):
         excl = ThresholdTable("correct_exclusion", (5, 14), (1.0, 10.0), ((0.5, 0.9), (0.2, 0.94)), (9, 9))

@@ -282,6 +282,24 @@ def test_start_is_the_same_bits_alone_and_in_a_batch(n):
         assert np.array_equal(getattr(shared, name), getattr(batch, name)), name
 
 
+@pytest.mark.parametrize("n", [8193, 20_000])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_objective_row_is_the_same_bits_alone_and_in_a_batch(k, n):
+    # at k = 1 a batched sum over points once split rows where the batch's
+    # buffer did, so the Hessian of a row depended on its batch
+    rng = np.random.default_rng([k, n])
+    xs = np.sort(np.stack([mixture_sample(REF, n, seed=(i, n)) for i in range(3)]), axis=1)
+    floor = _SCALE_FLOOR_FRAC * (xs[:, -1] - xs[:, 0])
+    thetas = np.column_stack([
+        rng.normal(0.0, 1.0, (3, k - 1)), rng.uniform(-100.0, -40.0, (3, k)), rng.uniform(1.0, 3.0, (3, k))
+    ])
+    batch = _neg_loglik(thetas, xs, k, floor, _Workspace(3, k, n))
+    for i in range(3):
+        alone = _neg_loglik(thetas[i : i + 1], xs[i : i + 1], k, floor[i : i + 1], _Workspace(1, k, n))
+        for name, a, b in zip(("f", "grad", "hess"), alone, batch):
+            assert np.array_equal(a[0], b[i]), (name, i)
+
+
 def test_restart_zero_gives_the_same_bits_under_more_restarts(monkeypatch):
     runs = []
 

@@ -515,6 +515,13 @@ class TestFixtureTables:
         with pytest.raises(DomainError, match="repeated feature count 5"):
             load_threshold_table(path, "correct_exclusion")
 
+    def test_nan_threshold_column_rejected(self, tmp_path):
+        # a NaN column could be neither looked up nor aligned with another table
+        path = tmp_path / "t.csv"
+        path.write_text("feature_count,pairs,nan,inf\n5,10,0.5,0.5\n")
+        with pytest.raises(DomainError, match="thresholds must not be NaN"):
+            load_threshold_table(path, "correct_exclusion")
+
     def test_summary_fixture(self):
         row = load_table4_summary(packaged_data_path("table4_summary.csv"))
         assert row["feature_count"] == 14
