@@ -7,6 +7,14 @@ logistic is the one-component mixture `MixtureModel((1.0,), (location,),
 (scale,))`.  A lone score is summed on Python floats rather than as a 0-d
 array, which skips numpy's per-call array overhead; IEEE arithmetic and
 `expit` give it the same bits it has inside an array.
+
+Roots, of the quantile equation here and of the tipping gap in `evidence`,
+come from `_brentq`, the package's own step-for-step port of scipy's
+`brentq` (Brent 1973, *Algorithms for Minimization without Derivatives*,
+ch. 4) with scipy's tolerances.  It takes the same iterates and returns the
+same bits after the same number of calls, so no process loads scipy's
+optimization package, about 250 modules, 0.2 s and 20 MB, for this one
+routine.
 """
 from __future__ import annotations
 
@@ -14,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit, logsumexp
 
 from .errors import DomainError, ModelError
@@ -33,6 +40,11 @@ __all__ = [
 # Search bracket half-width for the mixture quantile, in units of the
 # largest component scale.  expit(+-50) is ~2e-22, far outside any use here.
 _QUANTILE_BRACKET_SCALES = 50.0
+
+# scipy's `brentq` defaults: xtol, rtol (4 machine epsilons) and iterations.
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4 * math.ulp(1.0)
+_BRENT_MAXITER = 100
 
 # The valid feature counts.  `v in _FEATURE_COUNTS` holds for an integral
 # value of any numeric type and fails for 7.5, NaN and strings;
@@ -150,14 +162,76 @@ def quantile_bracket(model: MixtureModel) -> tuple[float, float]:
     return float(model.locations.min()) - span, float(model.locations.max()) + span
 
 
+def _brentq(f, a: float, b: float) -> float:
+    """A root of f on [a, b] by Brent's method, ported step for step from scipy's `Zeros/brentq.c`.
+
+    It runs on Python floats at scipy's defaults and keeps C's expression
+    order, so it returns scipy's `brentq` bits after the same f calls.  As
+    scipy does, it raises ValueError for a NaN value of f or ends of the
+    same sign, and RuntimeError when 100 iterations do not converge.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
 def mixture_quantile(model: MixtureModel, p: float) -> float:
-    """Inverse mixture cdf by Brent's method on the quantile bracket."""
+    """Inverse mixture cdf by Brent's method (`_brentq`) on the quantile bracket.
+
+    A p whose root is not inside the bracket is a DomainError: one the cdf
+    at the bottom already reaches, and one the cdf at the top stays under,
+    which a model whose weights sum to a hair under 1 leaves for p near 1.
+    """
     if not np.isfinite(p) or not 0.0 < p < 1.0:
         raise DomainError(f"quantile probability must be in (0, 1), got {p}")
     lo, hi = quantile_bracket(model)
     if mixture_cdf(model, lo) >= p:
         raise DomainError(f"quantile probability {p} lies below the search bracket")
-    return brentq(lambda s: mixture_cdf(model, s) - p, lo, hi)
+    if mixture_cdf(model, hi) < p:
+        raise DomainError(f"quantile probability {p} lies above the search bracket")
+    return _brentq(lambda s: mixture_cdf(model, s) - p, lo, hi)
 
 
 def _scores_from_uniforms(model: MixtureModel, u: np.ndarray) -> np.ndarray:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .dist import MixtureModel, mixture_cdf, mixture_pdf, mixture_sf, quantile_bracket
+from .dist import MixtureModel, _brentq, mixture_cdf, mixture_pdf, mixture_sf, quantile_bracket
 from .errors import DomainError, NoTippingPointError
 
 __all__ = [
@@ -126,11 +125,13 @@ def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> EvidenceReport
     """The evidence report at the score where the exclusion and identification risks are equal.
 
     The difference alpha(s) - beta(s) runs from -1 to +1, so a sign change
-    exists on any bracket wide enough to cover both models; Brent's method
-    finds it, and |alpha - beta| must end below 1e-9.  The crossing is the
-    report's `observed_score`; the report also carries the score-based
-    likelihood ratio there, which in general is not 1: a tail-probability
-    ratio of exactly 1 does not mean the densities agree.
+    exists on any bracket wide enough to cover both models.  Brent's method
+    finds it through `dist._brentq`, the package's own port of scipy's
+    `brentq` with scipy's iterates and bits, and |alpha - beta| must end
+    below 1e-9.  The crossing is the report's `observed_score`; the report
+    also carries the score-based likelihood ratio there, which in general is
+    not 1: a tail-probability ratio of exactly 1 does not mean the densities
+    agree.
     """
     lo_m, hi_m = quantile_bracket(mated)
     lo_n, hi_n = quantile_bracket(nonmated)
@@ -141,7 +142,7 @@ def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> EvidenceReport
 
     if gap(lo) > 0.0 or gap(hi) < 0.0:
         raise NoTippingPointError("tail risks do not cross on the search bracket")
-    s_star = brentq(gap, lo, hi)
+    s_star = _brentq(gap, lo, hi)
     at = evidence_numbers(mated, nonmated, s_star)
     if abs(at.alpha - at.beta) > _TIPPING_TOL:
         raise NoTippingPointError(

@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -25,6 +27,7 @@ from tailratio import (
     save_model,
     tail_audit,
 )
+from tailratio import __file__ as tailratio_file
 from tailratio.cli import main, render_report
 
 from strategies import fit_failing_on
@@ -401,6 +404,36 @@ def test_in_process_call_keeps_no_redirected_stream_alive(workdir, score, code):
     del buf
     gc.collect()
     assert ref() is None
+
+
+_NO_OPTIMIZE_SCRIPT = """
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+import tailratio, tailratio.cli
+
+runs = [
+    ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "200", "--seed", "0"],
+    ["eval", "--mated", "mated.json", "--nonmated", "nonmated.json", "--score", "-40"],
+    ["report", "--mated", "mated.json", "--nonmated", "nonmated.json", "--score", "-40"],
+    ["fit", "--scores", "s.csv", "--origin", "nonmated", "--restarts", "1", "--out", "f.json"],
+]
+for args in runs:
+    with redirect_stdout(StringIO()):
+        tailratio.cli.main(args, standalone_mode=False)
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+
+
+def test_commands_never_import_scipy_optimize(workdir):
+    # a fresh process: the import, eval, report and fit load no part of
+    # scipy.optimize, about 0.2 s and 20 MB of every command's start
+    src = os.path.dirname(os.path.dirname(tailratio_file))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", _NO_OPTIMIZE_SCRIPT], cwd=workdir, env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestErrorSurface:

@@ -1,10 +1,13 @@
 """Distribution layer: logistic mixtures, quantiles, sampling."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from tailratio import (
     DomainError,
@@ -19,7 +22,7 @@ from tailratio import (
     mixture_sf,
     substream,
 )
-from tailratio.dist import quantile_bracket
+from tailratio.dist import _brentq, quantile_bracket
 
 from strategies import MIXTURES
 
@@ -144,8 +147,15 @@ class TestMixture:
 
     def test_quantile_below_search_bracket_rejected(self):
         # the cdf at the lower end of the search bracket is about 4e-23 here
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="below the search bracket"):
             mixture_quantile(REF, 1e-30)
+
+    def test_quantile_above_search_bracket_rejected(self):
+        # the weights sum to 1 - 5e-10, inside the 1e-9 tolerance, so the cdf
+        # never reaches p; without the check Brent's method sees same-sign ends
+        model = MixtureModel((0.5, 0.4999999995), (0.0, 10.0), (1.0, 2.0))
+        with pytest.raises(DomainError, match="above the search bracket"):
+            mixture_quantile(model, 0.9999999999)
 
     def test_sampling_is_deterministic(self):
         a = mixture_sample(REF, 100, seed=7)
@@ -202,3 +212,44 @@ def test_quantile_of_cdf_returns_the_point_property(model, t):
     # cannot tell points apart: a few ulps of probability over the density
     assert abs(mixture_quantile(model, p) - x) <= 1e-11 + 1e-14 / mixture_pdf(model, x)
 
+
+
+def _brent_run(solver, f, a, b):
+    """The root's bits, or the exception type, and every point f was called at."""
+    calls = []
+
+    def counted(x):
+        calls.append(x.hex())
+        return f(x)
+
+    try:
+        outcome = solver(counted, a, b).hex()
+    except (ValueError, RuntimeError) as exc:
+        outcome = type(exc)
+    return outcome, calls
+
+
+@given(MIXTURES, MIXTURES, st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_brentq_port_takes_scipys_iterates_property(mated, nonmated, t):
+    # the tipping gap and a quantile equation: same points, same root bits
+    lo_m, hi_m = quantile_bracket(mated)
+    lo_n, hi_n = quantile_bracket(nonmated)
+    p = mixture_cdf(mated, lo_m + t * (hi_m - lo_m))
+    problems = [
+        (lambda s: mixture_cdf(mated, s) - mixture_sf(nonmated, s), min(lo_m, lo_n), max(hi_m, hi_n)),
+        (lambda s: mixture_cdf(mated, s) - p, lo_m, hi_m),
+    ]
+    for f, a, b in problems:
+        assert _brent_run(_brentq, f, a, b) == _brent_run(brentq, f, a, b)
+
+
+@pytest.mark.parametrize("f, a, b, error", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
+    (lambda x: x - 0.25 if x <= 0.5 else math.nan, 0.0, 1.0, ValueError),
+    (lambda x: (x - 0.1) ** 3, -10.0, 10.0, RuntimeError),
+], ids=["same-sign", "nan", "no-convergence"])
+def test_brentq_port_fails_as_scipy_does(f, a, b, error):
+    outcome, calls = _brent_run(_brentq, f, a, b)
+    assert outcome is error
+    assert (outcome, calls) == _brent_run(brentq, f, a, b)
