@@ -8,7 +8,6 @@ with a machine-readable JSON error on stderr.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -18,11 +17,13 @@ from typing import Any
 import click
 
 from ._version import __version__
-from .dist import MixtureModel
 from .errors import TailratioError
 from .evidence import evidence_numbers, tail_ratio, tipping_score
 from .experiments import (
     DEFAULT_MATED_MODEL,
+    DEFAULT_STUDY_FIT_CONFIG,
+    DEFAULT_THRESHOLDS,
+    REFERENCE_NONMATED_MODEL,
     SynthConfig,
     TailAudit,
     default_toy_scenarios,
@@ -70,26 +71,6 @@ def _echo(text: str, nl: bool = True, err: bool = False) -> None:
     click.echo(text, nl=nl, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
-def _fail_with_json(exc: Exception) -> None:
-    if isinstance(exc, TailratioError):
-        obj = exc.to_json_obj()
-    else:
-        obj = {"code": "io_error", "message": str(exc)}
-    _echo(json.dumps({"error": obj}), err=True)
-    sys.exit(2)
-
-
-def _wrap_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any):
-        try:
-            return fn(*args, **kwargs)
-        except (TailratioError, OSError) as exc:
-            _fail_with_json(exc)
-
-    return wrapper
-
-
 def _emit_json(obj: dict[str, Any], out: str | None) -> None:
     text = json.dumps(_jsonable(obj), indent=2) + "\n"
     if out:
@@ -117,20 +98,20 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         raise click.BadParameter(f"bad {what}: {exc}")
 
 
-def _parse_count_list(text: str) -> list[int]:
-    counts = _parse_float_list(text, "counts")
-    if not all(c.is_integer() for c in counts):
-        raise click.BadParameter(f"counts must be whole numbers, got {text!r}")
-    return [int(c) for c in counts]
+class _Group(click.Group):
+    """The one error boundary: a library or file error in any subcommand
+    becomes a JSON error object on stderr and exit code 2."""
+
+    def invoke(self, ctx: click.Context) -> Any:
+        try:
+            return super().invoke(ctx)
+        except (TailratioError, OSError) as exc:
+            obj = exc.to_json_obj() if isinstance(exc, TailratioError) else {"code": "io_error", "message": str(exc)}
+            _echo(json.dumps({"error": obj}), err=True)
+            sys.exit(2)
 
 
-def _load_model_arg(path: str | None, default_name: str) -> MixtureModel:
-    if path is None:
-        path = str(packaged_data_path(default_name))
-    return load_model(path).model
-
-
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="tailratio")
 def main() -> None:
     """Tail-probability evidence ratios, mixture fitting, and validation studies."""
@@ -138,18 +119,17 @@ def main() -> None:
 
 @main.command()
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Output scores CSV.")
-@click.option("--n-mated", type=int, default=1996, show_default=True)
-@click.option("--n-nonmated", type=int, default=2000, show_default=True)
-@click.option("--feature-count", type=int, default=15, show_default=True)
-@click.option("--contamination-weight", type=float, default=0.013, show_default=True)
-@click.option("--contamination-location", type=float, default=45.0, show_default=True)
-@click.option("--contamination-scale", type=float, default=25.0, show_default=True)
+@click.option("--n-mated", type=int, default=SynthConfig.n_mated, show_default=True)
+@click.option("--n-nonmated", type=int, default=SynthConfig.n_nonmated, show_default=True)
+@click.option("--feature-count", type=int, default=SynthConfig.feature_count, show_default=True)
+@click.option("--contamination-weight", type=float, default=SynthConfig.contamination_weight, show_default=True)
+@click.option("--contamination-location", type=float, default=SynthConfig.contamination_location, show_default=True)
+@click.option("--contamination-scale", type=float, default=SynthConfig.contamination_scale, show_default=True)
 @click.option("--mated-model", "mated_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Mated truth model JSON (default: built-in single logistic at 15, scale 8).")
 @click.option("--nonmated-core", "core_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Non-mated core model JSON (default: shipped reference mixture).")
 @_SEED_OPTION
-@_wrap_errors
 def gen(out, n_mated, n_nonmated, feature_count, contamination_weight,
         contamination_location, contamination_scale, mated_path, core_path, seed):
     """Generate a labeled synthetic score dataset."""
@@ -176,13 +156,12 @@ def gen(out, n_mated, n_nonmated, feature_count, contamination_weight,
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--origin", type=click.Choice(["mated", "nonmated"]), default="nonmated", show_default=True)
 @click.option("--feature-count", type=int, default=None, help="Filter scores to one feature count.")
-@click.option("--k", type=int, default=2, show_default=True)
-@click.option("--restarts", type=int, default=5, show_default=True)
+@click.option("--k", type=int, default=FitConfig.k, show_default=True)
+@click.option("--restarts", type=int, default=FitConfig.restarts, show_default=True)
 @click.option("--train-fraction", type=float, default=None,
               help="Fit on a random train split of this fraction instead of all scores.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Output model JSON.")
 @_SEED_OPTION
-@_wrap_errors
 def fit_cmd(scores_path, origin, feature_count, k, restarts, train_fraction, out, seed):
     """Fit a logistic mixture to scores by maximum likelihood."""
     dataset = load_scores(scores_path)
@@ -222,7 +201,6 @@ def fit_cmd(scores_path, origin, feature_count, k, restarts, train_fraction, out
 @click.option("--nonmated", "nonmated_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--score", type=float, required=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write JSON here instead of stdout.")
-@_wrap_errors
 def eval_cmd(mated_path, nonmated_path, score, out):
     """Evaluate the evidence numbers for one observed score."""
     mated = load_model(mated_path).model
@@ -247,7 +225,6 @@ def eval_cmd(mated_path, nonmated_path, score, out):
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_SEED_OPTION
-@_wrap_errors
 def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_b, out, seed):
     """Test scores against a model with the KS and AD statistics."""
     dataset = load_scores(scores_path)
@@ -279,10 +256,9 @@ def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_
 @click.option("--counts", default=None, help="Pre-binned exceedance counts, e.g. '35,14,3'.")
 @click.option("--total", type=int, default=None, help="Total observations behind --counts.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@_wrap_errors
 def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
     """Audit a model's right tail against observed data, per 100,000."""
-    model = _load_model_arg(model_path, default_name="nonmated_15.json")
+    model = load_model(model_path).model if model_path else REFERENCE_NONMATED_MODEL
     cuts = _parse_float_list(cutpoints, "cutpoints")
     if scores_path is not None and (counts is not None or total is not None):
         raise click.BadParameter("--scores takes no --counts or --total")
@@ -292,7 +268,7 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
         observed = load_scores(scores_path).scores(origin=origin)
         audit = tail_audit(model, observed, cuts)
     elif counts is not None:
-        audit = TailAudit.from_counts(cuts, _parse_count_list(counts), total, model=model)
+        audit = TailAudit.from_counts(cuts, _parse_float_list(counts, "counts"), total, model=model)
     else:
         audit = TailAudit.from_model(model, cuts)
     config = dict(subcommand="tails", model=model_path or "builtin", cutpoints=cutpoints,
@@ -320,8 +296,8 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
 @click.option("--reps", type=int, default=200, show_default=True)
 @click.option("--fraction", type=float, default=0.75, show_default=True)
 @click.option("--resample-n", type=int, default=1500, show_default=True)
-@click.option("--k", type=int, default=2, show_default=True)
-@click.option("--restarts", type=int, default=1, show_default=True)
+@click.option("--k", type=int, default=DEFAULT_STUDY_FIT_CONFIG.k, show_default=True)
+@click.option("--restarts", type=int, default=DEFAULT_STUDY_FIT_CONFIG.restarts, show_default=True)
 @click.option("--p-method", type=click.Choice(_P_METHODS), default="asymptotic", show_default=True,
               help="p-value method for the held-out panels; the null panels always use the closed forms.")
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
@@ -330,7 +306,6 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
                    "stacked batches.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_SEED_OPTION
-@_wrap_errors
 def sim_pvalues(scores_path, origin, feature_count, reps, fraction, resample_n, k, restarts,
                 p_method, bootstrap_b, workers, out, seed):
     """Run the split/fit/test/resample p-value study; one CSV row per replicate."""
@@ -363,7 +338,6 @@ def sim_pvalues(scores_path, origin, feature_count, reps, fraction, resample_n, 
 @click.option("--reps", type=int, default=1000, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @_SEED_OPTION
-@_wrap_errors
 def sim_toy(reps, out, seed):
     """Run the toy convergence study; one CSV row per draw."""
     study = toy_study(default_toy_scenarios(), reps, seed=seed)
@@ -378,14 +352,14 @@ def sim_toy(reps, out, seed):
 @click.option("--scores", "scores_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--mated-model", "mated_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--nonmated-model", "nonmated_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--thresholds", "thresholds_text", default="1,10,100,1000,10000,100000", show_default=True)
+@click.option("--thresholds", "thresholds_text", default=",".join(f"{t:g}" for t in DEFAULT_THRESHOLDS),
+              show_default=True)
 @click.option("--out-prefix", default=None, help="Write <prefix>_exclusion.csv and <prefix>_error.csv.")
 @click.option("--check", is_flag=True, help="Check a shipped or explicit fixture pair instead of computing.")
 @click.option("--exclusion", "exclusion_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Correct-exclusion fixture CSV (with --check; default: shipped).")
 @click.option("--error", "error_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Erroneous-identification fixture CSV in percent (with --check; default: shipped).")
-@_wrap_errors
 def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_prefix,
                    check, exclusion_path, error_path):
     """Audit decision-rule thresholds, or check a published table pair."""
@@ -406,7 +380,7 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
     if scores_path is None or out_prefix is None:
         raise click.BadParameter("compute mode needs --scores and --out-prefix")
     mated = load_model(mated_path).model if mated_path else DEFAULT_MATED_MODEL
-    nonmated = _load_model_arg(nonmated_path, default_name="nonmated_15.json")
+    nonmated = load_model(nonmated_path).model if nonmated_path else REFERENCE_NONMATED_MODEL
     dataset = load_scores(scores_path)
     is_nonmated = dataset.origin == "nonmated"
     _, _, ratio, _ = tail_ratio(mated, nonmated, dataset.score[is_nonmated])
@@ -429,7 +403,6 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
 @click.option("--mated", "mated_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--nonmated", "nonmated_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--score", type=float, required=True)
-@_wrap_errors
 def report_cmd(mated_path, nonmated_path, score):
     """Print the reporting sentence for one observed score."""
     mated = load_model(mated_path).model
@@ -455,11 +428,17 @@ def render_report(rep) -> str:
     magnitude.  A saturated ratio, or one too small to invert, gets a
     sentence that reports no factor.
     """
-    if rep.saturated:
+    if rep.saturated and rep.beta == 0.0:
         return (
             "The risk of erroneous identification at this score is below the smallest "
             "representable probability; the tail ratio is saturated and no finite factor "
             "can be reported. The risk of erroneous identification is 0 at double precision."
+        )
+    if rep.saturated:
+        return (
+            "The risk of erroneous identification at this score is so small that the tail ratio "
+            "overflows; no finite factor can be reported. "
+            f"The risk of erroneous identification is {rep.beta:.2g}."
         )
     if rep.ratio < 1.0 / sys.float_info.max:
         # alpha underflowed to 0, or is so far below beta that 1 / ratio overflows

@@ -37,9 +37,11 @@ class EvidenceReport:
     `alpha` is the risk of erroneous exclusion, `beta` the risk of erroneous
     identification, `ratio` their quotient alpha / beta, and `slr` the
     score-based likelihood ratio (mated density over non-mated density).
-    When `beta` underflows to 0 the ratio is +inf and `saturated` is set;
-    the ratio is never silently reported as a plain huge number.  For an
-    array of scores every field is an array of the same shape.
+    When `beta` is zero, or so small that alpha / beta overflows, the ratio
+    is +inf and `saturated` is set, and likewise `slr_saturated` for the
+    densities; the ratio is never silently reported as a plain huge
+    number.  For an array of scores every field is an array of the same
+    shape.
     """
 
     observed_score: float
@@ -87,12 +89,12 @@ class DiscreteWoe:
 
 
 def _saturating_ratio(num, den):
-    """num / den elementwise, with +inf and a set flag wherever den is 0."""
+    """num / den elementwise, +inf wherever den is 0, with a flag set wherever the quotient is +inf."""
     den = np.asarray(den, dtype=float)
-    saturated = den == 0.0
+    zero = den == 0.0
     with np.errstate(over="ignore"):
-        ratio = np.where(saturated, np.inf, num / np.where(saturated, 1.0, den))
-    return ratio, saturated
+        ratio = np.where(zero, np.inf, num / np.where(zero, 1.0, den))
+    return ratio, ratio == np.inf
 
 
 def tail_ratio(mated: MixtureModel, nonmated: MixtureModel, s) -> tuple:

@@ -239,7 +239,7 @@ class TailAudit:
         """Observed rates from pre-binned exceedance counts, plus expected if a model is given."""
         cuts = tuple(float(c) for c in cutpoints)
         if not all(float(c).is_integer() for c in counts):
-            raise DomainError(f"counts must be finite whole numbers, got {list(counts)}")
+            raise DomainError(f"counts must be whole numbers, got {list(counts)}")
         cnts = tuple(int(c) for c in counts)
         if len(cuts) == 0 or len(cuts) != len(cnts):
             raise DomainError("cutpoints and counts must align and be nonempty")
@@ -256,8 +256,10 @@ class TailAudit:
 def tail_audit(model: MixtureModel, observed, cutpoints: Sequence[float]) -> TailAudit:
     """Audit a model's right tail against observed scores at the given cutpoints."""
     arr = np.asarray(observed, dtype=float)
-    if arr.size == 0:
-        raise DomainError("observed scores must be nonempty")
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError("observed scores must be one-dimensional and nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("observed scores must be finite")
     cuts = [float(c) for c in cutpoints]
     counts = [int(np.sum(arr > c)) for c in cuts]
     return TailAudit.from_counts(cuts, counts, int(arr.size), model=model)

@@ -116,6 +116,13 @@ class TestEvalAndReport:
         assert obj["saturated"] is True
         assert obj["ratio"] is None  # inf is never serialized as a plain number
 
+    def test_eval_flags_an_overflowed_ratio(self, runner, workdir):
+        # beta is subnormal, not 0, and alpha / beta overflows to +inf
+        obj = json.loads(invoke(runner, ["eval", "--mated", MATED_JSON, "--nonmated", REF_JSON,
+                                         "--score", "7700"]).output)
+        assert obj["beta"] == 1.335566869034685e-309
+        assert obj["ratio"] is None and obj["saturated"] is True
+
     def test_eval_out_writes_the_stdout_bytes(self, runner, workdir):
         args = ["eval", "--mated", MATED_JSON, "--nonmated", REF_JSON, "--score", "-30"]
         stdout = invoke(runner, args).output
@@ -130,6 +137,17 @@ class TestEvalAndReport:
             "200 times greater than the risk of erroneous identification. "
             "The risk of erroneous identification is 0.00074."
         )
+
+    @pytest.mark.parametrize("score, sentence", [
+        ("50000", "The risk of erroneous identification at this score is below the smallest representable "
+                  "probability; the tail ratio is saturated and no finite factor can be reported. "
+                  "The risk of erroneous identification is 0 at double precision."),
+        ("7700", "The risk of erroneous identification at this score is so small that the tail ratio "
+                 "overflows; no finite factor can be reported. The risk of erroneous identification is 1.3e-309."),
+    ], ids=["beta zero", "beta subnormal"])
+    def test_report_saturated_ratio_gives_no_factor(self, runner, workdir, score, sentence):
+        result = invoke(runner, ["report", "--mated", MATED_JSON, "--nonmated", REF_JSON, "--score", score])
+        assert result.output.strip() == sentence
 
     def test_report_smaller_direction(self, runner, workdir):
         # swapped models at a far-left score push the ratio well below 1
@@ -221,7 +239,8 @@ class TestTails:
         result = runner.invoke(main, ["tails", "--model", REF_JSON, "--counts", counts,
                                       "--total", "2694", "--out", "x.csv"])
         assert result.exit_code == 2, result.output
-        assert "counts must be whole numbers" in result.output
+        err = json.loads(result.stderr)["error"]
+        assert err["code"] == "domain_error" and err["message"].startswith("counts must be whole numbers")
         assert not (workdir / "x.csv").exists()
 
 
@@ -465,18 +484,31 @@ class TestErrorSurface:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["code"] == "data_format_error"
 
-    @pytest.mark.parametrize("command", ["eval", "fit"])
-    def test_non_utf8_input_reported_as_json(self, runner, workdir, command):
-        if command == "eval":
-            (workdir / "bad.json").write_bytes(b'{"version": 1, "provenance": "\xff"}\n')
-            args = ["eval", "--mated", MATED_JSON, "--nonmated", "bad.json", "--score", "0"]
-        else:
-            (workdir / "bad.csv").write_bytes(b"score,origin,feature_count,pair_id\n-60.0,nonmated,15,p\xff\n")
-            args = ["fit", "--scores", "bad.csv", "--out", "f.json"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        err = json.loads(result.output.strip().splitlines()[-1])
-        assert err["error"]["code"] == "data_format_error"
+    @pytest.mark.parametrize("command", sorted(main.commands))
+    def test_library_error_reported_as_json(self, runner, workdir, command):
+        # errors raised below the command line, in every subcommand, reach the one boundary at the group
+        assert set(_LIBRARY_ERROR_CASES) == set(main.commands)
+        args, code = _LIBRARY_ERROR_CASES[command]
+        (workdir / "bad.json").write_bytes(b'{"version": 1, "provenance": "\xff"}\n')
+        (workdir / "bad.csv").write_bytes(b"score,origin,feature_count,pair_id\n-60.0,nonmated,15,p\xff\n")
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert json.loads(result.stderr)["error"]["code"] == code
+
+
+# One input per subcommand that makes the library raise; bad.json and bad.csv are not UTF-8.
+_LIBRARY_ERROR_CASES = {
+    "gen": (["--out", "s.csv", "--mated-model", "bad.json"], "data_format_error"),
+    "fit": (["--scores", "bad.csv", "--out", "f.json"], "data_format_error"),
+    "eval": (["--mated", MATED_JSON, "--nonmated", "bad.json", "--score", "0"], "data_format_error"),
+    "gof": (["--scores", "bad.csv", "--model", REF_JSON], "data_format_error"),
+    "tails": (["--model", "bad.json", "--out", "t.csv"], "data_format_error"),
+    "sim-pvalues": (["--scores", "bad.csv", "--out", "p.csv"], "data_format_error"),
+    "sim-toy": (["--reps", "10", "--out", "toy.csv"], "domain_error"),
+    "thresholds": (["--scores", "bad.csv", "--out-prefix", "audit"], "data_format_error"),
+    "report": (["--mated", "bad.json", "--nonmated", REF_JSON, "--score", "0"], "data_format_error"),
+}
 
 
 def _three_feature_count_scores() -> str:

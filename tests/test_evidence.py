@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +74,14 @@ class TestTails:
     def test_score_lr_saturates_to_inf(self):
         rep = evidence_numbers(MATED_20_8, REF, 50_000.0)
         assert rep.slr == math.inf and rep.slr_saturated
+
+    @pytest.mark.parametrize("score", [7700.0, np.array([7700.0])], ids=["score", "array"])
+    def test_overflowed_quotients_are_flagged(self, score):
+        # beta and the non-mated density are subnormal, not 0, yet both quotients overflow to +inf
+        assert 0.0 < mixture_sf(REF, 7700.0) < sys.float_info.min and 0.0 < mixture_pdf(REF, 7700.0)
+        rep = evidence_numbers(MixtureModel([1.0], [7700.0], [1.0], origin="mated"), REF, score)
+        assert rep.ratio == rep.slr == math.inf
+        assert rep.saturated and rep.slr_saturated
 
 
 def _bits(values) -> bytes:

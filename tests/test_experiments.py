@@ -144,6 +144,13 @@ class TestTailAudit:
         with pytest.raises(DomainError):
             tail_audit(REF, [], [0.0])
 
+    @pytest.mark.parametrize("observed", [[math.nan, 1.0, -100.0], [1.0, math.inf], [[0.5, 1.0], [2.0, -1.0]]],
+                             ids=["nan", "inf", "2-D"])
+    def test_observed_scores_must_be_one_dimensional_and_finite(self, observed):
+        # a NaN once counted in the total but never as an exceedance, and a 2-D array was flattened
+        with pytest.raises(DomainError, match="observed scores must be"):
+            tail_audit(REF, observed, [0.0])
+
     @pytest.mark.parametrize("count", [35.7, math.nan, math.inf])
     def test_counts_must_be_finite_whole_numbers(self, count):
         with pytest.raises(DomainError, match="whole numbers"):
@@ -188,6 +195,14 @@ class TestPValueStudy:
             assert getattr(a, panel).dtype == float and getattr(a, panel).shape == (10,)
             assert np.array_equal(getattr(a, panel), getattr(b, panel)), panel
         assert a.missing == b.missing == ()
+
+    def test_bootstrap_threads_change_nothing(self, bootstrap_study):
+        # the study's only thread pool runs the bootstrap's refits
+        threaded = pvalue_study(_logistic_scores(), reps=10, fit_config=_K1, p_method="bootstrap",
+                                bootstrap_b=100, seed=0, workers=3)
+        for panel in ("ks_observed", "ad_observed", "ks_null", "ad_null"):
+            assert np.array_equal(getattr(threaded, panel), getattr(bootstrap_study, panel)), panel
+        assert threaded.missing == bootstrap_study.missing
 
     def test_input_validation(self):
         data = np.arange(99, dtype=float)
