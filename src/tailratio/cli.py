@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from typing import Any
 
 import click
@@ -208,9 +208,10 @@ def eval_cmd(mated_path, nonmated_path, score, out):
     rep = evidence_numbers(mated, nonmated, score)
     tp = tipping_score(mated, nonmated)
     config = dict(subcommand="eval", mated=str(mated_path), nonmated=str(nonmated_path), score=score)
+    # a shallow copy: the report's fields are floats and bools
+    report = {f.name: getattr(rep, f.name) for f in fields(rep)}
     _emit_json(
-        {**asdict(rep), "tipping_score": tp.observed_score, "slr_at_tipping_score": tp.slr,
-         "meta": build_meta(0, config)},
+        {**report, "tipping_score": tp.observed_score, "slr_at_tipping_score": tp.slr, "meta": build_meta(0, config)},
         out,
     )
 

@@ -6,7 +6,9 @@ are near 1e-6 and naive `1 - cdf` subtraction would destroy them.  A single
 logistic is the one-component mixture `MixtureModel((1.0,), (location,),
 (scale,))`.  A lone score is summed on Python floats rather than as a 0-d
 array, which skips numpy's per-call array overhead; IEEE arithmetic and
-`expit` give it the same bits it has inside an array.
+`expit` give it the same bits it has inside an array.  A model's handful of
+parameters are checked as Python floats for the same reason, and the model
+keeps them as float columns for that sum.
 
 Roots, of the quantile equation here and of the tipping gap in `evidence`,
 come from `_brentq`, the package's own step-for-step port of scipy's
@@ -68,7 +70,8 @@ class MixtureModel:
     origin : str, optional
         Which score population the model describes, "mated" or "nonmated".
     feature_count : int, optional
-        Number of corresponding features the model is conditioned on (5 to 15).
+        Number of corresponding features the model is conditioned on (5 to
+        15), of any integral type; stored as a Python int.
     """
 
     weights: np.ndarray
@@ -81,23 +84,32 @@ class MixtureModel:
         weights, locations, scales = (np.asarray(v, dtype=float) for v in (self.weights, self.locations, self.scales))
         if weights.ndim != 1 or weights.size == 0 or not weights.shape == locations.shape == scales.shape:
             raise ModelError("weights, locations and scales must be nonempty, one-dimensional and of equal length")
-        if not np.all(np.isfinite((weights, locations, scales))):
+        # checks on Python floats; the sum stays numpy's, for its bits and its message
+        ws, locs, ss = weights.tolist(), locations.tolist(), scales.tolist()
+        if not all(map(math.isfinite, ws + locs + ss)):
             raise ModelError("component parameters must be finite")
-        if not np.all((weights > 0.0) & (weights <= 1.0)):
-            raise ModelError(f"component weights must be in (0, 1], got {weights.tolist()}")
-        if abs(weights.sum() - 1.0) > 1e-9:
-            raise ModelError(f"component weights must sum to 1, got {weights.sum()!r}")
-        if not np.all(scales > 0.0):
-            raise ModelError(f"component scales must be positive, got {scales.tolist()}")
+        if not all(0.0 < w <= 1.0 for w in ws):
+            raise ModelError(f"component weights must be in (0, 1], got {ws}")
+        total = weights.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise ModelError(f"component weights must sum to 1, got {total!r}")
+        if not all(s > 0.0 for s in ss):
+            raise ModelError(f"component scales must be positive, got {ss}")
         if self.origin is not None and self.origin not in ("mated", "nonmated"):
             raise ModelError(f"origin must be 'mated' or 'nonmated', got {self.origin!r}")
-        if self.feature_count is not None and self.feature_count not in _FEATURE_COUNTS:
-            raise ModelError(f"feature_count must be an integer in [5, 15], got {self.feature_count!r}")
-        order = np.argsort(locations, kind="stable")
-        for name, column in (("weights", weights), ("locations", locations), ("scales", scales)):
-            column = column[order]
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        if self.feature_count is not None:
+            if self.feature_count not in _FEATURE_COUNTS:
+                raise ModelError(f"feature_count must be an integer in [5, 15], got {self.feature_count!r}")
+            # the range's equal member: `int` rejects a complex 7 + 0j, which the range admits
+            object.__setattr__(self, "feature_count", _FEATURE_COUNTS[_FEATURE_COUNTS.index(self.feature_count)])
+        order = sorted(range(len(locs)), key=locs.__getitem__)
+        columns = tuple(tuple([column[i] for i in order]) for column in (ws, locs, ss))
+        for name, column in zip(("weights", "locations", "scales"), columns):
+            array = np.array(column)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        # the same columns as floats, for a lone score in `_component_sum`
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def k(self) -> int:
@@ -127,7 +139,7 @@ def _component_sum(model, x, term):
     if np.isscalar(x) and isinstance(model, MixtureModel):
         arr, out = float(x), 0.0
         finite = math.isfinite(arr)
-        columns = (model.weights.tolist(), model.locations.tolist(), model.scales.tolist())
+        columns = model._columns
     else:
         arr = np.asarray(x, dtype=float)
         out = np.zeros(arr.shape)

@@ -6,9 +6,12 @@ risk of erroneous identification (right tail of the non-mated distribution
 at s), their ratio, and the score-based likelihood ratio (the ratio of the
 two densities at s).  It also finds the tipping score where the two tail
 risks are equal, and provides the discrete blood-group weight of evidence.
+A lone score is evaluated on Python floats, its ratios saturated as floats
+too, and gets the bits it has inside an array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -89,7 +92,16 @@ class DiscreteWoe:
 
 
 def _saturating_ratio(num, den):
-    """num / den elementwise, +inf wherever den is 0, with a flag set wherever the quotient is +inf."""
+    """num / den elementwise, +inf wherever den is 0, with a flag set wherever the quotient is +inf.
+
+    Two Python floats, a lone score's, are divided as floats, which gives
+    the bits of the array path: IEEE division overflows to +inf in both.
+    numpy scalars, a float subclass, take the array path, which silences
+    their overflow warning.
+    """
+    if type(num) is float and type(den) is float:
+        ratio = math.inf if den == 0.0 else num / den
+        return ratio, ratio == math.inf
     den = np.asarray(den, dtype=float)
     zero = den == 0.0
     with np.errstate(over="ignore"):
@@ -105,8 +117,7 @@ def tail_ratio(mated: MixtureModel, nonmated: MixtureModel, s) -> tuple:
     """
     alpha = mixture_cdf(mated, s)
     beta = mixture_sf(nonmated, s)
-    fields = (alpha, beta, *_saturating_ratio(alpha, beta))
-    return tuple(np.asarray(v).item() for v in fields) if np.isscalar(s) else fields
+    return (alpha, beta, *_saturating_ratio(alpha, beta))
 
 
 def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> EvidenceReport:
@@ -118,8 +129,6 @@ def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> Evidence
     arr = float(s) if np.isscalar(s) else np.asarray(s, dtype=float)
     alpha, beta, ratio, saturated = tail_ratio(mated, nonmated, arr)
     slr, slr_saturated = _saturating_ratio(mixture_pdf(mated, arr), mixture_pdf(nonmated, arr))
-    if np.isscalar(s):
-        slr, slr_saturated = slr.item(), slr_saturated.item()
     return EvidenceReport(arr, alpha, beta, ratio, slr, saturated, slr_saturated)
 
 

@@ -67,7 +67,13 @@ def config_digest(config: Mapping[str, Any]) -> str:
 
 
 def build_meta(seed: int, config: Mapping[str, Any], extra: Mapping[str, Any] | None = None) -> dict[str, Any]:
-    """Standard artifact metadata: seed, config digest, tool version, extras."""
+    """Standard artifact metadata: seed, config digest, tool version, extras.
+
+    The digest hashes `config` as given, and the commands put their path
+    options (`--mated`, `--nonmated`, `--scores`, ...) in it as the literal
+    strings.  Two spellings of one file, `in/m.json` and `./in/m.json`,
+    give two digests, so a byte check on a command's output must fix them.
+    """
     meta: dict[str, Any] = {
         "seed": seed,
         "config_digest": config_digest(config),
@@ -290,10 +296,14 @@ def _model_to_obj(model: MixtureModel, provenance: str) -> dict[str, Any]:
 
 
 def save_model(model: MixtureModel, path: str | Path, provenance: str = "") -> None:
-    """Write a model JSON file; save -> load -> save is byte-identical."""
+    """Write a model JSON file; save -> load -> save is byte-identical.
+
+    The text is made before the file is opened, so a model that cannot be
+    written leaves no partial file.
+    """
+    text = json.dumps(_model_to_obj(model, provenance), indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(_model_to_obj(model, provenance), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path: str | Path) -> ModelFile:

@@ -26,6 +26,7 @@ from tailratio import (
     packaged_data_path,
     save_model,
     tail_audit,
+    tipping_score,
 )
 from tailratio import __file__ as tailratio_file
 from tailratio.cli import main, render_report
@@ -423,6 +424,30 @@ def test_in_process_call_keeps_no_redirected_stream_alive(workdir, score, code):
     del buf
     gc.collect()
     assert ref() is None
+
+
+# Both tails in the bulk and far out: alpha 0 at -50,000, alpha / beta
+# overflowing at 7,700 (beta subnormal), beta and the non-mated density 0 at
+# 50,000.  Each model pair's tipping score is added to the grid.
+_SCORE_GRID = (-50_000.0, -1_000.0, -200.0, -120.0, -83.75, -61.25, -40.0, -0.0, 0.0, 12.5, 15.0, 35.5,
+               100.0, 700.0, 7_700.0, 50_000.0)
+# sha256 of every `eval` and `report` stdout over the grid, pinned like OUTPUT_DIGESTS below
+SCORE_GRID_DIGEST = "882ea2f6e4467cbb70fc53bc4177b1560404eb3416b9cd20b3872577d7cb3ff0"
+
+
+def test_eval_and_report_stdout_over_a_score_grid(workdir):
+    # in-process from inside tmp_path, so the path strings, which meta.config_digest hashes, are fixed
+    models = {MATED_JSON: DEFAULT_MATED_MODEL, REF_JSON: REFERENCE_NONMATED_MODEL}
+    digest = hashlib.sha256()
+    for mated, nonmated in ((MATED_JSON, REF_JSON), (REF_JSON, MATED_JSON)):
+        for score in (*_SCORE_GRID, tipping_score(models[mated], models[nonmated]).observed_score):
+            for command in ("eval", "report"):
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    main([command, "--mated", mated, "--nonmated", nonmated, "--score", repr(score)],
+                         standalone_mode=False)
+                digest.update(buf.getvalue().encode())
+    assert digest.hexdigest() == SCORE_GRID_DIGEST
 
 
 _NO_OPTIMIZE_SCRIPT = """

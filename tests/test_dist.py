@@ -116,6 +116,81 @@ class TestModelValidation:
             assert MixtureModel([1.0], [0.0], [1.0], feature_count=integral).feature_count == 7
 
 
+def _vectorized_model_checks(weights, locations, scales, origin, feature_count):
+    """`MixtureModel`'s checks as whole-array numpy operations: the sorted columns, or its ModelError."""
+    weights, locations, scales = (np.asarray(v, dtype=float) for v in (weights, locations, scales))
+    if weights.ndim != 1 or weights.size == 0 or not weights.shape == locations.shape == scales.shape:
+        raise ModelError("weights, locations and scales must be nonempty, one-dimensional and of equal length")
+    if not np.all(np.isfinite((weights, locations, scales))):
+        raise ModelError("component parameters must be finite")
+    if not np.all((weights > 0.0) & (weights <= 1.0)):
+        raise ModelError(f"component weights must be in (0, 1], got {weights.tolist()}")
+    if abs(weights.sum() - 1.0) > 1e-9:
+        raise ModelError(f"component weights must sum to 1, got {weights.sum()!r}")
+    if not np.all(scales > 0.0):
+        raise ModelError(f"component scales must be positive, got {scales.tolist()}")
+    if origin is not None and origin not in ("mated", "nonmated"):
+        raise ModelError(f"origin must be 'mated' or 'nonmated', got {origin!r}")
+    if feature_count is not None and feature_count not in range(5, 16):
+        raise ModelError(f"feature_count must be an integer in [5, 15], got {feature_count!r}")
+    order = np.argsort(locations, kind="stable")
+    return tuple(column[order] for column in (weights, locations, scales))
+
+
+_EDGE_VALUES = st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0, 1.5, 5e-324))
+# Nudges of the first weight: half none, half to a sum of 1 +- 1e-9, +- one ulp of 1e-9.
+_SUM_NUDGES = st.sampled_from(
+    (0.0,) * 6 + tuple(sign * math.nextafter(1e-9, to) for sign in (1.0, -1.0) for to in (0.0, 1e-9, 1.0)))
+
+
+@st.composite
+def _model_arguments(draw):
+    """Columns of k = 1 to 12 (numpy sums pairwise past 8) as lists, tuples or arrays, now and then
+    of another length or with an edge value; weights that sum to about 1; tied and signed-zero
+    locations."""
+    k = draw(st.integers(1, 12))
+
+    def column(items):
+        items = (items + items)[:draw(st.sampled_from((k,) * 38 + (0, k + 1)))]
+        if items and draw(st.integers(0, 7)) == 0:
+            items[draw(st.integers(0, len(items) - 1))] = draw(_EDGE_VALUES)
+        return draw(st.sampled_from((list, tuple, np.array)))(items)
+
+    def values(elements):
+        return draw(st.lists(elements, min_size=k, max_size=k))
+
+    raw = np.array(values(st.floats(0.01, 1.0)))
+    weights = (raw / raw.sum()).tolist()
+    weights[0] += draw(_SUM_NUDGES)
+    locations = values(st.one_of(st.floats(-200.0, 200.0), st.sampled_from((-0.0, 0.0, -60.0))))
+    origin = draw(st.sampled_from((None, "mated", "nonmated", "sideways")))
+    feature_count = draw(st.sampled_from(
+        (None, 4, 5, 15, 16, 7.5, math.nan, np.int64(9), 15.0, np.float32(7.0), 7 + 0j, "15", True)))
+    return column(weights), column(locations), column(values(st.floats(0.01, 50.0))), origin, feature_count
+
+
+@given(_model_arguments())
+@settings(max_examples=400, deadline=None)
+def test_model_checks_match_the_vectorized_reference_property(args):
+    # the same exception and message, or the same sorted read-only columns in fresh memory
+    try:
+        expected = _vectorized_model_checks(*args)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as info:
+            MixtureModel(*args)
+        assert str(info.value) == str(exc)
+        return
+    model = MixtureModel(*args)
+    for stored, want, given_column in zip((model.weights, model.locations, model.scales), expected, args):
+        assert stored.dtype == want.dtype and stored.shape == want.shape
+        assert stored.tobytes() == want.tobytes()
+        assert not stored.flags.writeable and not np.shares_memory(stored, given_column)
+    # the float columns a lone score is summed over hold the same bits
+    assert np.array(model._columns).tobytes() == np.array(expected).tobytes()
+    assert model.origin == args[3]
+    assert model.feature_count == args[4] and type(model.feature_count) in (int, type(None))
+
+
 class TestMixture:
     def test_reference_tail_rates_per_100k(self):
         # right-tail exceedance rates of the shipped reference model

@@ -389,6 +389,12 @@ class TestToyGaussian:
         assert specific_source_lr(sc, 2.0) == pytest.approx(peak / random_source, rel=1e-12)
         assert isinstance(specific_source_lr(sc, 2.0), float)
 
+    @pytest.mark.parametrize("x", [38.0, np.float64(38.0)], ids=["float", "float64"])
+    def test_specific_source_lr_saturates_a_lone_observation_silently(self, x):
+        # the random-source density is subnormal at the source, so the quotient overflows
+        sc = ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=1e-3, source_mean=38.0)
+        assert specific_source_lr(sc, x) == math.inf
+
     def test_deep_tail_alpha(self):
         sc = default_toy_scenarios()[0]
         w = sc.within_sd

@@ -245,6 +245,28 @@ class TestModelRoundTrip:
         obj = json.loads(path.read_text())
         assert list(obj.keys()) == ["version", "origin", "feature_count", "components", "provenance"]
 
+    def test_numpy_integer_feature_count_round_trips(self, tmp_path):
+        # the type a dataset's feature_count column holds
+        feature_count = generate_synthetic(SynthConfig(n_mated=10, n_nonmated=10)).feature_count[0]
+        assert isinstance(feature_count, np.integer)
+        path = tmp_path / "m.json"
+        save_model(replace(REF, feature_count=feature_count), path)
+        loaded = load_model(path).model
+        assert type(loaded.feature_count) is int and loaded.feature_count == feature_count
+
+    def test_integral_float_feature_count_is_stored_as_an_int(self, tmp_path):
+        model = replace(REF, feature_count=15.0)
+        assert type(model.feature_count) is int
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert '"feature_count": 15,' in path.read_text()
+
+    def test_model_that_cannot_be_written_leaves_no_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        with pytest.raises(TypeError):
+            save_model(REF, path, provenance={"not", "json"})
+        assert not path.exists()
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         save_model(REF, path)
