@@ -15,8 +15,10 @@ from dataclasses import asdict, fields, replace
 from typing import Any
 
 import click
+from click.core import ParameterSource
 
 from ._version import __version__
+from .dist import _ORIGINS
 from .errors import TailratioError
 from .evidence import evidence_numbers, tail_ratio, tipping_score
 from .experiments import (
@@ -154,7 +156,7 @@ def gen(out, n_mated, n_nonmated, feature_count, contamination_weight,
 
 @main.command("fit")
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--origin", type=click.Choice(["mated", "nonmated"]), default="nonmated", show_default=True)
+@click.option("--origin", type=click.Choice(_ORIGINS), default="nonmated", show_default=True)
 @click.option("--feature-count", type=int, default=None, help="Filter scores to one feature count.")
 @click.option("--k", type=int, default=FitConfig.k, show_default=True)
 @click.option("--restarts", type=int, default=FitConfig.restarts, show_default=True)
@@ -219,7 +221,7 @@ def eval_cmd(mated_path, nonmated_path, score, out):
 @main.command("gof")
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--origin", type=click.Choice(["mated", "nonmated"]), default="nonmated", show_default=True)
+@click.option("--origin", type=click.Choice(_ORIGINS), default="nonmated", show_default=True)
 @click.option("--feature-count", type=int, default=None)
 @click.option("--p-method", type=click.Choice(_P_METHODS), default="asymptotic", show_default=True,
               help="closed forms, or a bootstrap that refits the model to every draw.")
@@ -253,7 +255,7 @@ def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_
 @click.option("--cutpoints", default="0,25,50", show_default=True)
 @click.option("--scores", "scores_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Observed scores CSV for the observed columns.")
-@click.option("--origin", type=click.Choice(["mated", "nonmated"]), default="nonmated", show_default=True)
+@click.option("--origin", type=click.Choice(_ORIGINS), default="nonmated", show_default=True)
 @click.option("--counts", default=None, help="Pre-binned exceedance counts, e.g. '35,14,3'.")
 @click.option("--total", type=int, default=None, help="Total observations behind --counts.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
@@ -274,25 +276,18 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
         audit = TailAudit.from_model(model, cuts)
     config = dict(subcommand="tails", model=model_path or "builtin", cutpoints=cutpoints,
                   scores=scores_path, origin=origin, counts=counts, total=total)
-    rows = []
-    for i, c in enumerate(audit.cutpoints):
-        rows.append(
-            [
-                c,
-                audit.expected_per_100k[i] if audit.expected_per_100k is not None else None,
-                audit.observed_count[i] if audit.observed_count is not None else None,
-                audit.observed_total,
-                audit.observed_per_100k[i] if audit.observed_per_100k is not None else None,
-            ]
-        )
+    n = len(audit.cutpoints)
+    columns = (audit.cutpoints, audit.expected_per_100k, audit.observed_count, (audit.observed_total,) * n,
+               audit.observed_per_100k)
+    rows = zip(*((None,) * n if column is None else column for column in columns))
     write_csv(out, ["cutpoint", "expected_per_100k", "observed_count", "observed_total", "observed_per_100k"],
               rows, meta=build_meta(0, config))
-    _echo(f"wrote {len(rows)} cutpoints to {out}")
+    _echo(f"wrote {n} cutpoints to {out}")
 
 
 @main.command("sim-pvalues")
 @click.option("--scores", "scores_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--origin", type=click.Choice(["mated", "nonmated"]), default="nonmated", show_default=True)
+@click.option("--origin", type=click.Choice(_ORIGINS), default="nonmated", show_default=True)
 @click.option("--feature-count", type=int, default=None)
 @click.option("--reps", type=int, default=200, show_default=True)
 @click.option("--fraction", type=float, default=0.75, show_default=True)
@@ -361,10 +356,17 @@ def sim_toy(reps, out, seed):
               help="Correct-exclusion fixture CSV (with --check; default: shipped).")
 @click.option("--error", "error_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Erroneous-identification fixture CSV in percent (with --check; default: shipped).")
-def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_prefix,
+@click.pass_context
+def thresholds_cmd(ctx, scores_path, mated_path, nonmated_path, thresholds_text, out_prefix,
                    check, exclusion_path, error_path):
     """Audit decision-rule thresholds, or check a published table pair."""
-    thresholds = _parse_float_list(thresholds_text, "thresholds")
+    computing = (scores_path, mated_path, nonmated_path, out_prefix)
+    if check and (any(v is not None for v in computing)
+                  or ctx.get_parameter_source("thresholds_text") is not ParameterSource.DEFAULT):
+        raise click.BadParameter("--check takes no --scores, --mated-model, --nonmated-model, --out-prefix "
+                                 "or --thresholds")
+    if not check and (exclusion_path is not None or error_path is not None):
+        raise click.BadParameter("--exclusion and --error go with --check")
     if check:
         excl = load_threshold_table(exclusion_path or packaged_data_path("table5a_exclusion.csv"),
                                     "correct_exclusion")
@@ -380,6 +382,7 @@ def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_
         return
     if scores_path is None or out_prefix is None:
         raise click.BadParameter("compute mode needs --scores and --out-prefix")
+    thresholds = _parse_float_list(thresholds_text, "thresholds")
     mated = load_model(mated_path).model if mated_path else DEFAULT_MATED_MODEL
     nonmated = load_model(nonmated_path).model if nonmated_path else REFERENCE_NONMATED_MODEL
     dataset = load_scores(scores_path)

@@ -16,7 +16,8 @@ come from `_brentq`, the package's own step-for-step port of scipy's
 ch. 4) with scipy's tolerances.  It takes the same iterates and returns the
 same bits after the same number of calls, so no process loads scipy's
 optimization package, about 250 modules, 0.2 s and 20 MB, for this one
-routine.
+routine.  A root search that does not converge is a DomainError here and a
+NoTippingPointError in `evidence`.
 """
 from __future__ import annotations
 
@@ -38,6 +39,9 @@ __all__ = [
     "mixture_sample",
     "log_likelihood",
 ]
+
+# The score populations a model or a score row may name.
+_ORIGINS = ("mated", "nonmated")
 
 # Search bracket half-width for the mixture quantile, in units of the
 # largest component scale.  expit(+-50) is ~2e-22, far outside any use here.
@@ -95,7 +99,7 @@ class MixtureModel:
             raise ModelError(f"component weights must sum to 1, got {total!r}")
         if not all(s > 0.0 for s in ss):
             raise ModelError(f"component scales must be positive, got {ss}")
-        if self.origin is not None and self.origin not in ("mated", "nonmated"):
+        if self.origin is not None and self.origin not in _ORIGINS:
             raise ModelError(f"origin must be 'mated' or 'nonmated', got {self.origin!r}")
         if self.feature_count is not None:
             if self.feature_count not in _FEATURE_COUNTS:
@@ -118,13 +122,14 @@ class MixtureModel:
 
 
 def _stack(models) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, locations and scales of models with equal component counts, as (k, m, 1) arrays.
+    """Weights, locations and scales of m models of k components each, as (k, m, 1) arrays.
 
-    Row r holds model r.  `mixture_pdf`, `mixture_cdf` and `mixture_sf`
-    take the triple in place of a model and evaluate row r of a (k, n)
-    array of points under model r.
+    Entry [j, r] is component j of model r.  `mixture_pdf`, `mixture_cdf`
+    and `mixture_sf` take the triple in place of a model and evaluate row r
+    of an (m, n) array of points under model r.
     """
-    return tuple(np.array([getattr(m, name) for m in models])[..., None] for name in ("weights", "locations", "scales"))
+    return tuple(np.array([getattr(m, name) for m in models]).T[..., None]
+                 for name in ("weights", "locations", "scales"))
 
 
 def _component_sum(model, x, term):
@@ -144,8 +149,7 @@ def _component_sum(model, x, term):
         arr = np.asarray(x, dtype=float)
         out = np.zeros(arr.shape)
         finite = np.all(np.isfinite(arr))
-        columns = (model.weights, model.locations, model.scales) if isinstance(model, MixtureModel) else (
-            a.swapaxes(0, 1) for a in model)
+        columns = (model.weights, model.locations, model.scales) if isinstance(model, MixtureModel) else model
     if not finite:
         raise DomainError("evaluation points must be finite")
     for w, loc, scale in zip(*columns):
@@ -178,9 +182,11 @@ def _brentq(f, a: float, b: float) -> float:
     """A root of f on [a, b] by Brent's method, ported step for step from scipy's `Zeros/brentq.c`.
 
     It runs on Python floats at scipy's defaults and keeps C's expression
-    order, so it returns scipy's `brentq` bits after the same f calls.  As
-    scipy does, it raises ValueError for a NaN value of f or ends of the
-    same sign, and RuntimeError when 100 iterations do not converge.
+    order, so it returns scipy's `brentq` bits after the same f calls.  A
+    zero divisor in an interpolation step takes the bisection step, as C's
+    inf or NaN quotient does.  As scipy does, it raises ValueError for a
+    NaN value of f or ends of the same sign, and RuntimeError when 100
+    iterations do not converge.
     """
     def call(x):
         fx = f(x)
@@ -209,14 +215,18 @@ def _brentq(f, a: float, b: float) -> float:
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic step
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:
+                    # secant step
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic step
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to inf or NaN, which no arithmetic after it makes finite: the test below bisects
+                stry = math.nan
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -235,15 +245,19 @@ def mixture_quantile(model: MixtureModel, p: float) -> float:
     A p whose root is not inside the bracket is a DomainError: one the cdf
     at the bottom already reaches, and one the cdf at the top stays under,
     which a model whose weights sum to a hair under 1 leaves for p near 1.
+    So is a root search that does not converge in 100 iterations.
     """
-    if not np.isfinite(p) or not 0.0 < p < 1.0:
+    if not 0.0 < p < 1.0:
         raise DomainError(f"quantile probability must be in (0, 1), got {p}")
     lo, hi = quantile_bracket(model)
     if mixture_cdf(model, lo) >= p:
         raise DomainError(f"quantile probability {p} lies below the search bracket")
     if mixture_cdf(model, hi) < p:
         raise DomainError(f"quantile probability {p} lies above the search bracket")
-    return _brentq(lambda s: mixture_cdf(model, s) - p, lo, hi)
+    try:
+        return _brentq(lambda s: mixture_cdf(model, s) - p, lo, hi)
+    except RuntimeError:
+        raise DomainError(f"root search for quantile probability {p} did not converge") from None
 
 
 def _scores_from_uniforms(model: MixtureModel, u: np.ndarray) -> np.ndarray:

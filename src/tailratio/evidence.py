@@ -135,10 +135,14 @@ def evidence_numbers(mated: MixtureModel, nonmated: MixtureModel, s) -> Evidence
 def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> EvidenceReport:
     """The evidence report at the score where the exclusion and identification risks are equal.
 
-    The difference alpha(s) - beta(s) runs from -1 to +1, so a sign change
-    exists on any bracket wide enough to cover both models.  Brent's method
-    finds it through `dist._brentq`, the package's own port of scipy's
-    `brentq` with scipy's iterates and bits, and |alpha - beta| must end
+    The difference alpha(s) - beta(s) runs from -1 to +1.  At either end of
+    the union of the two quantile brackets every component lies at least 50
+    of its own scales away, so the gap is about -1 at the low end and +1 at
+    the high end, and a sign change is always inside.  Brent's method finds
+    it through `dist._brentq`, the package's own port of scipy's `brentq`
+    with scipy's iterates and bits.  NoTippingPointError is raised when that
+    search does not converge in 100 iterations, as on a pair whose scales
+    differ by many orders of magnitude, or when |alpha - beta| does not end
     below 1e-9.  The crossing is the report's `observed_score`; the report
     also carries the score-based likelihood ratio there, which in general is
     not 1: a tail-probability ratio of exactly 1 does not mean the densities
@@ -146,14 +150,10 @@ def tipping_score(mated: MixtureModel, nonmated: MixtureModel) -> EvidenceReport
     """
     lo_m, hi_m = quantile_bracket(mated)
     lo_n, hi_n = quantile_bracket(nonmated)
-    lo, hi = min(lo_m, lo_n), max(hi_m, hi_n)
-
-    def gap(s: float) -> float:
-        return mixture_cdf(mated, s) - mixture_sf(nonmated, s)
-
-    if gap(lo) > 0.0 or gap(hi) < 0.0:
-        raise NoTippingPointError("tail risks do not cross on the search bracket")
-    s_star = _brentq(gap, lo, hi)
+    try:
+        s_star = _brentq(lambda s: mixture_cdf(mated, s) - mixture_sf(nonmated, s), min(lo_m, lo_n), max(hi_m, hi_n))
+    except RuntimeError:
+        raise NoTippingPointError("root search for the tipping score did not converge") from None
     at = evidence_numbers(mated, nonmated, s_star)
     if abs(at.alpha - at.beta) > _TIPPING_TOL:
         raise NoTippingPointError(

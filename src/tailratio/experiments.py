@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 from scipy.special import erf, erfc, factorial, ndtr
 
-from .dist import _FEATURE_COUNTS, MixtureModel, _stack, mixture_sample, mixture_sf
+from .dist import _FEATURE_COUNTS, _ORIGINS, MixtureModel, _stack, mixture_sample, mixture_sf
 from .errors import DomainError, FitFailureError
 from .evidence import _saturating_ratio
 from .fit import FitConfig, fit_mixture, split_dataset
@@ -78,14 +78,12 @@ DEFAULT_THRESHOLDS = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0)
 _COMPLEMENT_TOL = 1e-3
 
 
-_ORIGINS = ("mated", "nonmated")
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreDataset:
     """Labeled scores as parallel columns, one entry per compared pair.
 
-    `source_id` is None where a row names no source.  Every row is checked
+    `source_id` is None where a row names no source; an empty `source_id`
+    is stored as None, so it saves and loads as itself.  Every row is checked
     on construction: a finite score, a known origin, an integer feature
     count in [5, 15] and a nonempty pair id.  The first bad row raises a
     DomainError whose payload carries its index as `row`.
@@ -102,7 +100,8 @@ class ScoreDataset:
         origin = np.asarray(self.origin, dtype=str)
         feature_count = np.asarray(self.feature_count)
         pair_id = np.asarray(self.pair_id, dtype=object)
-        source_id = np.asarray(self.source_id, dtype=object)
+        source_id = np.array(self.source_id, dtype=object)
+        source_id[source_id == ""] = None
         if score.ndim != 1 or {c.shape for c in (origin, feature_count, pair_id, source_id)} != {score.shape}:
             raise DomainError("score columns must be one-dimensional and of equal length")
         problems = (

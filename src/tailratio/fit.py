@@ -409,7 +409,7 @@ def _newton_steps(grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, np.nd
     return step, np.einsum("sp,sp->s", grad, step)
 
 
-def minimize(thetas: np.ndarray, xs: np.ndarray, k: int, floor: np.ndarray, maxiter: int = _MAX_ITER) -> Minimum:
+def minimize(thetas: np.ndarray, xs: np.ndarray, k: int, floor: np.ndarray) -> Minimum:
     """Damped Newton from each row of `thetas` on the negative log-likelihood of its sorted sample.
 
     `xs` holds one n-point sample per row of `thetas` and `floor` one scale
@@ -418,7 +418,7 @@ def minimize(thetas: np.ndarray, xs: np.ndarray, k: int, floor: np.ndarray, maxi
     of `_newton_steps`, halved until it meets the Armijo condition
     (sufficient decrease _ARMIJO, up to the objective's rounding), and stops
     once the largest gradient entry is at most _TOL * max(1, |f0|), f0 its
-    objective at the start.  It fails if it takes `maxiter` steps first, or
+    objective at the start.  It fails if it takes _MAX_ITER steps first, or
     if _MAX_HALVINGS halvings find no decrease.
     """
     x = np.array(thetas, dtype=float)
@@ -447,7 +447,7 @@ def minimize(thetas: np.ndarray, xs: np.ndarray, k: int, floor: np.ndarray, maxi
         iters[moved] += 1
         done = np.abs(grad[moved]).max(axis=1) <= gtol[moved]
         converged[moved[done]] = True
-        stop = done | (iters[moved] >= maxiter)
+        stop = done | (iters[moved] >= _MAX_ITER)
         active[moved[stop]] = False
         going = moved[~stop]
         if going.size:

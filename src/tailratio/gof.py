@@ -78,8 +78,8 @@ class GofOutcome:
 def _statistics(model, xs: np.ndarray) -> tuple:
     """KS and AD statistics of sorted points against the model, reduced over the last axis.
 
-    `model` is one MixtureModel against a sorted sample, or a `_stack` of k
-    models against k sorted rows, row r scored against model r.  AD reads
+    `model` is one MixtureModel against a sorted sample, or a `_stack` of m
+    models against m sorted rows, row r scored against model r.  AD reads
     the model's right tail S, not 1 - F, so it keeps its digits where F is near 1.
     """
     n = xs.shape[-1]

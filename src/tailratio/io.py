@@ -180,7 +180,6 @@ class _Table:
     """The rows of a CSV file before its first line that does not parse."""
 
     header: list[str]
-    header_line: int
     rows: np.ndarray  # structured, one field per header cell
     lines: np.ndarray  # the line number of each row
 
@@ -225,7 +224,7 @@ def _read_csv(
                 rows.append(_parse(block[:good], dtype))
             lines.append(numbers[: rows[-1].size])
     rows, lines = np.concatenate(rows), np.concatenate(lines)  # frees the blocks before `build` copies columns
-    result = build(_Table(header, header_line, rows, lines))
+    result = build(_Table(header, rows, lines))
     if bad is not None:
         # made where it is raised: an error held in a local would keep this frame alive through its traceback
         raise _line_error(*bad, header, dtype)
@@ -246,7 +245,7 @@ def load_scores(path: str | Path) -> ScoreDataset:
     first malformed row fails with its line number, whether it does not
     parse or holds a value out of range.  Scores are decimal floats as
     `repr` writes them and feature counts decimal integers; an empty
-    source_id loads as None.
+    source_id loads as None, as `ScoreDataset` stores it.
     """
     return _read_csv(path, _score_columns, _score_dataset)
 
@@ -254,11 +253,7 @@ def load_scores(path: str | Path) -> ScoreDataset:
 def _score_dataset(table: _Table) -> ScoreDataset:
     """The dataset of a score table's rows; a row out of range fails at its line."""
     rows = table.rows
-    if "source_id" in rows.dtype.names:
-        source_id = rows["source_id"].copy()
-        source_id[source_id == ""] = None
-    else:
-        source_id = np.full(rows.size, None, dtype=object)
+    source_id = rows["source_id"] if "source_id" in rows.dtype.names else np.full(rows.size, None, dtype=object)
     columns = (np.ascontiguousarray(rows[name]) for name in _SCORE_HEADER)
     try:
         return ScoreDataset(*columns, source_id)
@@ -269,9 +264,18 @@ def _score_dataset(table: _Table) -> ScoreDataset:
 
 
 def save_scores(dataset: ScoreDataset, path: str | Path, meta: Mapping[str, Any] | None = None) -> None:
-    """Write a score dataset as CSV (always with the source_id column)."""
-    columns = (dataset.score, dataset.origin, dataset.feature_count, dataset.pair_id, dataset.source_id)
-    write_csv(path, _SCORE_HEADER_FULL, zip(*(c.tolist() for c in columns)), meta=meta)
+    """Write a score dataset as CSV (always with the source_id column).
+
+    A record must end on its own line, so an id that holds a line break is
+    a DomainError naming its row, raised before the file is opened.
+    """
+    columns = [c.tolist() for c in (dataset.score, dataset.origin, dataset.feature_count, dataset.pair_id,
+                                    dataset.source_id)]
+    for row, ids in enumerate(zip(*columns[3:])):
+        for name, cell in zip(("pair_id", "source_id"), map(format_value, ids)):
+            if "\n" in cell or "\r" in cell:
+                raise DomainError(f"row {row}: {name} holds a line break, got {cell!r}", row=row)
+    write_csv(path, _SCORE_HEADER_FULL, zip(*columns), meta=meta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from tailratio import (
     DEFAULT_MATED_MODEL,
     EvidenceReport,
+    MixtureModel,
     REFERENCE_NONMATED_MODEL,
     ad_statistic,
     asymptotic_ad_pvalue,
@@ -130,6 +131,23 @@ class TestEvalAndReport:
         result = invoke(runner, [*args, "--out", "e.json"])
         assert result.exit_code == 0 and result.output == ""
         assert (workdir / "e.json").read_text() == stdout
+
+    @pytest.mark.parametrize("mated, nonmated, code", [
+        (([1.0], [20.69747484641257], [4.8435080737305035e-12]), ([1.0], [0.1267580180631507], [0.05661123172663348]),
+         0),
+        (([1.0], [187725772.17945847], [1.230957397048295e-07]), ([1.0], [609899621298.4407], [81692882545.19823]),
+         2),
+    ], ids=["zero-interpolation-divisor", "no-convergence"])
+    def test_eval_on_a_hard_tipping_search(self, runner, workdir, mated, nonmated, code):
+        save_model(MixtureModel(*mated), "m.json")
+        save_model(MixtureModel(*nonmated), "n.json")
+        result = runner.invoke(main, ["eval", "--mated", "m.json", "--nonmated", "n.json", "--score", "0"])
+        assert result.exit_code == code, result.output
+        if code:
+            assert result.stdout == ""
+            assert json.loads(result.stderr)["error"]["code"] == "no_tipping_point"
+        else:
+            assert json.loads(result.stdout)["tipping_score"] == 20.697474844652394
 
     def test_report_sentence_shape(self, runner, workdir):
         result = invoke(runner, ["report", "--mated", MATED_JSON, "--nonmated", REF_JSON, "--score", "0"])
@@ -391,6 +409,29 @@ class TestThresholds:
         assert result.exit_code == 2
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"] == {"code": "domain_error", "message": "repeated threshold 10.0"}
+        assert not (workdir / "audit_exclusion.csv").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--scores", "s.csv"], ["--mated-model", MATED_JSON], ["--nonmated-model", REF_JSON],
+        ["--out-prefix", "audit"], ["--thresholds", "1,10"],
+    ], ids=["scores", "mated-model", "nonmated-model", "out-prefix", "thresholds"])
+    def test_check_mode_rejects_compute_options(self, runner, workdir, extra):
+        (workdir / "s.csv").write_text(_three_feature_count_scores())
+        result = runner.invoke(main, ["thresholds", "--check", *extra])
+        assert result.exit_code == 2, result.output
+        assert "--check takes no --scores, --mated-model, --nonmated-model, --out-prefix or --thresholds" in (
+            result.output)
+        assert not (workdir / "audit_exclusion.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--exclusion"], ["--error"], ["--exclusion", "--error"]],
+                             ids=["exclusion", "error", "both"])
+    def test_compute_mode_rejects_check_options(self, runner, workdir, flags):
+        (workdir / "s.csv").write_text(_three_feature_count_scores())
+        fixture = str(packaged_data_path("table5a_exclusion.csv"))
+        extra = [arg for flag in flags for arg in (flag, fixture)]
+        result = runner.invoke(main, ["thresholds", "--scores", "s.csv", "--out-prefix", "audit", *extra])
+        assert result.exit_code == 2, result.output
+        assert "--exclusion and --error go with --check" in result.output
         assert not (workdir / "audit_exclusion.csv").exists()
 
     def test_compute_mode_writes_pair(self, runner, workdir):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -22,7 +22,7 @@ from tailratio import (
     mixture_sf,
     substream,
 )
-from tailratio.dist import _brentq, quantile_bracket
+from tailratio.dist import _brentq, _stack, quantile_bracket
 
 from strategies import MIXTURES
 
@@ -304,10 +304,8 @@ def _brent_run(solver, f, a, b):
     return outcome, calls
 
 
-@given(MIXTURES, MIXTURES, st.floats(0.0, 1.0))
-@settings(max_examples=200, deadline=None)
-def test_brentq_port_takes_scipys_iterates_property(mated, nonmated, t):
-    # the tipping gap and a quantile equation: same points, same root bits
+def _assert_brent_port_matches_scipy(mated, nonmated, t):
+    """The tipping gap and a quantile equation: the same points, and the same root bits or exception type."""
     lo_m, hi_m = quantile_bracket(mated)
     lo_n, hi_n = quantile_bracket(nonmated)
     p = mixture_cdf(mated, lo_m + t * (hi_m - lo_m))
@@ -319,6 +317,32 @@ def test_brentq_port_takes_scipys_iterates_property(mated, nonmated, t):
         assert _brent_run(_brentq, f, a, b) == _brent_run(brentq, f, a, b)
 
 
+@given(MIXTURES, MIXTURES, st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_brentq_port_takes_scipys_iterates_property(mated, nonmated, t):
+    _assert_brent_port_matches_scipy(mated, nonmated, t)
+
+
+@st.composite
+def _extreme_mixtures(draw):
+    """1-3 components with scales from 1e-12 to 1e12 and locations up to 1e12 either side of 0."""
+    k = draw(st.integers(1, 3))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    locations = draw(st.lists(st.one_of(st.floats(-1e12, 1e12), st.floats(-100.0, 100.0)), min_size=k, max_size=k))
+    scales = draw(st.lists(st.floats(-12.0, 12.0).map(lambda e: 10.0**e), min_size=k, max_size=k))
+    return MixtureModel(raw / raw.sum(), locations, scales)
+
+
+@given(_extreme_mixtures(), _extreme_mixtures(), st.floats(0.0, 1.0))
+@example(MixtureModel([1.0], [20.69747484641257], [4.8435080737305035e-12]),
+         MixtureModel([1.0], [0.1267580180631507], [0.05661123172663348]), 0.5)
+@settings(max_examples=200, deadline=None)
+def test_brentq_port_takes_scipys_iterates_on_extreme_mixtures_property(mated, nonmated, t):
+    # where interpolation divisors reach 0 and searches run out of iterations.  In the
+    # example a divisor is 0 on the way to the tipping score, and C's inf or NaN quotient bisects
+    _assert_brent_port_matches_scipy(mated, nonmated, t)
+
+
 @pytest.mark.parametrize("f, a, b, error", [
     (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),
     (lambda x: x - 0.25 if x <= 0.5 else math.nan, 0.0, 1.0, ValueError),
@@ -328,3 +352,22 @@ def test_brentq_port_fails_as_scipy_does(f, a, b, error):
     outcome, calls = _brent_run(_brentq, f, a, b)
     assert outcome is error
     assert (outcome, calls) == _brent_run(brentq, f, a, b)
+
+
+def test_quantile_search_that_does_not_converge_is_a_domain_error():
+    model = MixtureModel([4.797828800917614e-12, 0.9999999999952022], [60322.076966482, 96280.07517042226],
+                         [11193797316.053196, 5.521518999983973e-09])
+    with pytest.raises(DomainError, match="did not converge"):
+        mixture_quantile(model, 1e-9)
+
+
+def test_stack_is_component_major():
+    # (k, m, 1): entry [j, r] is component j of model r, so a (m, n) row r sees model r's components
+    models = [MixtureModel([0.25, 0.75], [float(r), 10.0 + r], [1.0 + r, 2.0 + r]) for r in range(3)]
+    stack = _stack(models)
+    assert [a.shape for a in stack] == [(2, 3, 1)] * 3
+    for name, column in zip(("weights", "locations", "scales"), stack):
+        for r, model in enumerate(models):
+            assert column[:, r, 0].tolist() == getattr(model, name).tolist()
+    xs = np.array([[-5.0, 0.5, 12.0]] * 3)
+    assert np.array_equal(mixture_cdf(stack, xs), [mixture_cdf(model, xs[r]) for r, model in enumerate(models)])

@@ -183,6 +183,22 @@ class TestTippingPoint:
         assert tp.alpha == pytest.approx(0.5, abs=1e-9)
         assert tp.slr == pytest.approx(1.0, rel=1e-9)
 
+    def test_zero_interpolation_divisor_gives_scipys_root(self):
+        # an interpolation divisor is 0 on the way; scipy's brentq bisects there and lands on this root
+        mated = MixtureModel([1.0], [20.69747484641257], [4.8435080737305035e-12])
+        nonmated = MixtureModel([1.0], [0.1267580180631507], [0.05661123172663348])
+        tp = tipping_score(mated, nonmated)
+        assert tp.observed_score == 20.697474844652394
+        assert tp.alpha - tp.beta == -6.324806093803509e-160
+
+    def test_root_search_that_does_not_converge_raises(self):
+        # scipy's brentq fails on this pair too, after 100 iterations
+        mated = MixtureModel([1.0], [187725772.17945847], [1.230957397048295e-07])
+        nonmated = MixtureModel([1.0], [609899621298.4407], [81692882545.19823])
+        with pytest.raises(NoTippingPointError, match="did not converge") as info:
+            tipping_score(mated, nonmated)
+        assert info.value.code == "no_tipping_point"
+
 
 class TestDiscreteWoe:
     def test_correspondence_ratio(self):

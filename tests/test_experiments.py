@@ -117,6 +117,13 @@ class TestSynth:
             ds = ScoreDataset(score=[0.0], origin=["mated"], feature_count=integral, pair_id=["x"], source_id=[None])
             assert ds.feature_count.tolist() == [7]
 
+    def test_empty_source_id_is_none(self):
+        source_id = np.array(["s0", "", None], dtype=object)
+        ds = ScoreDataset(score=[0.0, 1.0, 2.0], origin=["mated"] * 3, feature_count=[15] * 3, pair_id=["x", "y", "z"],
+                          source_id=source_id)
+        assert ds.source_id.tolist() == ["s0", None, None]
+        assert source_id.tolist() == ["s0", "", None]  # the caller's column is left as it was
+
 
 class TestTailAudit:
     def test_expected_rates_from_reference(self):

@@ -124,11 +124,8 @@ class TestFit:
         assert result.nfev >= result.nit >= 3  # three starts, at least one iteration each
 
     def test_no_converged_start_raises_with_best_so_far(self, monkeypatch):
-        def one_iteration(*args, **kwargs):
-            # every start stops on the iteration cap, so none converges
-            return minimize(*args, **{**kwargs, "maxiter": 1})
-
-        monkeypatch.setattr("tailratio.fit.minimize", one_iteration)
+        # every start stops on the iteration cap, so none converges
+        monkeypatch.setattr("tailratio.fit._MAX_ITER", 1)
         data = mixture_sample(REF, 1500, seed=6)
         with pytest.raises(FitFailureError) as info:
             fit_mixture(data, FitConfig(k=2, restarts=2, seed=0))

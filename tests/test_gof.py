@@ -129,7 +129,7 @@ class TestStacked:
                  ([0, 1, 0, 0, 0.8184513229028234, 0, 0, 0.2798513574868556, 0], [1.0, 0.721054504426745])])
     @settings(max_examples=60, deadline=None)
     def test_rows_match_one_sample_calls(self, m, pairs):
-        # k models of m components each, and k sorted rows of n points.  In the
+        # one model of m components and one sorted row of n points per pair.  In the
         # example, a log over the reversed stack once gave row 1 an AD one bit
         # off its one-sample value.
         models = [random_mixture(m, params) for params, _ in pairs]

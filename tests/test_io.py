@@ -336,12 +336,12 @@ def test_model_save_load_round_trip_property(model, origin, feature_count, prove
 
 
 # Cell text that a CSV writer must quote or that a reader could mangle:
-# commas, quotes, leading and trailing spaces, non-ASCII.  Line breaks are
-# left out: a record must end on its own line.
+# commas, quotes, leading and trailing spaces, non-ASCII, and line breaks,
+# which `save_scores` refuses since a record must end on its own line.
 _CELL_TEXT = st.text(
     alphabet=st.one_of(
-        st.sampled_from(',"\' \t#;é\u4e2d\U0001f600\u00a0\u2028\x0b'),
-        st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"),
+        st.sampled_from(',"\' \t#;é\u4e2d\U0001f600\u00a0\u2028\x0b\r\n'),
+        st.characters(exclude_categories=("Cs",)),
     ),
     min_size=1,
     max_size=12,
@@ -355,7 +355,7 @@ _CELL_TEXT = st.text(
             st.sampled_from(("mated", "nonmated")),
             st.integers(5, 15),
             _CELL_TEXT,
-            st.one_of(st.none(), _CELL_TEXT),
+            st.one_of(st.none(), st.just(""), _CELL_TEXT),
         ),
         max_size=20,
     ),
@@ -365,9 +365,22 @@ _CELL_TEXT = st.text(
 )
 @settings(max_examples=150, deadline=None)
 def test_scores_save_load_round_trip_property(rows, meta, blank_after, crlf):
-    ds = ScoreDataset(*(list(column) for column in zip(*rows)) if rows else ([],) * 5)
+    # a dataset with a line break in an id is refused at its first such row,
+    # and the rows without one round-trip; an empty source id is None in the
+    # dataset, so it comes back as None
+    def dataset(rows):
+        return ScoreDataset(*(list(column) for column in zip(*rows)) if rows else ([],) * 5)
+
+    breaks = [row for row, (*_, pair_id, source_id) in enumerate(rows)
+              if {"\r", "\n"} & set(pair_id + (source_id or ""))]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "s.csv"
+        if breaks:
+            with pytest.raises(DomainError, match="holds a line break") as info:
+                save_scores(dataset(rows), path, meta=meta)
+            assert info.value.payload["row"] == breaks[0]
+            assert not path.exists()
+        ds = dataset([row for i, row in enumerate(rows) if i not in breaks])
         save_scores(ds, path, meta=meta)
         lines = path.read_text(encoding="utf-8").split("\n")
         for at in sorted(blank_after, reverse=True):
