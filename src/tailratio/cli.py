@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen, fit, eval, gof, tails, sim-pvalues, sim-toy, thresholds,
-report.  Every artifact embeds the seed, a digest of the producing
-configuration, and the tool version; reruns with the same seed produce
-byte-identical outputs regardless of worker count.  Failures exit nonzero
-with a machine-readable JSON error on stderr.
+check-tables, report.  Every artifact embeds the seed, a digest of the
+producing configuration, and the tool version; reruns with the same seed
+produce byte-identical outputs regardless of worker count.  Failures exit
+nonzero with a machine-readable JSON error on stderr.
 """
 from __future__ import annotations
 
@@ -98,6 +98,11 @@ def _parse_float_list(text: str, what: str) -> list[float]:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise click.BadParameter(f"bad {what}: {exc}")
+
+
+def _from_command_line(name: str) -> bool:
+    """Whether the current subcommand's parameter `name` was given on the command line."""
+    return click.get_current_context().get_parameter_source(name) is ParameterSource.COMMANDLINE
 
 
 class _Group(click.Group):
@@ -230,6 +235,8 @@ def eval_cmd(mated_path, nonmated_path, score, out):
 @_SEED_OPTION
 def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_b, out, seed):
     """Test scores against a model with the KS and AD statistics."""
+    if p_method != "bootstrap" and _from_command_line("bootstrap_b"):
+        raise click.BadParameter("--bootstrap-b goes with --p-method bootstrap")
     dataset = load_scores(scores_path)
     sample = dataset.scores(origin=origin, feature_count=feature_count)
     model = load_model(model_path).model
@@ -267,6 +274,8 @@ def tails_cmd(model_path, cutpoints, scores_path, origin, counts, total, out):
         raise click.BadParameter("--scores takes no --counts or --total")
     if (counts is None) != (total is None):
         raise click.BadParameter("--counts and --total go together")
+    if scores_path is None and _from_command_line("origin"):
+        raise click.BadParameter("--origin goes with --scores")
     if scores_path is not None:
         observed = load_scores(scores_path).scores(origin=origin)
         audit = tail_audit(model, observed, cuts)
@@ -345,43 +354,14 @@ def sim_toy(reps, out, seed):
 
 
 @main.command("thresholds")
-@click.option("--scores", "scores_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--scores", "scores_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--mated-model", "mated_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--nonmated-model", "nonmated_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--thresholds", "thresholds_text", default=",".join(f"{t:g}" for t in DEFAULT_THRESHOLDS),
               show_default=True)
-@click.option("--out-prefix", default=None, help="Write <prefix>_exclusion.csv and <prefix>_error.csv.")
-@click.option("--check", is_flag=True, help="Check a shipped or explicit fixture pair instead of computing.")
-@click.option("--exclusion", "exclusion_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Correct-exclusion fixture CSV (with --check; default: shipped).")
-@click.option("--error", "error_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Erroneous-identification fixture CSV in percent (with --check; default: shipped).")
-@click.pass_context
-def thresholds_cmd(ctx, scores_path, mated_path, nonmated_path, thresholds_text, out_prefix,
-                   check, exclusion_path, error_path):
-    """Audit decision-rule thresholds, or check a published table pair."""
-    computing = (scores_path, mated_path, nonmated_path, out_prefix)
-    if check and (any(v is not None for v in computing)
-                  or ctx.get_parameter_source("thresholds_text") is not ParameterSource.DEFAULT):
-        raise click.BadParameter("--check takes no --scores, --mated-model, --nonmated-model, --out-prefix "
-                                 "or --thresholds")
-    if not check and (exclusion_path is not None or error_path is not None):
-        raise click.BadParameter("--exclusion and --error go with --check")
-    if check:
-        excl = load_threshold_table(exclusion_path or packaged_data_path("table5a_exclusion.csv"),
-                                    "correct_exclusion")
-        err = load_threshold_table(error_path or packaged_data_path("table5a_error.csv"),
-                                   "erroneous_identification", percent=True)
-        violations = table_fixture_check(excl, err)
-        _emit_json(
-            {"cells": len(excl.feature_counts) * len(excl.thresholds), "violations": [asdict(v) for v in violations]},
-            None,
-        )
-        if violations:
-            sys.exit(1)
-        return
-    if scores_path is None or out_prefix is None:
-        raise click.BadParameter("compute mode needs --scores and --out-prefix")
+@click.option("--out-prefix", required=True, help="Write <prefix>_exclusion.csv and <prefix>_error.csv.")
+def thresholds_cmd(scores_path, mated_path, nonmated_path, thresholds_text, out_prefix):
+    """Audit decision-rule thresholds on a score file."""
     thresholds = _parse_float_list(thresholds_text, "thresholds")
     mated = load_model(mated_path).model if mated_path else DEFAULT_MATED_MODEL
     nonmated = load_model(nonmated_path).model if nonmated_path else REFERENCE_NONMATED_MODEL
@@ -401,6 +381,25 @@ def thresholds_cmd(ctx, scores_path, mated_path, nonmated_path, thresholds_text,
                   ["feature_count", "pairs", *[format_value(t) for t in table.thresholds]],
                   rows, meta=meta)
     _echo(f"wrote {out_prefix}_exclusion.csv and {out_prefix}_error.csv")
+
+
+@main.command("check-tables")
+@click.option("--exclusion", "exclusion_path", type=click.Path(exists=True, dir_okay=False), default=None,
+              help="Correct-exclusion fixture CSV (default: shipped).")
+@click.option("--error", "error_path", type=click.Path(exists=True, dir_okay=False), default=None,
+              help="Erroneous-identification fixture CSV in percent (default: shipped).")
+def check_tables(exclusion_path, error_path):
+    """Check that a published table pair sums to 1 cell by cell."""
+    excl = load_threshold_table(exclusion_path or packaged_data_path("table5a_exclusion.csv"), "correct_exclusion")
+    err = load_threshold_table(error_path or packaged_data_path("table5a_error.csv"),
+                               "erroneous_identification", percent=True)
+    violations = table_fixture_check(excl, err)
+    _emit_json(
+        {"cells": len(excl.feature_counts) * len(excl.thresholds), "violations": [asdict(v) for v in violations]},
+        None,
+    )
+    if violations:
+        sys.exit(1)
 
 
 @main.command("report")

@@ -634,11 +634,10 @@ class Violation:
 def table_fixture_check(
     exclusion: ThresholdTable,
     identification: ThresholdTable,
-    tolerance: float = _COMPLEMENT_TOL,
 ) -> tuple[Violation, ...]:
     """Flag every cell where exclusion + identification differs from 1.
 
-    The default tolerance 0.001 absorbs printed rounding of 0.0005 per side.
+    The tolerance 0.001 absorbs printed rounding of 0.0005 per side.
     Tables must be aligned (same rows, columns, and pair counts); empty
     tables are a domain error.
     """
@@ -654,5 +653,5 @@ def table_fixture_check(
     cells = (exclusion.rates, identification.rates, deviation)
     return tuple(
         Violation(exclusion.feature_counts[i], exclusion.thresholds[j], *(float(c[i, j]) for c in cells))
-        for i, j in np.argwhere(deviation > tolerance)
+        for i, j in np.argwhere(deviation > _COMPLEMENT_TOL)
     )

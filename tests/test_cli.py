@@ -245,13 +245,21 @@ class TestTails:
         (["--scores", "s.csv", "--counts", "35,14,3", "--total", "2694"], "--scores takes no --counts or --total"),
         (["--scores", "s.csv", "--counts", "35,14,3"], "--scores takes no --counts or --total"),
         (["--scores", "s.csv", "--total", "2694"], "--scores takes no --counts or --total"),
-    ], ids=["total", "scores-counts-total", "scores-counts", "scores-total"])
+        (["--origin", "mated", "--counts", "35,14,3", "--total", "2694"], "--origin goes with --scores"),
+        (["--origin", "mated"], "--origin goes with --scores"),
+    ], ids=["total", "scores-counts-total", "scores-counts", "scores-total", "origin-counts", "origin-model"])
     def test_inputs_it_would_ignore_rejected(self, runner, workdir, extra, message):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "100", "--seed", "0"])
         result = runner.invoke(main, ["tails", "--model", REF_JSON, *extra, "--out", "x.csv"])
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert not (workdir / "x.csv").exists()
+
+    def test_bad_cutpoints_rejected(self, runner, workdir):
+        result = runner.invoke(main, ["tails", "--cutpoints", "0,x", "--out", "t.csv"])
+        assert result.exit_code == 2, result.output
+        assert "bad cutpoints" in result.output
+        assert not (workdir / "t.csv").exists()
 
     @pytest.mark.parametrize("counts", ["35.7,14,3", "nan,1,1", "inf,1,1"])
     def test_counts_must_be_whole_numbers(self, runner, workdir, counts):
@@ -333,8 +341,9 @@ class TestFitAndGof:
         ["sim-toy", "--between-sd", "2", "--out", "o.csv"],
         ["fit", "--scores", "s.csv", "--max-iter", "10", "--out", "o.json"],
         ["fit", "--scores", "s.csv", "--tol", "1e-6", "--out", "o.json"],
+        ["thresholds", "--check"],
     ], ids=["gof --kind", "gof --p-method none", "sim-toy --pop-mean", "sim-toy --between-sd",
-            "fit --max-iter", "fit --tol"])
+            "fit --max-iter", "fit --tol", "thresholds --check"])
     def test_removed_settings_are_usage_errors(self, runner, workdir, args):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "40", "--seed", "0"])
         result = runner.invoke(main, args)
@@ -344,8 +353,7 @@ class TestFitAndGof:
 
     def test_gof_reports_both_statistics(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
-        result = invoke(runner, ["gof", "--scores", "s.csv", "--model", REF_JSON,
-                                 "--bootstrap-b", "199", "--seed", "0"])
+        result = invoke(runner, ["gof", "--scores", "s.csv", "--model", REF_JSON, "--seed", "0"])
         obj = json.loads(result.output)
         kinds = [o["statistic_kind"] for o in obj["outcomes"]]
         assert kinds == ["KS", "AD"]
@@ -366,17 +374,41 @@ class TestFitAndGof:
     @pytest.mark.parametrize("p_method", ["asymptotic", "bootstrap"])
     def test_gof_out_writes_the_stdout_bytes(self, runner, workdir, p_method):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
-        args = ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", p_method, "--bootstrap-b", "100",
-                "--seed", "2"]
+        b = ["--bootstrap-b", "100"] if p_method == "bootstrap" else []
+        args = ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", p_method, *b, "--seed", "2"]
         stdout = invoke(runner, args).output
         result = invoke(runner, [*args, "--out", "g.json"])
         assert result.exit_code == 0 and result.output == ""
         assert (workdir / "g.json").read_text() == stdout
 
+    @pytest.mark.parametrize("p_method", [[], ["--p-method", "asymptotic"]], ids=["default", "asymptotic"])
+    def test_gof_bootstrap_b_without_bootstrap_rejected(self, runner, workdir, p_method):
+        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "40", "--seed", "0"])
+        result = runner.invoke(main, ["gof", "--scores", "s.csv", "--model", REF_JSON, *p_method,
+                                      "--bootstrap-b", "5", "--out", "g.json"])
+        assert result.exit_code == 2, result.output
+        assert "--bootstrap-b goes with --p-method bootstrap" in result.output
+        assert not (workdir / "g.json").exists()
+
+    def test_feature_count_filters_fit_and_gof(self, runner, workdir):
+        invoke(runner, ["gen", "--out", "a.csv", "--n-mated", "10", "--n-nonmated", "300", "--feature-count", "10",
+                        "--seed", "0"])
+        invoke(runner, ["gen", "--out", "b.csv", "--n-mated", "10", "--n-nonmated", "200", "--feature-count", "15",
+                        "--seed", "1"])
+        a, b = ([ln for ln in (workdir / name).read_text().splitlines() if not ln.startswith("#")]
+                for name in ("a.csv", "b.csv"))
+        (workdir / "s.csv").write_text("\n".join(a + b[1:]) + "\n")  # one header, feature counts 10 and 15
+        result = invoke(runner, ["fit", "--scores", "s.csv", "--feature-count", "10", "--restarts", "1",
+                                 "--out", "f.json"])
+        assert json.loads(result.output)["n_points"] == 300
+        assert json.loads((workdir / "f.json").read_text())["feature_count"] == 10
+        result = invoke(runner, ["gof", "--scores", "s.csv", "--model", "f.json", "--feature-count", "15"])
+        assert json.loads(result.output)["n"] == 200
+
 
 class TestThresholds:
     def test_check_mode_passes_on_shipped_fixtures(self, runner, workdir):
-        result = invoke(runner, ["thresholds", "--check"])
+        result = invoke(runner, ["check-tables"])
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert obj["cells"] == 66
@@ -389,7 +421,7 @@ class TestThresholds:
         src = packaged_data_path("table5a_error.csv").read_text()
         bad = workdir / "bad_error.csv"
         bad.write_text(src.replace("6.0,6.0,6.0,1.0", "6.0,6.0,9.0,1.0"))
-        result = runner.invoke(main, ["thresholds", "--check", "--error", str(bad)])
+        result = runner.invoke(main, ["check-tables", "--error", str(bad)])
         assert result.exit_code == 1
         obj = json.loads(result.output)
         assert len(obj["violations"]) == 1
@@ -397,7 +429,7 @@ class TestThresholds:
 
     def test_check_mode_rejects_a_nan_threshold_column(self, runner, workdir):
         (workdir / "t.csv").write_text("feature_count,pairs,nan,inf\n5,10,0.5,0.5\n")
-        result = runner.invoke(main, ["thresholds", "--check", "--exclusion", "t.csv", "--error", "t.csv"])
+        result = runner.invoke(main, ["check-tables", "--exclusion", "t.csv", "--error", "t.csv"])
         assert result.exit_code == 2
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"] == {"code": "domain_error", "message": "thresholds must not be NaN"}
@@ -417,10 +449,9 @@ class TestThresholds:
     ], ids=["scores", "mated-model", "nonmated-model", "out-prefix", "thresholds"])
     def test_check_mode_rejects_compute_options(self, runner, workdir, extra):
         (workdir / "s.csv").write_text(_three_feature_count_scores())
-        result = runner.invoke(main, ["thresholds", "--check", *extra])
+        result = runner.invoke(main, ["check-tables", *extra])
         assert result.exit_code == 2, result.output
-        assert "--check takes no --scores, --mated-model, --nonmated-model, --out-prefix or --thresholds" in (
-            result.output)
+        assert f"No such option '{extra[0]}'" in result.output
         assert not (workdir / "audit_exclusion.csv").exists()
 
     @pytest.mark.parametrize("flags", [["--exclusion"], ["--error"], ["--exclusion", "--error"]],
@@ -431,7 +462,17 @@ class TestThresholds:
         extra = [arg for flag in flags for arg in (flag, fixture)]
         result = runner.invoke(main, ["thresholds", "--scores", "s.csv", "--out-prefix", "audit", *extra])
         assert result.exit_code == 2, result.output
-        assert "--exclusion and --error go with --check" in result.output
+        assert f"No such option '{flags[0]}'" in result.output
+        assert not (workdir / "audit_exclusion.csv").exists()
+
+    @pytest.mark.parametrize("args, missing", [
+        (["--out-prefix", "audit"], "--scores"), (["--scores", "s.csv"], "--out-prefix"),
+    ], ids=["scores", "out-prefix"])
+    def test_compute_mode_needs_scores_and_out_prefix(self, runner, workdir, args, missing):
+        (workdir / "s.csv").write_text(_three_feature_count_scores())
+        result = runner.invoke(main, ["thresholds", *args])
+        assert result.exit_code == 2, result.output
+        assert f"Missing option '{missing}'" in result.output
         assert not (workdir / "audit_exclusion.csv").exists()
 
     def test_compute_mode_writes_pair(self, runner, workdir):
@@ -573,6 +614,7 @@ _LIBRARY_ERROR_CASES = {
     "sim-pvalues": (["--scores", "bad.csv", "--out", "p.csv"], "data_format_error"),
     "sim-toy": (["--reps", "10", "--out", "toy.csv"], "domain_error"),
     "thresholds": (["--scores", "bad.csv", "--out-prefix", "audit"], "data_format_error"),
+    "check-tables": (["--exclusion", "bad.csv"], "data_format_error"),
     "report": (["--mated", "bad.json", "--nonmated", REF_JSON, "--score", "0"], "data_format_error"),
 }
 
@@ -657,7 +699,7 @@ def cli_outputs(tmp_path_factory):
             "sim-toy": read("toy.csv"),
             "sim-pvalues asymptotic": read("pv_asym.csv"),
             "sim-pvalues bootstrap": read("pv_boot.csv"),
-            "thresholds --check": run(["thresholds", "--check"]),
+            "thresholds --check": run(["check-tables"]),
             "thresholds exclusion": read("audit_exclusion.csv"),
             "thresholds error": read("audit_error.csv"),
             "fit stdout": fit_out,
