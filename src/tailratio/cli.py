@@ -50,15 +50,14 @@ from .io import (
     save_scores,
     write_csv,
 )
-from .seeds import SEED_ENV_VAR, SPLIT
+from .seeds import SPLIT
 
 _SEED_OPTION = click.option(
     "--seed",
     type=click.IntRange(0, 2**32 - 1),
     default=0,
-    envvar=SEED_ENV_VAR,
     show_default=True,
-    help=f"Master seed (falls back to ${SEED_ENV_VAR}, then 0; an explicit flag always wins).",
+    help="Master seed.",
 )
 
 
@@ -73,13 +72,8 @@ def _echo(text: str, nl: bool = True, err: bool = False) -> None:
     click.echo(text, nl=nl, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
-def _emit_json(obj: dict[str, Any], out: str | None) -> None:
-    text = json.dumps(_jsonable(obj), indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        _echo(text, nl=False)
+def _emit_json(obj: dict[str, Any]) -> None:
+    _echo(json.dumps(_jsonable(obj), indent=2) + "\n", nl=False)
 
 
 def _jsonable(value: Any) -> Any:
@@ -198,8 +192,7 @@ def fit_cmd(scores_path, origin, feature_count, k, restarts, train_fraction, out
             "n_points": int(len(scores)),
             "out": str(out),
             "meta": build_meta(seed, config),
-        },
-        None,
+        }
     )
 
 
@@ -207,8 +200,7 @@ def fit_cmd(scores_path, origin, feature_count, k, restarts, train_fraction, out
 @click.option("--mated", "mated_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--nonmated", "nonmated_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--score", type=float, required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write JSON here instead of stdout.")
-def eval_cmd(mated_path, nonmated_path, score, out):
+def eval_cmd(mated_path, nonmated_path, score):
     """Evaluate the evidence numbers for one observed score."""
     mated = load_model(mated_path).model
     nonmated = load_model(nonmated_path).model
@@ -218,8 +210,7 @@ def eval_cmd(mated_path, nonmated_path, score, out):
     # a shallow copy: the report's fields are floats and bools
     report = {f.name: getattr(rep, f.name) for f in fields(rep)}
     _emit_json(
-        {**report, "tipping_score": tp.observed_score, "slr_at_tipping_score": tp.slr, "meta": build_meta(0, config)},
-        out,
+        {**report, "tipping_score": tp.observed_score, "slr_at_tipping_score": tp.slr, "meta": build_meta(0, config)}
     )
 
 
@@ -231,12 +222,13 @@ def eval_cmd(mated_path, nonmated_path, score, out):
 @click.option("--p-method", type=click.Choice(_P_METHODS), default="asymptotic", show_default=True,
               help="closed forms, or a bootstrap that refits the model to every draw.")
 @click.option("--bootstrap-b", type=int, default=199, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_SEED_OPTION
-def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_b, out, seed):
+def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_b, seed):
     """Test scores against a model with the KS and AD statistics."""
     if p_method != "bootstrap" and _from_command_line("bootstrap_b"):
         raise click.BadParameter("--bootstrap-b goes with --p-method bootstrap")
+    if p_method != "bootstrap" and _from_command_line("seed"):
+        raise click.BadParameter("--seed goes with --p-method bootstrap")
     dataset = load_scores(scores_path)
     sample = dataset.scores(origin=origin, feature_count=feature_count)
     model = load_model(model_path).model
@@ -251,8 +243,7 @@ def gof_cmd(scores_path, model_path, origin, feature_count, p_method, bootstrap_
     config = dict(subcommand="gof", scores=str(scores_path), model=str(model_path), origin=origin,
                   feature_count=feature_count, p_method=p_method, bootstrap_b=bootstrap_b)
     _emit_json(
-        {"outcomes": [asdict(o) for o in outcomes], "n": int(len(sample)), "meta": build_meta(seed, config)},
-        out,
+        {"outcomes": [asdict(o) for o in outcomes], "n": int(len(sample)), "meta": build_meta(seed, config)}
     )
 
 
@@ -395,8 +386,7 @@ def check_tables(exclusion_path, error_path):
                                "erroneous_identification", percent=True)
     violations = table_fixture_check(excl, err)
     _emit_json(
-        {"cells": len(excl.feature_counts) * len(excl.thresholds), "violations": [asdict(v) for v in violations]},
-        None,
+        {"cells": len(excl.feature_counts) * len(excl.thresholds), "violations": [asdict(v) for v in violations]}
     )
     if violations:
         sys.exit(1)
@@ -415,8 +405,6 @@ def report_cmd(mated_path, nonmated_path, score):
 
 
 def _one_significant_figure(x: float) -> float:
-    if x <= 0.0 or not math.isfinite(x):
-        return x
     exponent = math.floor(math.log10(x))
     base = 10.0**exponent
     return round(x / base) * base

@@ -376,7 +376,9 @@ class ToyScenario:
     """Gaussian toy-model scenario for the convergence study.
 
     A population of sources has means N(pop_mean, between_sd); repeated
-    observations of one source scatter N(source_mean, within_sd).
+    observations of one source scatter N(source_mean, within_sd).  within_sd
+    is positive, so the specific-source LR is a ratio of two densities;
+    between_sd may be 0.
     """
 
     pop_mean: float
@@ -387,10 +389,10 @@ class ToyScenario:
     def __post_init__(self) -> None:
         if not np.all(np.isfinite((self.pop_mean, self.between_sd, self.within_sd, self.source_mean))):
             raise DomainError("scenario parameters must be finite")
-        if self.between_sd < 0.0 or self.within_sd < 0.0:
-            raise DomainError("scenario sds must be nonnegative")
-        if self.between_sd == 0.0 and self.within_sd == 0.0:
-            raise DomainError("between_sd and within_sd must not both be 0")
+        if self.between_sd < 0.0:
+            raise DomainError("between_sd must be nonnegative")
+        if self.within_sd <= 0.0:
+            raise DomainError("within_sd must be positive")
 
     @property
     def total_sd(self) -> float:
@@ -439,8 +441,6 @@ def specific_source_lr(sc: ToyScenario, x):
 
     Returns +inf where the denominator underflows (saturation marker).
     """
-    if sc.within_sd <= 0.0:
-        raise DomainError("within_sd must be positive for a density ratio")
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("observations must be finite")
@@ -480,10 +480,7 @@ def _toy_tails(sc: ToyScenario, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     an erfc difference where it lies on one side.
     """
     total = sc.total_sd
-    if sc.within_sd > 0.0:
-        alpha = 2.0 * ndtr(s / sc.within_sd)
-    else:
-        alpha = np.where(s == 0.0, 1.0, 0.0)
+    alpha = 2.0 * ndtr(s / sc.within_sd)
     centre = (sc.source_mean - sc.pop_mean) / total
     half = -np.asarray(s, dtype=float) / total
     upper = (centre + half) / math.sqrt(2.0)
@@ -529,11 +526,7 @@ def toy_study(
             s = -np.abs(x - sc.source_mean)
             alpha, beta = _toy_tails(sc, s)
             ratio, _ = _saturating_ratio(alpha, beta)
-            if sc.within_sd > 0.0:
-                true_lr = specific_source_lr(sc, x)
-            else:
-                # point-mass source: the density ratio degenerates to an indicator
-                true_lr = np.where(x == sc.source_mean, np.inf, 0.0)
+            true_lr = specific_source_lr(sc, x)
             saturated = ~(np.isfinite(ratio) & np.isfinite(true_lr))
             cells.append((np.full(reps, label), np.full(reps, hyp), np.arange(reps), true_lr, ratio, saturated))
     return ToyStudy(*(np.concatenate(column) for column in zip(*cells)))

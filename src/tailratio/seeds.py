@@ -19,8 +19,6 @@ __all__ = ["substream"]
 
 Key = Union[int, Sequence[int]]
 
-SEED_ENV_VAR = "TAILRATIO_SEED"
-
 # The purpose of a stream: the last element of every key path built from a master seed.
 # Purpose 5 named the retired uniform bootstrap null; it stays unused so the
 # toy cells keep their streams.

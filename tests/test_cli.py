@@ -80,14 +80,15 @@ class TestGen:
         if code:
             assert "Invalid value for '--seed'" in result.output
 
-    def test_env_seed_respected_and_flag_wins(self, runner, workdir):
-        invoke(runner, ["gen", "--out", "env.csv", "--n-mated", "40", "--n-nonmated", "40"],
-               env={"TAILRATIO_SEED": "3"})
-        invoke(runner, ["gen", "--out", "flag.csv", "--n-mated", "40", "--n-nonmated", "40", "--seed", "3"])
-        assert (workdir / "env.csv").read_bytes() == (workdir / "flag.csv").read_bytes()
-        invoke(runner, ["gen", "--out", "win.csv", "--n-mated", "40", "--n-nonmated", "40", "--seed", "4"],
-               env={"TAILRATIO_SEED": "3"})
-        assert (workdir / "win.csv").read_bytes() != (workdir / "flag.csv").read_bytes()
+    def test_seed_environment_variable_changes_nothing(self, runner, workdir):
+        # --seed is the only source of the seed: a result depends on its command line and inputs alone
+        env = {"TAILRATIO_SEED": "3"}
+        gen = ["gen", "--n-mated", "40", "--n-nonmated", "40"]
+        invoke(runner, [*gen, "--out", "plain.csv"])
+        invoke(runner, [*gen, "--out", "env.csv"], env=env)
+        assert (workdir / "env.csv").read_bytes() == (workdir / "plain.csv").read_bytes()
+        gof = ["gof", "--scores", "plain.csv", "--model", REF_JSON, "--p-method", "asymptotic"]
+        assert invoke(runner, gof, env=env).output == invoke(runner, gof).output
 
     def test_packaged_core_writes_the_default_rows(self, runner, workdir):
         args = ["gen", "--n-mated", "40", "--n-nonmated", "40", "--seed", "3"]
@@ -125,19 +126,13 @@ class TestEvalAndReport:
         assert obj["beta"] == 1.335566869034685e-309
         assert obj["ratio"] is None and obj["saturated"] is True
 
-    def test_eval_out_writes_the_stdout_bytes(self, runner, workdir):
-        args = ["eval", "--mated", MATED_JSON, "--nonmated", REF_JSON, "--score", "-30"]
-        stdout = invoke(runner, args).output
-        result = invoke(runner, [*args, "--out", "e.json"])
-        assert result.exit_code == 0 and result.output == ""
-        assert (workdir / "e.json").read_text() == stdout
-
     @pytest.mark.parametrize("mated, nonmated, code", [
         (([1.0], [20.69747484641257], [4.8435080737305035e-12]), ([1.0], [0.1267580180631507], [0.05661123172663348]),
          0),
         (([1.0], [187725772.17945847], [1.230957397048295e-07]), ([1.0], [609899621298.4407], [81692882545.19823]),
          2),
-    ], ids=["zero-interpolation-divisor", "no-convergence"])
+        (([1.0], [0.3], [1e-12]), ([1.0], [0.0], [1.0]), 2),
+    ], ids=["zero-interpolation-divisor", "no-convergence", "gap-left-open"])
     def test_eval_on_a_hard_tipping_search(self, runner, workdir, mated, nonmated, code):
         save_model(MixtureModel(*mated), "m.json")
         save_model(MixtureModel(*nonmated), "n.json")
@@ -335,25 +330,30 @@ class TestFitAndGof:
         assert payload["nfev"] >= payload["nit"] >= 1
 
     @pytest.mark.parametrize("args", [
-        ["gof", "--scores", "s.csv", "--model", REF_JSON, "--kind", "KS", "--out", "o.json"],
-        ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", "none", "--out", "o.json"],
+        ["gof", "--scores", "s.csv", "--model", REF_JSON, "--kind", "KS"],
+        ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", "none"],
+        ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", "asymptotic", "--out", "g.json"],
+        ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", "bootstrap", "--bootstrap-b", "100",
+         "--seed", "2", "--out", "g.json"],
+        ["eval", "--mated", MATED_JSON, "--nonmated", REF_JSON, "--score", "0", "--out", "e.json"],
         ["sim-toy", "--pop-mean", "1", "--out", "o.csv"],
         ["sim-toy", "--between-sd", "2", "--out", "o.csv"],
         ["fit", "--scores", "s.csv", "--max-iter", "10", "--out", "o.json"],
         ["fit", "--scores", "s.csv", "--tol", "1e-6", "--out", "o.json"],
         ["thresholds", "--check"],
-    ], ids=["gof --kind", "gof --p-method none", "sim-toy --pop-mean", "sim-toy --between-sd",
-            "fit --max-iter", "fit --tol", "thresholds --check"])
+    ], ids=["gof --kind", "gof --p-method none", "gof --out asymptotic", "gof --out bootstrap", "eval --out",
+            "sim-toy --pop-mean", "sim-toy --between-sd", "fit --max-iter", "fit --tol", "thresholds --check"])
     def test_removed_settings_are_usage_errors(self, runner, workdir, args):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "40", "--seed", "0"])
+        files = set(workdir.iterdir())
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "Usage:" in result.output
-        assert not any(workdir.glob("o.*"))
+        assert set(workdir.iterdir()) == files
 
     def test_gof_reports_both_statistics(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
-        result = invoke(runner, ["gof", "--scores", "s.csv", "--model", REF_JSON, "--seed", "0"])
+        result = invoke(runner, ["gof", "--scores", "s.csv", "--model", REF_JSON])
         obj = json.loads(result.output)
         kinds = [o["statistic_kind"] for o in obj["outcomes"]]
         assert kinds == ["KS", "AD"]
@@ -371,24 +371,23 @@ class TestFitAndGof:
         assert ad["p_value"] == asymptotic_ad_pvalue(ad["statistic"], 400)
         assert (ad["statistic_kind"], ad["p_method"]) == ("AD", "asymptotic")
 
-    @pytest.mark.parametrize("p_method", ["asymptotic", "bootstrap"])
-    def test_gof_out_writes_the_stdout_bytes(self, runner, workdir, p_method):
-        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
-        b = ["--bootstrap-b", "100"] if p_method == "bootstrap" else []
-        args = ["gof", "--scores", "s.csv", "--model", REF_JSON, "--p-method", p_method, *b, "--seed", "2"]
-        stdout = invoke(runner, args).output
-        result = invoke(runner, [*args, "--out", "g.json"])
-        assert result.exit_code == 0 and result.output == ""
-        assert (workdir / "g.json").read_text() == stdout
-
     @pytest.mark.parametrize("p_method", [[], ["--p-method", "asymptotic"]], ids=["default", "asymptotic"])
     def test_gof_bootstrap_b_without_bootstrap_rejected(self, runner, workdir, p_method):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "40", "--seed", "0"])
         result = runner.invoke(main, ["gof", "--scores", "s.csv", "--model", REF_JSON, *p_method,
-                                      "--bootstrap-b", "5", "--out", "g.json"])
+                                      "--bootstrap-b", "5"])
         assert result.exit_code == 2, result.output
         assert "--bootstrap-b goes with --p-method bootstrap" in result.output
-        assert not (workdir / "g.json").exists()
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("p_method", [[], ["--p-method", "asymptotic"]], ids=["default", "asymptotic"])
+    def test_gof_seed_without_bootstrap_rejected(self, runner, workdir, p_method):
+        # the closed forms draw nothing, so the seed would only be copied into meta.seed
+        invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "40", "--n-nonmated", "40", "--seed", "0"])
+        result = runner.invoke(main, ["gof", "--scores", "s.csv", "--model", REF_JSON, *p_method, "--seed", "3"])
+        assert result.exit_code == 2, result.output
+        assert "--seed goes with --p-method bootstrap" in result.output
+        assert result.stdout == ""
 
     def test_feature_count_filters_fit_and_gof(self, runner, workdir):
         invoke(runner, ["gen", "--out", "a.csv", "--n-mated", "10", "--n-nonmated", "300", "--feature-count", "10",
@@ -567,6 +566,15 @@ class TestErrorSurface:
         result = runner.invoke(main, ["fit", "--scores", "ghost.csv", "--out", "f.json"])
         assert result.exit_code != 0
 
+    def test_bad_score_line_reported_by_number(self, runner, workdir):
+        (workdir / "s.csv").write_text("score,origin,feature_count,pair_id\n-60.0,nonmated,15,p0\nx,nonmated,15,p1\n")
+        result = runner.invoke(main, ["fit", "--scores", "s.csv", "--out", "f.json"])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        err = json.loads(result.stderr)["error"]
+        assert (err["code"], err["line"]) == ("data_format_error", 3)
+        assert not (workdir / "f.json").exists()
+
     def test_bootstrap_floor_reported_as_json(self, runner, workdir):
         invoke(runner, ["gen", "--out", "s.csv", "--n-mated", "100", "--n-nonmated", "400", "--seed", "0"])
         result = runner.invoke(main, ["gof", "--scores", "s.csv", "--model", REF_JSON,
@@ -644,7 +652,7 @@ OUTPUT_DIGESTS = {
     "sim-toy": "51f0e884a80cd68d039d7e89c638dff7d24b1328a1febdf62cdd025cba44a35c",
     "sim-pvalues asymptotic": "678fc5ed8189bdaff9a606a7b7ff70914e21f987ea49d2bc09a15955ec484940",
     "sim-pvalues bootstrap": "2242088b21a88f417b59d5f72b5de1eeaa1b2f475af8b44896ffb1247ae1b9f0",
-    "thresholds --check": "665edc81cf202c8462c6e39c91495571bee02e32561ac5985de693b1ed52d573",
+    "check-tables": "665edc81cf202c8462c6e39c91495571bee02e32561ac5985de693b1ed52d573",
     "thresholds exclusion": "e14be58a61da1dac66ab2a0bb7d158ca8b983b83cac15b9a2e526199cdb7bf9d",
     "thresholds error": "4e48b323b21ea51c8256636c170cdcdde542b798ffe2b81c3bdba952f77eae35",
     "fit stdout": "1b51353855ba8c3ea3cf93599cbe75475f7ed01a1871ba89fca6fdee4c40a336",
@@ -699,7 +707,7 @@ def cli_outputs(tmp_path_factory):
             "sim-toy": read("toy.csv"),
             "sim-pvalues asymptotic": read("pv_asym.csv"),
             "sim-pvalues bootstrap": read("pv_boot.csv"),
-            "thresholds --check": run(["check-tables"]),
+            "check-tables": run(["check-tables"]),
             "thresholds exclusion": read("audit_exclusion.csv"),
             "thresholds error": read("audit_error.csv"),
             "fit stdout": fit_out,

@@ -269,6 +269,12 @@ class TestMixture:
         direct = float(np.sum(np.log(mixture_pdf(REF, data))))
         assert log_likelihood(REF, data) == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("data, match", [([], "at least one data point"), ([0.0, math.nan], "finite")],
+                             ids=["empty", "nan"])
+    def test_log_likelihood_rejects_empty_and_nonfinite_data(self, data, match):
+        with pytest.raises(DomainError, match=match):
+            log_likelihood(REF, data)
+
 
 @given(MIXTURES, st.floats(-1e4, 1e4))
 @settings(max_examples=200, deadline=None)

@@ -199,6 +199,14 @@ class TestTippingPoint:
             tipping_score(mated, nonmated)
         assert info.value.code == "no_tipping_point"
 
+    def test_gap_left_open_raises(self):
+        # the search converges on the mated step at 0.3 (scale 1e-12), where alpha moves about 1e-5 per
+        # representable score, so no score brings |alpha - beta| below 1e-9
+        mated = MixtureModel([1.0], [0.3], [1e-12])
+        nonmated = MixtureModel([1.0], [0.0], [1.0])
+        with pytest.raises(NoTippingPointError, match=r"\|alpha - beta\| = 9.030e-02"):
+            tipping_score(mated, nonmated)
+
 
 class TestDiscreteWoe:
     def test_correspondence_ratio(self):
@@ -215,6 +223,13 @@ class TestDiscreteWoe:
     def test_table_frequencies_must_sum_to_one(self):
         with pytest.raises(DomainError):
             BloodTypeTable.from_mapping({"X": 0.5, "Y": 0.4})
+
+    @pytest.mark.parametrize("frequencies, match", [
+        ((), "must not be empty"), ((("X", 1.0), ("Y", 0.0)), r"must be in \(0, 1\]"),
+    ], ids=["empty", "zero"])
+    def test_table_needs_positive_frequencies(self, frequencies, match):
+        with pytest.raises(DomainError, match=match):
+            BloodTypeTable(frequencies)
 
     def test_single_type_population_allowed(self):
         woe = discrete_woe(BloodTypeTable.from_mapping({"only": 1.0}))
@@ -238,6 +253,6 @@ class TestToyScenario:
         assert at_source == pytest.approx(sc.total_sd / sc.within_sd, rel=1e-12)
 
     def test_specific_source_lr_needs_positive_within(self):
-        sc = ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.0, source_mean=0.0)
-        with pytest.raises(DomainError):
-            specific_source_lr(sc, 0.0)
+        # a point-mass source has no density, so the scenario is refused before any LR is asked of it
+        with pytest.raises(DomainError, match="within_sd must be positive"):
+            ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.0, source_mean=0.0)

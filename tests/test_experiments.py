@@ -98,11 +98,21 @@ class TestSynth:
         with pytest.raises(DomainError):
             SynthConfig(contamination_weight=0.5)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"contamination_scale": 0.0}, "contamination_scale must be positive"),
+        ({"n_mated": -1}, "record counts must be nonnegative"),
+    ], ids=["contamination-scale", "n-mated"])
+    def test_scale_and_counts_checked(self, kwargs, match):
+        with pytest.raises(DomainError, match=match):
+            SynthConfig(**kwargs)
+
     def test_record_validation(self):
         with pytest.raises(DomainError):
             ScoreDataset(score=[0.0], origin=["other"], feature_count=[15], pair_id=["x"], source_id=[None])
         with pytest.raises(DomainError):
             ScoreDataset(score=[0.0], origin=["mated"], feature_count=[4], pair_id=["x"], source_id=[None])
+        with pytest.raises(DomainError, match="equal length"):
+            ScoreDataset(score=[0.0, 1.0], origin=["mated"], feature_count=[15], pair_id=["x"], source_id=[None])
 
     # a string makes the whole column non-numeric, so row 0 is the first bad one
     @pytest.mark.parametrize("bad, row", [(7.5, 1), (float("nan"), 1), ("7", 0)])
@@ -150,6 +160,10 @@ class TestTailAudit:
             TailAudit.from_counts([0.0, 25.0], [1], 100)
         with pytest.raises(DomainError):
             tail_audit(REF, [], [0.0])
+
+    def test_needs_a_cutpoint(self):
+        with pytest.raises(DomainError, match="at least one cutpoint"):
+            TailAudit.from_model(REF, [])
 
     @pytest.mark.parametrize("observed", [[math.nan, 1.0, -100.0], [1.0, math.inf], [[0.5, 1.0], [2.0, -1.0]]],
                              ids=["nan", "inf", "2-D"])
@@ -386,6 +400,10 @@ class TestToyStudy:
         with pytest.raises(DomainError):
             toy_study(default_toy_scenarios(), 99, seed=0)
 
+    def test_needs_a_scenario(self):
+        with pytest.raises(DomainError, match="at least one scenario"):
+            toy_study([], 100)
+
 
 class TestToyGaussian:
     def test_specific_source_lr_peak_ratio(self):
@@ -445,9 +463,8 @@ class TestToyGaussian:
             ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=-0.5, source_mean=0.0)
         with pytest.raises(DomainError):
             ToyScenario(pop_mean=float("nan"), between_sd=1.0, within_sd=0.5, source_mean=0.0)
-        point_mass = ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.0, source_mean=0.0)
-        with pytest.raises(DomainError):
-            specific_source_lr(point_mass, 0.0)
+        with pytest.raises(DomainError, match="within_sd must be positive"):
+            ToyScenario(pop_mean=0.0, between_sd=1.0, within_sd=0.0, source_mean=0.0)
 
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
     def test_specific_source_lr_rejects_nonfinite_x(self, x):
@@ -488,6 +505,10 @@ class TestThresholds:
     def test_needs_nonmated_records(self):
         with pytest.raises(DomainError):
             threshold_study([], [], thresholds=[1.0])
+
+    def test_needs_a_threshold(self):
+        with pytest.raises(DomainError, match="at least one threshold"):
+            threshold_study([1.0], [14], thresholds=[])
 
     @pytest.mark.parametrize(
         "ratios, feature_counts",
@@ -569,6 +590,8 @@ class TestFixtureCheck:
                 ThresholdTable("correct_exclusion", (14,), (10.0,), ((bad,),), (100,))
         with pytest.raises(DomainError, match="thresholds must not be NaN"):
             ThresholdTable("correct_exclusion", (14,), (float("nan"), math.inf), ((0.5, 0.5),), (100,))
+        with pytest.raises(DomainError, match="unknown table kind"):
+            ThresholdTable("false_exclusion", (14,), (10.0,), ((0.9,),), (100,))
 
     def test_violations_in_row_major_order(self):
         excl = ThresholdTable("correct_exclusion", (5, 14), (1.0, 10.0), ((0.5, 0.9), (0.2, 0.94)), (9, 9))
@@ -581,6 +604,12 @@ class TestFixtureCheck:
         excl = ThresholdTable("correct_exclusion", (14,), (10.0,), ((0.94,),), (100,))
         err = ThresholdTable("erroneous_identification", (15,), (10.0,), ((0.06,),), (100,))
         with pytest.raises(DomainError):
+            table_fixture_check(excl, err)
+
+    def test_empty_tables_rejected(self):
+        excl = ThresholdTable("correct_exclusion", (), (), np.zeros((0, 0)), ())
+        err = ThresholdTable("erroneous_identification", (), (), np.zeros((0, 0)), ())
+        with pytest.raises(DomainError, match="tables must be nonempty"):
             table_fixture_check(excl, err)
 
     def test_default_mated_model_shape(self):

@@ -69,6 +69,10 @@ class TestInit:
         with pytest.raises(DomainError):
             init_params(np.arange(19.0), 2)
 
+    def test_requires_a_component(self):
+        with pytest.raises(DomainError, match="component count must be at least 1"):
+            init_params(np.arange(50.0), 0)
+
     def test_rejects_constant_sample(self):
         with pytest.raises(DomainError):
             init_params(np.full(50, 3.0), 2)

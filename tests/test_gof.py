@@ -343,6 +343,10 @@ class TestGofOutcome:
         with pytest.raises(DomainError):
             GofOutcome("CvM", 0.1, 0.5, "asymptotic")
 
+    def test_statistic_checked(self):
+        with pytest.raises(DomainError, match="statistic must be nonnegative"):
+            GofOutcome("KS", -0.1, 0.5, "asymptotic")
+
 
 class TestBootstrap:
     def test_minimum_size_enforced(self):

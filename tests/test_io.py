@@ -544,6 +544,19 @@ class TestFixtureTables:
             load(path)
         assert exc_info.value.line == 3
 
+    @pytest.mark.parametrize("load, text, match", [
+        (load_table1_fixture,
+         "cutpoint,printed_expected_per_100k,observed_count,observed_total,printed_observed_per_100k\n"
+         "0,73,35,2694,1300\n25,7,14,2695,519\n", "inconsistent observed totals"),
+        (load_table4_summary, "feature_count,cross_comparisons,rate_below_100\n14,500,0.994\n15,500,0.9\n",
+         "exactly one data row"),
+    ], ids=["table1-totals", "table4-rows"])
+    def test_fixture_contents_checked(self, tmp_path, load, text, match):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=match):
+            load(path)
+
     def test_repeated_feature_count_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("feature_count,pairs,1,10\n5,10,0.1,0.2\n6,10,0.3,0.4\n5,10,0.5,0.6\n")
